@@ -27,22 +27,17 @@ from .errors import (
     SepprobError,
     SingularityError,
     StructureViolation,
-    UncancelledPole,
 )
 from .exactnum import (
     BigRational,
-    FactorList,
     SqrtPiScaled,
     as_rational,
-    factored_ratio,
     gamma_half,
     is_half_integer,
     pochhammer,
 )
 from .inversion import (
-    GegenbauerTables,
     TailEstimate,
-    build_tables,
     convergence_profile,
     gegenbauer_tail,
     legendre_tail,

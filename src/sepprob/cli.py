@@ -2,7 +2,8 @@
 
 Every experiment behind the tables and figures is reachable from here
 without code edits.  All exact values are printed as "num/den"; decimals
-appear only as renderings of exact values or as genuine big-float output.
+appear only as renderings of exact values or as genuine big-float output
+(float-mode tails are exact values rounded once to the requested digits).
 Output formats: text (comment lines starting '#', then space-separated
 rows), json (one object with "meta" and "rows"), csv (header plus rows).
 A given config always produces identical bytes in exact mode.
@@ -25,8 +26,8 @@ from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheLockedError, \
     SepprobError, StructureViolation
 from .exactnum import as_rational
-from .moments import Scenario, Variable, _fast_moment, moment_sequence, \
-    seed_sequence
+from .moments import Scenario, Variable, diff_moment, moment_sequence, \
+    pt_moment, seed_sequence
 
 CACHE_HEADER_PREFIX = "sepprob-moments v1"
 
@@ -105,12 +106,13 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
 # ---------------------------------------------------------------------------
 
 class MomentCacheFile:
-    """One scenario's exact moments as an append-only text file.
+    """One scenario's exact moments as a text file.
 
     Header line pins the scenario; records are "n num/den" with n counting
     up from 0.  Loading re-verifies one deterministic record by
     recomputation and refuses files whose header belongs to a different
-    scenario.  Writes are fail-fast exclusive via a lock file.
+    scenario.  Writes replace the file whole, fail-fast exclusive via a
+    lock file.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -147,8 +149,9 @@ class MomentCacheFile:
         if not mus:
             raise CacheIntegrityError(f"cache {self.path} has no records")
         pick = random.Random(len(mus)).randrange(len(mus))
-        expect = _fast_moment(self.scenario.variable, self.scenario.alpha,
-                              self.scenario.k, pick)
+        s = self.scenario
+        moment = pt_moment if s.variable is Variable.PT_DET else diff_moment
+        expect = moment(s.alpha, s.k, pick)
         if mus[pick] != expect:
             raise CacheIntegrityError(
                 f"cache {self.path}: record n={pick} fails recomputation")
@@ -180,10 +183,11 @@ def _sequence_with_cache(scenario: Scenario, m: int,
         cached = MomentCacheFile(cache_path, scenario).load()
         seed_sequence(scenario, cached)
         have = len(cached) - 1
-    full = moment_sequence(scenario, max(m, have))
-    if cache_path:
-        MomentCacheFile(cache_path, scenario).write(full.mu)
-    return moment_sequence(scenario, m)
+    seq = moment_sequence(scenario, m)
+    # a run that stays within the cached orders neither locks nor writes
+    if cache_path and m > have:
+        MomentCacheFile(cache_path, scenario).write(seq.mu)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +289,12 @@ def _as_exact(value) -> Fraction:
 
 
 def _factored(v: Fraction) -> str:
-    from sympy import factorint
+    try:
+        from sympy import factorint
+    except ImportError:
+        raise SepprobError(
+            "--factor needs sympy; install the optional extra: "
+            "pip install 'sepprob[factor]'") from None
 
     def side(n: int) -> str:
         if n in (1, -1):
@@ -549,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     ta.add_argument("--mode", choices=["exact", "float", "auto"],
                     default="auto")
     ta.add_argument("--precision", type=int,
-                    help="float-mode working digits")
+                    help="digits float mode rounds the exact result to "
+                         f"(default {inversion.DEFAULT_FLOAT_DIGITS})")
     ta.add_argument("--bound", type=int,
                     help="reconstruct a rational under this denominator bound")
     ta.add_argument("--radius", help="error radius for reconstruction")
@@ -567,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fill proportion-table gaps with pipeline "
                          "approximants at this truncation order")
     tb.add_argument("--factor", action="store_true",
-                    help="add prime factorizations")
+                    help="add prime factorizations (needs the optional "
+                         "sympy extra)")
     _add_format(tb)
     tb.set_defaults(func=cmd_tables)
 

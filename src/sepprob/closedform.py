@@ -29,8 +29,8 @@ import mpmath
 
 from .errors import DomainError, PrecisionError, SingularityError, \
     StructureViolation
-from .exactnum import RationalLike, SqrtPiScaled, as_rational, gamma_half, \
-    is_half_integer, pochhammer
+from .exactnum import RationalLike, SqrtPiScaled, as_rational, \
+    check_digits, gamma_half, is_half_integer, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -59,6 +59,7 @@ _FORMULAS: Dict[Fraction, _ClosedForm] = {
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
 
+DEFAULT_FLOAT_DIGITS = 50
 DEFAULT_LOG_DIGITS = 200
 ASYMPTOTE = Fraction(16, 27)
 
@@ -114,19 +115,20 @@ def sep_prob(alpha: RationalLike, k: int, mode: str = MODE_EXACT,
 
     k may be any integer >= -2 whose gamma arguments stay positive; the
     one excluded point is (alpha, k) = (1/2, -2), where the formula hits
-    Gamma(0).  Float mode evaluates 1 - exp(log F) instead and is meant
-    for k large enough that the factorials are unwieldy.
+    Gamma(0).  Float mode evaluates 1 - exp(log F) instead, at precision
+    digits (an int >= 1, default 50), and is meant for k large enough that
+    the factorials are unwieldy.
     """
     alpha = _check_alpha_case(alpha)
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"k must be an integer, got {k!r}")
     if k < -2:
         raise DomainError(f"k must be >= -2, got {k}")
+    digits = check_digits(precision, DEFAULT_FLOAT_DIGITS)
     if mode == MODE_EXACT:
         return 1 - _f_exact(alpha, k)
     if mode != MODE_FLOAT:
         raise DomainError(f"unknown mode {mode!r}")
-    digits = precision or 50
     with mpmath.mp.workdps(digits + 10):
         value = 1 - mpmath.exp(_log_f(alpha, k))
     with mpmath.mp.workdps(digits):

@@ -9,11 +9,6 @@ class DomainError(SepprobError):
     """A parameter lies outside the domain an operation is defined on."""
 
 
-class UncancelledPole(SepprobError):
-    """A factored ratio has more zero factors in the denominator than in the
-    numerator, so no finite cancellation limit exists."""
-
-
 class SingularityError(SepprobError):
     """A closed-form evaluation point sits on a pole of the formula."""
 

@@ -2,19 +2,19 @@
 
 Everything here is built on Python's fractions.Fraction (used throughout the
 package as the universal exact value type, aliased BigRational).  The module
-provides rising factorials, gamma at positive half-integer arguments carried
-symbolically as (rational) * pi^(e/2), and a factor-level ratio evaluator
-whose zero-cancellation rule is the basis for evaluating degenerate
-terminating hypergeometric terms.
+provides rational coercion, rising factorials, gamma at positive
+half-integer arguments carried symbolically as (rational) * pi^(e/2), and
+the check on a requested number of decimal digits shared by the float
+renderings of exact results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Optional, Union
 
-from .errors import DomainError, UncancelledPole
+from .errors import DomainError
 
 # The universal exact number type.  Always in lowest terms, denominator > 0,
 # arithmetic never rounds; all invariants are guaranteed by Fraction itself.
@@ -30,6 +30,18 @@ def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise DomainError(f"not an exact rational: {x!r}")
+
+
+def check_digits(precision: Optional[int], default: int) -> int:
+    """A requested number of decimal digits: default when None, else an
+    int >= 1."""
+    if precision is None:
+        return default
+    if isinstance(precision, bool) or not isinstance(precision, int) \
+            or precision < 1:
+        raise DomainError("precision must be a whole number of digits >= 1, "
+                          f"got {precision!r}")
+    return precision
 
 
 def is_half_integer(x: Fraction) -> bool:
@@ -127,84 +139,3 @@ def gamma_half(x: RationalLike) -> SqrtPiScaled:
         coeff *= t
         t -= 1
     return SqrtPiScaled(coeff, 1)
-
-
-@dataclass(frozen=True)
-class FactorList:
-    """An ordered list of exact linear-factor values.
-
-    The order matters: factored_ratio pairs zero factors positionally, so a
-    caller building numerator and denominator lists must arrange them so that
-    matching zeros (those arising from the same summation index) occupy the
-    same zero-rank on both sides.
-    """
-
-    factors: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *values: RationalLike) -> "FactorList":
-        return cls(tuple(as_rational(v) for v in values))
-
-    @classmethod
-    def rising(cls, a: RationalLike, n: int) -> "FactorList":
-        """The n unit-step factors of (a)_n: a, a+1, ..., a+n-1."""
-        if n < 0:
-            raise DomainError(f"rising needs n >= 0, got {n}")
-        a = as_rational(a)
-        return cls(tuple(a + i for i in range(n)))
-
-    @classmethod
-    def constant(cls, value: RationalLike, count: int) -> "FactorList":
-        return cls((as_rational(value),) * count)
-
-    def __add__(self, other: "FactorList") -> "FactorList":
-        return FactorList(self.factors + other.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self) -> Iterable[Fraction]:
-        return iter(self.factors)
-
-    def product(self) -> Fraction:
-        out = Fraction(1)
-        for f in self.factors:
-            out *= f
-        return out
-
-    def zero_count(self) -> int:
-        return sum(1 for f in self.factors if f == 0)
-
-
-def factored_ratio(numer: FactorList, denom: FactorList) -> Fraction:
-    """Ratio of two factor products with explicit zero-cancellation.
-
-    Let z_n and z_d be the zero counts.  With z_d = 0 this is the plain
-    product ratio (zero if the numerator has any zero factor).  With
-    z_n >= z_d > 0 the first z_d zeros of each list are removed pairwise in
-    list order and the ratio of the remaining products is returned; this is
-    the cancellation limit used for degenerate hypergeometric terms whose
-    paired zeros vanish at the same rate.  z_n < z_d has no finite limit.
-    """
-    z_n = numer.zero_count()
-    z_d = denom.zero_count()
-    if z_d == 0:
-        num = numer.product()
-        if num == 0:
-            return Fraction(0)
-        return num / denom.product()
-    if z_n < z_d:
-        raise UncancelledPole(
-            f"{z_d} zero factors below vs {z_n} above: no finite limit")
-    if z_n > z_d:
-        # after removing z_d pairs a genuine zero remains on top
-        return Fraction(0)
-    num = Fraction(1)
-    for f in numer:
-        if f != 0:
-            num *= f
-    den = Fraction(1)
-    for f in denom:
-        if f != 0:
-            den *= f
-    return num / den

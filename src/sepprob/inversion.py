@@ -18,7 +18,9 @@ where h_j = h0 eta_j are the structure constants, q_j = q1 g_j the partial
 weight integrals from zeta = c0 + c1 xi to 1, and g_j the degree-(j-1)
 polynomials of the shifted weight evaluated at zeta.  w = 0 is the Legendre
 case.  All quantities are rational when the interval, w and xi are rational,
-so the truncated tail estimate is computed exactly by default.
+so the truncated tail estimate is always computed exactly.  Float mode only
+changes how the result is reported: the exact value and the exact A_i, each
+correctly rounded once to the requested number of digits.
 
 The exact evaluator below streams the B rows in scaled-integer form (one
 big-int row per degree, no per-entry gcd) and keeps the accumulated sums
@@ -34,12 +36,13 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational
+from .exactnum import RationalLike, as_rational, check_digits
 from .moments import MomentSequence, Scenario, moment_sequence
 
 METHOD_LEGENDRE = "legendre"
@@ -49,33 +52,19 @@ MODE_EXACT = "exact"
 MODE_FLOAT = "float"
 MODE_AUTO = "auto"
 
-# exact rationals stay affordable up to about this truncation order; past it
-# the automatic mode switches to big floats at this many digits
+# the automatic mode reports an exact rational up to this truncation order
+# and the exact value rounded to this many digits past it
 AUTO_EXACT_LIMIT = 500
 DEFAULT_FLOAT_DIGITS = 300
 
 
 @dataclass(frozen=True)
-class GegenbauerTables:
-    """Exact recurrence tables for one (interval, weight exponent, order).
-
-    B is the lower-triangular coefficient table of the shifted polynomials
-    around c0, eta the normalized structure constants (eta_0 = 1) and g the
-    shifted-weight polynomial values at zeta = c0, i.e. for xi = 0.
-    """
-
-    alpha_w: int
-    m: int
-    c0: Fraction
-    c1: Fraction
-    B: Tuple[Tuple[Fraction, ...], ...]
-    eta: Tuple[Fraction, ...]
-    g: Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class TailEstimate:
-    """A truncated tail reconstruction sum_i A_i mu_i."""
+    """A truncated tail reconstruction sum_i A_i mu_i.
+
+    In float mode value and coeffs are the exact ones rounded to precision
+    digits; in exact mode they are Fractions and precision is None.
+    """
 
     scenario: Scenario
     method: str
@@ -98,52 +87,6 @@ def _check_weight(alpha_w: int) -> int:
         raise DomainError(
             f"weight exponent must be a nonnegative integer, got {alpha_w!r}")
     return alpha_w
-
-
-def build_tables(interval: Tuple[RationalLike, RationalLike],
-                 alpha_w: int, m: int) -> GegenbauerTables:
-    """Compute the B / eta / g tables by their defining recurrences."""
-    alpha_w = _check_weight(alpha_w)
-    if m < 0:
-        raise DomainError(f"truncation order must be >= 0, got {m}")
-    lo, hi = as_rational(interval[0]), as_rational(interval[1])
-    c0, c1 = _map_constants(lo, hi)
-    a = alpha_w
-
-    rows: List[Tuple[Fraction, ...]] = [(Fraction(1),)]
-    if m >= 1:
-        rows.append((c0, Fraction(1)))
-    for n in range(2, m + 1):
-        prev, prev2 = rows[n - 1], rows[n - 2]
-        lead = Fraction(2 * n + 2 * a - 1, n + 2 * a)
-        drag = Fraction(n - 1, n + 2 * a)
-        row = []
-        for j in range(n + 1):
-            t = c0 * prev[j] if j <= n - 1 else Fraction(0)
-            if j >= 1:
-                t += prev[j - 1]
-            t *= lead
-            if j <= n - 2:
-                t -= drag * prev2[j]
-            row.append(t)
-        rows.append(tuple(row))
-
-    eta = [Fraction(1)]
-    for n in range(1, m + 1):
-        eta.append(eta[-1] * Fraction(n * (2 * n + 2 * a - 1),
-                                      (2 * n + 2 * a + 1) * (n + 2 * a)))
-
-    g: List[Fraction] = []
-    if m >= 1:
-        g.append(Fraction(1))
-    if m >= 2:
-        g.append(c0)
-    for n in range(3, m + 1):
-        g.append((Fraction(2 * n + 2 * a - 1, n + 2 * a + 1) * c0 * g[-1]
-                  - Fraction(n - 2, n + 2 * a + 1) * g[-2]))
-
-    return GegenbauerTables(alpha_w=a, m=m, c0=c0, c1=c1,
-                            B=tuple(rows), eta=tuple(eta), g=tuple(g))
 
 
 def _h0(a: int) -> Fraction:
@@ -285,110 +228,34 @@ def _exact_coeffs(lo: Fraction, hi: Fraction, alpha_w: int, zeta: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Big-float evaluation
-# ---------------------------------------------------------------------------
-
-def _mpf_of(x: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
-def _float_coeffs(lo: Fraction, hi: Fraction, a: int, zeta: Fraction,
-                  m: int) -> List[mpmath.mpf]:
-    """A_0..A_m by the plain recurrences at the ambient working precision."""
-    c0f, c1f = (_mpf_of(x) for x in _map_constants(lo, hi))
-    zf = _mpf_of(zeta)
-    h0 = _mpf_of(_h0(a))
-    q0 = sum(mpmath.mpf(math.comb(a, r) * (-1) ** r) / (2 * r + 1)
-             * (1 - zf ** (2 * r + 1)) for r in range(a + 1))
-    q1 = (1 - zf * zf) ** (a + 1) / (2 * (a + 1))
-    if m == 0:
-        return [q0 / h0]
-    S = [mpmath.mpf(0)] * (m + 1)
-    prev = [mpmath.mpf(1)]
-    cur = [c0f, mpmath.mpf(1)]
-    g_prev, g_cur = None, mpmath.mpf(1)
-    eta = mpmath.mpf(1)
-    for j in range(1, m + 1):
-        if j > 1:
-            lead = mpmath.mpf(2 * j + 2 * a - 1) / (j + 2 * a)
-            drag = mpmath.mpf(j - 1) / (j + 2 * a)
-            row = []
-            for i in range(j + 1):
-                t = c0f * cur[i] if i <= j - 1 else mpmath.mpf(0)
-                if i >= 1:
-                    t += cur[i - 1]
-                t *= lead
-                if i <= j - 2:
-                    t -= drag * prev[i]
-                row.append(t)
-            prev, cur = cur, row
-            if j == 2:
-                g_prev, g_cur = g_cur, zf
-            else:
-                g_prev, g_cur = g_cur, (
-                    mpmath.mpf(2 * j + 2 * a - 1) / (j + 2 * a + 1) * zf * g_cur
-                    - mpmath.mpf(j - 2) / (j + 2 * a + 1) * g_prev)
-        eta *= mpmath.mpf(j * (2 * j + 2 * a - 1)) / (
-            (2 * j + 2 * a + 1) * (j + 2 * a))
-        w = g_cur / eta
-        for i in range(j + 1):
-            S[i] += w * cur[i]
-    qh = q1 / h0
-    out = [q0 / h0 + qh * S[0]]
-    ci = mpmath.mpf(1)
-    for i in range(1, m + 1):
-        ci *= c1f
-        out.append(ci * qh * S[i])
-    return out
-
-
-def _float_tail(lo: Fraction, hi: Fraction, a: int, zeta: Fraction, m: int,
-                mu: Sequence[Fraction], precision: int):
-    """Float coefficients plus dot product, with adaptive guard digits.
-
-    The final sum cancels heavily (|A_i mu_i| grows roughly like
-    (c1/16)^i while the tail stays order one), so the work runs at
-    precision + guard digits and is repeated with a larger guard whenever
-    the observed cancellation comes too close to it.
-    """
-    guard = 40 + m // 4
-    for _ in range(4):
-        with mpmath.mp.workdps(precision + guard):
-            A = _float_coeffs(lo, hi, a, zeta, m)
-            terms = [A[i] * _mpf_of(mu[i]) for i in range(m + 1)]
-            value = mpmath.fsum(terms)
-            peak = max(abs(t) for t in terms) if terms else mpmath.mpf(0)
-            if peak == 0 or value == 0:
-                loss = 0.0
-            else:
-                loss = float(mpmath.log10(peak / abs(value)))
-        if loss + 12 <= guard:
-            break
-        guard = int(loss) + 40
-    with mpmath.mp.workdps(precision):
-        value = +value
-        A = [+x for x in A]
-    return A, value
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
 def _resolve_mode(mode: str, m: int, precision: Optional[int]):
+    digits = check_digits(precision, DEFAULT_FLOAT_DIGITS)
     if mode == MODE_AUTO:
         mode = MODE_EXACT if m <= AUTO_EXACT_LIMIT else MODE_FLOAT
     if mode == MODE_EXACT:
         return MODE_EXACT, None
     if mode == MODE_FLOAT:
-        return MODE_FLOAT, precision or DEFAULT_FLOAT_DIGITS
+        return MODE_FLOAT, digits
     raise DomainError(f"unknown mode {mode!r}")
+
+
+def _rounded(x: Fraction, bits: int) -> mpmath.mpf:
+    """x correctly rounded (half to even) to a bits-bit mantissa."""
+    return mpmath.mp.make_mpf(
+        from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
 def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
                     m: int, mode: str = MODE_AUTO,
                     precision: Optional[int] = None) -> TailEstimate:
-    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m."""
+    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
+
+    The estimate is always computed exactly.  Float mode reports the exact
+    value and coefficients correctly rounded to `precision` digits.
+    """
     alpha_w = _check_weight(alpha_w)
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
@@ -402,16 +269,17 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     c0, c1 = _map_constants(lo, hi)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    if mode == MODE_EXACT:
-        A = _exact_coeffs(lo, hi, alpha_w, zeta, m)
-        value = Fraction(0)
-        for i in range(m + 1):
-            value += A[i] * moments.mu[i]
-    else:
-        A, value = _float_tail(lo, hi, alpha_w, zeta, m, moments.mu, precision)
+    A = _exact_coeffs(lo, hi, alpha_w, zeta, m)
+    value = Fraction(0)
+    for i in range(m + 1):
+        value += A[i] * moments.mu[i]
+    if mode == MODE_FLOAT:
+        bits = dps_to_prec(precision)
+        value = _rounded(value, bits)
+        A = tuple(_rounded(a, bits) for a in A)
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
                         alpha_w=alpha_w, m=m, mode=mode, precision=precision,
-                        value=value, coeffs=tuple(A))
+                        value=value, coeffs=A)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,

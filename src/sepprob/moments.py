@@ -11,9 +11,10 @@ terminating hypergeometric sums:
 
 For integer k < n the 5F4 sum degenerates: terms with k+1 <= j <= (k+n)/2
 vanish outright, while terms with j > (k+n)/2 are 0/0 forms whose finite
-cancellation limits contribute.  Each summand is therefore built as one
-numerator/denominator FactorList pair, expanded per unit step and aligned by
-j, and evaluated through factored_ratio so those limits are taken exactly.
+cancellation limits contribute.  One evaluator serves both families: it
+doubles every half-integer parameter and runs the sums in big integers,
+taking those limits exactly.  pt_moment and diff_moment are its validated
+public front; moment_sequence calls it for whole memoized sequences.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -28,8 +29,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DomainError, SepprobError
-from .exactnum import FactorList, RationalLike, as_rational, factored_ratio, \
-    is_half_integer, pochhammer
+from .exactnum import RationalLike, as_rational, is_half_integer
 
 HALF = Fraction(1, 2)
 
@@ -99,73 +99,7 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# Contract evaluation through FactorList pairs
-# ---------------------------------------------------------------------------
-
-def pt_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
-    """<|rho^PT|^n |rho|^k> / <|rho|^k>, exactly.
-
-    The 5F4 bottom pair -(k+n)/2, -(k+n-1)/2 is expanded through the
-    duplication identity (x/2)_j ((x+1)/2)_j = (x)_(2j) / 4^j with x = -k-n.
-    This is what makes positional zero pairing exact: the unit-step factors
-    of (-k-n)_(2j) move at the same unit rate in k as the (-k)_j factor on
-    top, so each removed pair is a limit of two factors with equal slope.
-    The half-argument factors themselves move at rate 1/2 and must not be
-    paired directly against a rate-1 zero.
-    """
-    alpha, k = as_rational(alpha), as_rational(k)
-    _check_params(alpha, k, n)
-    pref = (pochhammer(k + 1, n) * pochhammer(k + 1 + alpha, n)
-            * pochhammer(k + 1 + 2 * alpha, n)) / (
-        Fraction(2) ** (6 * n) * pochhammer(k + 3 * alpha + Fraction(3, 2), n)
-        * pochhammer(2 * k + 6 * alpha + Fraction(5, 2), 2 * n))
-    total = Fraction(0)
-    for j in range(n + 1):
-        numer = (FactorList.rising(-n, j)
-                 + FactorList.rising(-k, j)
-                 + FactorList.rising(alpha, j)
-                 + FactorList.rising(alpha + HALF, j)
-                 + FactorList.rising(-2 * k - 2 * n - 1 - 5 * alpha, j)
-                 + FactorList.constant(4, j))
-        denom = (FactorList.rising(-k - n - alpha, j)
-                 + FactorList.rising(-k - n - 2 * alpha, j)
-                 + FactorList.rising(-k - n, 2 * j)
-                 + FactorList.rising(1, j))
-        total += factored_ratio(numer, denom)
-    return pref * total
-
-
-def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
-    """<|rho|^k (|rho^PT| - |rho|)^n> / <|rho|^k>, exactly.
-
-    The 4F3 top pair -n/2, (1-n)/2 merges to (-n)_(2j) / 4^j, so every term
-    with 2j > n carries an unmatched numerator zero and the sum terminates at
-    floor(n/2).  No denominator factor can vanish for alpha >= 1/2, k >= 0,
-    which is why this variable never needs the cancellation limit.
-    """
-    alpha, k = as_rational(alpha), as_rational(k)
-    _check_params(alpha, k, n)
-    pref = Fraction(-1) ** n * (
-        pochhammer(alpha, n) * pochhammer(alpha + HALF, n)
-        * pochhammer(n + 2 * k + 2 + 5 * alpha, n)) / (
-        Fraction(2) ** (4 * n) * pochhammer(k + 3 * alpha + Fraction(3, 2), n)
-        * pochhammer(2 * k + 6 * alpha + Fraction(5, 2), 2 * n))
-    total = Fraction(0)
-    for j in range(n // 2 + 1):
-        numer = (FactorList.rising(-n, 2 * j)
-                 + FactorList.rising(k + 1 + alpha, j)
-                 + FactorList.rising(k + 1 + 2 * alpha, j))
-        denom = (FactorList.rising(1 - n - alpha, j)
-                 + FactorList.rising(HALF - n - alpha, j)
-                 + FactorList.rising(n + 2 * k + 2 + 5 * alpha, j)
-                 + FactorList.rising(1, j)
-                 + FactorList.constant(4, j))
-        total += factored_ratio(numer, denom)
-    return pref * total
-
-
-# ---------------------------------------------------------------------------
-# Doubled-integer fast paths (internal optimization, contract-equal)
+# Doubled-integer evaluation
 # ---------------------------------------------------------------------------
 #
 # All parameters are half-integers, so doubling every linear factor turns the
@@ -174,6 +108,12 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 # factors, so the introduced powers of 2 cancel.  The running series sum is
 # kept as Sn/Sd with the current term's denominator nested into Sd, which
 # avoids per-term gcd work.
+#
+# In the 5F4 sum the bottom pair -(k+n)/2, -(k+n-1)/2 enters through the
+# duplication identity (x/2)_j ((x+1)/2)_j = (x)_(2j) / 4^j with x = -k-n,
+# so every factor moves at the same unit rate in k.  That is what lets the
+# degenerate integer-k case pair one numerator zero with one denominator
+# zero and take the finite limit of the rest.
 
 def _pt_series_fast(a2: int, k2: int, n: int) -> Fraction:
     def step(j: int) -> tuple[int, int]:
@@ -263,6 +203,33 @@ def _fast_moment(variable: Variable, alpha: Fraction, k: Fraction, n: int) -> Fr
         sum_n = sum_n * sd + tn
         sum_d = td
     return pref * Fraction(sum_n, sum_d)
+
+
+# ---------------------------------------------------------------------------
+# Public single moments
+# ---------------------------------------------------------------------------
+
+def pt_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
+    """<|rho^PT|^n |rho|^k> / <|rho|^k>, exactly.
+
+    A 5F4-type sum over j = 0..n; for integer k < n its 0/0 terms are
+    replaced by their exact cancellation limits.
+    """
+    alpha, k = as_rational(alpha), as_rational(k)
+    _check_params(alpha, k, n)
+    return _fast_moment(Variable.PT_DET, alpha, k, n)
+
+
+def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
+    """<|rho|^k (|rho^PT| - |rho|)^n> / <|rho|^k>, exactly.
+
+    The 4F3 top pair -n/2, (1-n)/2 merges to (-n)_(2j) / 4^j, so the sum
+    terminates at floor(n/2).  No denominator factor can vanish for
+    alpha >= 1/2, k >= 0, so this variable never needs a cancellation limit.
+    """
+    alpha, k = as_rational(alpha), as_rational(k)
+    _check_params(alpha, k, n)
+    return _fast_moment(Variable.DIFF, alpha, k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ k -> k + eps; a term that degenerates to 0/0 at integer k is resolved by
 pairing zero factors against zero factors and taking the ratio of their
 slopes, which is the exact eps -> 0 limit of the term.
 
+The Gegenbauer table oracle builds the B / eta / g tables by their defining
+three-term recurrences in plain Fractions, one entry at a time, for checking
+the library's scaled-integer coefficient stream.
+
 The reconstruction oracles answer best-approximation and uniqueness
 questions by exhaustive scan over every denominator up to the bound.
 """
@@ -15,9 +19,11 @@ questions by exhaustive scan over every denominator up to the bound.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from sepprob.errors import DomainError
 from sepprob.exactnum import as_rational, gamma_half
 
 ZERO = Fraction(0)
@@ -107,6 +113,73 @@ def diff_moment_oracle(alpha, k, n: int) -> Fraction:
                  + _poch_factors(ONE, ZERO, j))
         total += _term_limit(numer, denom)
     return pre * total
+
+
+@dataclass(frozen=True)
+class GegenbauerTables:
+    """Exact recurrence tables for one (interval, weight exponent, order).
+
+    B is the lower-triangular coefficient table of the shifted polynomials
+    around c0, eta the normalized structure constants (eta_0 = 1) and g the
+    shifted-weight polynomial values at zeta = c0, i.e. for xi = 0.
+    """
+
+    alpha_w: int
+    m: int
+    c0: Fraction
+    c1: Fraction
+    B: Tuple[Tuple[Fraction, ...], ...]
+    eta: Tuple[Fraction, ...]
+    g: Tuple[Fraction, ...]
+
+
+def build_tables(interval, alpha_w: int, m: int) -> GegenbauerTables:
+    """Compute the B / eta / g tables by their defining recurrences."""
+    if isinstance(alpha_w, bool) or not isinstance(alpha_w, int) or alpha_w < 0:
+        raise DomainError(
+            f"weight exponent must be a nonnegative integer, got {alpha_w!r}")
+    if m < 0:
+        raise DomainError(f"truncation order must be >= 0, got {m}")
+    lo, hi = as_rational(interval[0]), as_rational(interval[1])
+    if not lo < hi:
+        raise DomainError(f"empty interval [{lo}, {hi}]")
+    c0, c1 = -(lo + hi) / (hi - lo), 2 / (hi - lo)
+    a = alpha_w
+
+    rows: List[Tuple[Fraction, ...]] = [(Fraction(1),)]
+    if m >= 1:
+        rows.append((c0, Fraction(1)))
+    for n in range(2, m + 1):
+        prev, prev2 = rows[n - 1], rows[n - 2]
+        lead = Fraction(2 * n + 2 * a - 1, n + 2 * a)
+        drag = Fraction(n - 1, n + 2 * a)
+        row = []
+        for j in range(n + 1):
+            t = c0 * prev[j] if j <= n - 1 else Fraction(0)
+            if j >= 1:
+                t += prev[j - 1]
+            t *= lead
+            if j <= n - 2:
+                t -= drag * prev2[j]
+            row.append(t)
+        rows.append(tuple(row))
+
+    eta = [Fraction(1)]
+    for n in range(1, m + 1):
+        eta.append(eta[-1] * Fraction(n * (2 * n + 2 * a - 1),
+                                      (2 * n + 2 * a + 1) * (n + 2 * a)))
+
+    g: List[Fraction] = []
+    if m >= 1:
+        g.append(Fraction(1))
+    if m >= 2:
+        g.append(c0)
+    for n in range(3, m + 1):
+        g.append((Fraction(2 * n + 2 * a - 1, n + 2 * a + 1) * c0 * g[-1]
+                  - Fraction(n - 2, n + 2 * a + 1) * g[-2]))
+
+    return GegenbauerTables(alpha_w=a, m=m, c0=c0, c1=c1,
+                            B=tuple(rows), eta=tuple(eta), g=tuple(g))
 
 
 def tail_coeffs_from_tables(tables) -> Tuple[Fraction, ...]:

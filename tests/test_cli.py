@@ -130,6 +130,27 @@ def test_cache_lock_is_fail_fast(tmp_path):
     assert not cache.exists()
 
 
+def test_cache_hit_neither_locks_nor_writes(tmp_path):
+    # a leftover lock from a killed writer must not fail read-only runs
+    cache = tmp_path / "c.moments"
+    rc, _, _ = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                        "--k", "0", "--m", "6", "--cache", str(cache)])
+    assert rc == 0
+    before = cache.read_bytes()
+    (tmp_path / "c.moments.lock").write_text("")
+    for m in ("4", "6"):
+        rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                                "--k", "0", "--m", m, "--cache", str(cache)])
+        assert rc == 0 and err == ""
+        assert "value_exact" in out
+    assert cache.read_bytes() == before
+    # extending the cache still needs the lock
+    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                          "--k", "0", "--m", "7", "--cache", str(cache)])
+    assert rc == 1 and err.startswith("CacheLockedError")
+    assert cache.read_bytes() == before
+
+
 def test_tail_baseline_and_reconstruction():
     rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m", "0"])
@@ -156,6 +177,15 @@ def test_tail_float_mode():
     assert rc == 0
     assert "precision=30" in out
     assert "value_decimal" in out and "value_exact" not in out
+
+
+def test_tail_rejects_bad_precision():
+    for bad in ("-3", "0"):
+        rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                                "--k", "0", "--m", "5", "--mode", "float",
+                                "--precision", bad])
+        assert rc == 1 and out == ""
+        assert err.startswith("DomainError:")
 
 
 def test_tail_gegenbauer_weight():
@@ -207,6 +237,14 @@ def test_tables_probability_columns():
     doc = json.loads(out)
     assert doc["rows"][0]["sep_prob"] == "29/64"
     assert doc["rows"][0]["factored"] == "29/2^6"
+
+
+def test_tables_factor_without_sympy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    rc, out, err = run_cli(["tables", "--table", "1", "--k-max", "0",
+                            "--factor"])
+    assert rc == 1 and out == ""
+    assert err.startswith("SepprobError:") and "sepprob[factor]" in err
 
 
 def test_tables_proportions():

@@ -190,6 +190,14 @@ def test_float_mode_tracks_exact():
         assert err < mpmath.mpf("1e-25")
 
 
+def test_sep_prob_rejects_bad_precision():
+    for mode in (MODE_FLOAT, "exact"):
+        for bad in (-3, 0, 2.5, True):
+            with pytest.raises(DomainError):
+                sep_prob(1, 5, mode=mode, precision=bad)
+    assert abs(sep_prob(1, 5, mode=MODE_FLOAT, precision=1) - 0.8673) < 0.01
+
+
 def test_log_ratio_small_k_cross_check():
     # at small k the ratio is checked against plain double-precision logs
     for alpha in (HALF, Fraction(1), Fraction(2)):

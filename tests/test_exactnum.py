@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sepprob.errors import DomainError, UncancelledPole
-from sepprob.exactnum import FactorList, SqrtPiScaled, as_rational, \
-    factored_ratio, gamma_half, is_half_integer, pochhammer
+from sepprob.errors import DomainError
+from sepprob.exactnum import SqrtPiScaled, as_rational, gamma_half, \
+    is_half_integer, pochhammer
 
 
 def test_as_rational_accepts_ints_strings_fractions():
@@ -95,37 +95,6 @@ def test_sqrtpi_to_rational_requires_cancellation():
     with pytest.raises(DomainError):
         SqrtPiScaled(Fraction(1), 1).to_rational()
     assert SqrtPiScaled(Fraction(0), 3).to_rational() == 0
-
-
-def test_factorlist_construction():
-    fl = FactorList.rising(Fraction(-3, 2), 4)
-    assert list(fl) == [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2),
-                        Fraction(3, 2)]
-    assert FactorList.constant(4, 3).product() == 64
-    assert (FactorList.of(1, 2) + FactorList.of(3)).product() == 6
-    assert FactorList.rising(-2, 5).zero_count() == 1
-    assert len(FactorList.rising(1, 7)) == 7
-
-
-def test_factored_ratio_plain_cases():
-    assert factored_ratio(FactorList.of(2, 3), FactorList.of(4)) == Fraction(3, 2)
-    assert factored_ratio(FactorList.of(0, 3), FactorList.of(4)) == 0
-
-
-def test_factored_ratio_paired_zero_limit():
-    assert factored_ratio(FactorList.of(0, 5), FactorList.of(0, 2)) == Fraction(5, 2)
-    assert factored_ratio(FactorList.of(0, 0, 7), FactorList.of(0, 0, 3)) == Fraction(7, 3)
-
-
-def test_factored_ratio_excess_numerator_zeros():
-    assert factored_ratio(FactorList.of(0, 0, 5), FactorList.of(0, 2)) == 0
-
-
-def test_factored_ratio_uncancelled_pole():
-    with pytest.raises(UncancelledPole):
-        factored_ratio(FactorList.of(1), FactorList.of(0))
-    with pytest.raises(UncancelledPole):
-        factored_ratio(FactorList.of(0, 1), FactorList.of(0, 0, 2))
 
 
 def test_pochhammer_gamma_consistency():

@@ -1,10 +1,11 @@
 """Unit tests for the moment-inversion tail estimators.
 
-The recurrence tables are validated from first principles: the polynomials
-rebuilt from the B rows must be orthogonal for the weight (1-t^2)^a with
-the exact norms h0 eta_j, evaluate to 1 at t = 1, and have partial weight
-integrals q1 g_j.  The tail coefficients are then cross-checked against an
-independent assembly from those tables.
+The reference recurrence tables (oracles.build_tables) are validated from
+first principles: the polynomials rebuilt from the B rows must be
+orthogonal for the weight (1-t^2)^a with the exact norms h0 eta_j, evaluate
+to 1 at t = 1, and have partial weight integrals q1 g_j.  The served tail
+coefficients are then cross-checked against an independent assembly from
+those tables, and float mode against correct rounding of the exact result.
 """
 
 import math
@@ -14,11 +15,11 @@ import mpmath
 import pytest
 
 import sepprob.inversion as inversion
-from oracles import tail_coeffs_from_tables
+from oracles import build_tables, tail_coeffs_from_tables
 from sepprob.errors import DomainError
 from sepprob.exactnum import gamma_half
 from sepprob.inversion import METHOD_GEGENBAUER, METHOD_LEGENDRE, \
-    MODE_EXACT, MODE_FLOAT, build_tables, convergence_profile, \
+    MODE_AUTO, MODE_EXACT, MODE_FLOAT, convergence_profile, \
     gegenbauer_tail, legendre_tail
 from sepprob.moments import DIFF_INTERVAL, PT_INTERVAL, Scenario, Variable, \
     moment_sequence
@@ -199,15 +200,46 @@ def test_stream_reuse_after_larger_order():
     assert gegenbauer_tail(seq, 1, 0, 30).coeffs == first30
 
 
+def correctly_rounded(x, digits):
+    """x rounded half to even to the binary precision of `digits` digits."""
+    bits = mpmath.libmp.dps_to_prec(digits)
+    if x == 0:
+        return x
+    e = x.numerator.bit_length() - x.denominator.bit_length() - bits
+    while abs(x) >= Fraction(2) ** (e + bits):
+        e += 1
+    while abs(x) < Fraction(2) ** (e + bits - 1):
+        e -= 1
+    return round(x / Fraction(2) ** e) * Fraction(2) ** e
+
+
+def as_fraction(v):
+    man, exp = v.man_exp        # mpmath drops the sign here
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
 def test_float_mode_tracks_exact_mode():
     seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)), 200)
-    for m, digits in ((117, 30), (200, 60)):
+    for m, digits in ((117, 30), (200, 60), (200, 1)):
         exact = legendre_tail(seq, 0, m, mode=MODE_EXACT)
         approx = legendre_tail(seq, 0, m, mode=MODE_FLOAT, precision=digits)
         assert approx.mode == MODE_FLOAT and approx.precision == digits
-        with mpmath.mp.workdps(digits + 20):
-            err = abs(approx.value - inversion._mpf_of(exact.value))
-            assert err < mpmath.mpf(10) ** -(digits - 10)
+        assert as_fraction(approx.value) == correctly_rounded(exact.value,
+                                                              digits)
+        assert [as_fraction(a) for a in approx.coeffs] == \
+            [correctly_rounded(a, digits) for a in exact.coeffs]
+
+
+def test_precision_must_be_a_positive_int():
+    seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)), 5)
+    for mode in (MODE_FLOAT, MODE_EXACT, MODE_AUTO):
+        for bad in (-3, 0, 2.5, True, "40"):
+            with pytest.raises(DomainError):
+                legendre_tail(seq, 0, 5, mode=mode, precision=bad)
+    with pytest.raises(DomainError):
+        convergence_profile(seq.scenario, METHOD_LEGENDRE, 0, [5],
+                            mode=MODE_FLOAT, precision=0)
+    assert legendre_tail(seq, 0, 5, mode=MODE_FLOAT, precision=1).precision == 1
 
 
 def test_auto_mode_switches_at_the_limit(monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob.errors import DomainError
 from sepprob.moments import DIFF_INTERVAL, MomentSequence, PT_INTERVAL, \
-    Scenario, Variable, _fast_moment, diff_moment, moment_sequence, \
-    pt_moment, seed_sequence
+    Scenario, Variable, diff_moment, moment_sequence, pt_moment, \
+    seed_sequence
 
 HALF = Fraction(1, 2)
 
@@ -79,14 +79,17 @@ def test_hankel_determinants_nonnegative():
             assert det3 > 0
 
 
-def test_fast_path_equals_contract_path():
+def test_moment_sequence_matches_oracle():
+    # the memoized batch path every tail estimate is served from
+    oracle = {Variable.PT_DET: pt_moment_oracle,
+              Variable.DIFF: diff_moment_oracle}
     for variable in Variable:
-        fn = pt_moment if variable is Variable.PT_DET else diff_moment
         for alpha in (HALF, 1, Fraction(3, 2), 2):
             for k in (0, HALF, 1, 2):
-                for n in range(0, 9):
-                    assert _fast_moment(variable, Fraction(alpha),
-                                        Fraction(k), n) == fn(alpha, k, n)
+                seq = moment_sequence(Scenario(variable, Fraction(alpha),
+                                               Fraction(k)), 8)
+                assert seq.mu == tuple(oracle[variable](alpha, k, n)
+                                       for n in range(9))
 
 
 def test_parameter_validation():
