@@ -12,6 +12,7 @@ A given config always produces identical bytes in exact mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,7 +26,7 @@ import mpmath
 from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheLockedError, \
     SepprobError, StructureViolation
-from .exactnum import as_rational
+from .exactnum import as_rational, check_digits
 from .moments import Scenario, Variable, diff_moment, moment_sequence, \
     pt_moment, seed_sequence
 
@@ -112,7 +113,8 @@ class MomentCacheFile:
     up from 0.  Loading re-verifies one deterministic record by
     recomputation and refuses files whose header belongs to a different
     scenario.  Writes replace the file whole, fail-fast exclusive via a
-    lock file.
+    lock file that names the writer's PID; a lock whose writer no longer
+    exists is cleared once.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -159,13 +161,10 @@ class MomentCacheFile:
 
     def write(self, mus: Sequence[Fraction]) -> None:
         lock = self.path + ".lock"
+        fd = self._open_lock(lock)
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CacheLockedError(
-                f"cache {self.path} is locked ({lock} exists)") from None
-        try:
-            os.close(fd)
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="ascii") as fh:
                 fh.write(self.header() + "\n")
@@ -174,6 +173,40 @@ class MomentCacheFile:
             os.replace(tmp, self.path)
         finally:
             os.unlink(lock)
+
+    def _open_lock(self, lock: str) -> int:
+        """Create the lock file exclusively; return its descriptor.
+
+        A lock naming a process that no longer exists was left by a killed
+        writer: it is removed and the lock taken, once.  A live, unknown or
+        unreadable holder fails fast.  Two writers that find the same dead
+        PID at the same moment can both pass; nothing here serializes them.
+        """
+        for retry in (True, False):
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                if retry and _holder_is_gone(lock):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.unlink(lock)
+                    continue
+                raise CacheLockedError(
+                    f"cache {self.path} is locked ({lock} exists)") from None
+            return fd
+
+
+def _holder_is_gone(lock: str) -> bool:
+    """True when the lock names a process that no longer exists."""
+    try:
+        with open(lock, encoding="ascii") as fh:
+            pid = int(fh.read())
+        if pid > 0:     # kill(0) and kill(-n) would address process groups
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        return False    # unreadable, or a live holder we may not signal
+    return False
 
 
 def _sequence_with_cache(scenario: Scenario, m: int,
@@ -243,8 +276,7 @@ def cmd_tail(args) -> int:
         if args.bound is None or args.radius is None:
             raise SepprobError(
                 "reconstruction needs both --bound and --radius")
-        guess = recon.reconstruct(_as_exact(est.value), args.radius,
-                                  args.bound)
+        guess = recon.reconstruct(est.value, args.radius, args.bound)
         rows.append({"field": "reconstructed", "value": _rat(guess.value)})
         rows.append({"field": "confidence",
                      "value": guess.confidence.value})
@@ -268,24 +300,23 @@ def _tail_profile(args, scenario, xi) -> int:
     profile = inversion.convergence_profile(
         scenario, args.method, xi, orders, mode=args.mode,
         precision=args.precision, alpha_w=alpha_w)
+    digits = check_digits(args.precision, inversion.DEFAULT_FLOAT_DIGITS)
     meta = {"command": "tail", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
             "method": args.method, "alpha_w": str(alpha_w),
             "xi": str(xi), "m_list": args.m_list, "mode": args.mode}
     rows = []
     for m, value in profile:
-        rows.append({"m": str(m),
-                     "value_decimal": _dec(value, EXACT_VALUE_DIGITS),
-                     "value_exact": _rat(value)
-                     if isinstance(value, Fraction) else "-"})
+        if isinstance(value, Fraction):
+            shown, exact = _dec(value, EXACT_VALUE_DIGITS), _rat(value)
+        else:
+            # a float-mode row holds only the digits it was rounded to
+            meta["precision"] = str(digits)
+            shown, exact = _dec(value, digits), "-"
+        rows.append({"m": str(m), "value_decimal": shown,
+                     "value_exact": exact})
     _emit(args.format, meta, rows, ["m", "value_decimal", "value_exact"])
     return 0
-
-
-def _as_exact(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return recon._exact_value(value)[0]
 
 
 def _factored(v: Fraction) -> str:

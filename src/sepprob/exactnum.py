@@ -5,11 +5,13 @@ package as the universal exact value type, aliased BigRational).  The module
 provides rational coercion, rising factorials, gamma at positive
 half-integer arguments carried symbolically as (rational) * pi^(e/2), and
 the check on a requested number of decimal digits shared by the float
-renderings of exact results.
+renderings of exact results.  Rising factorials, and gamma through them,
+are one integer product over one power of the denominator, reduced once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -54,10 +56,9 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
     a = as_rational(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    # with a = p/q: (a)_n = p (p+q) ... (p+(n-1)q) / q^n
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,6 @@ def gamma_half(x: RationalLike) -> SqrtPiScaled:
     x = as_rational(x)
     if x <= 0 or not is_half_integer(x):
         raise DomainError(f"gamma_half needs a positive half-integer, got {x}")
-    if x.denominator == 1:
-        coeff = Fraction(1)
-        n = int(x)
-        for i in range(2, n):
-            coeff *= i
-        return SqrtPiScaled(coeff, 0)
-    # descend x-1, x-2, ..., 1/2 and attach Gamma(1/2) = pi^(1/2)
-    coeff = Fraction(1)
-    t = x - 1
-    while t > 0:
-        coeff *= t
-        t -= 1
-    return SqrtPiScaled(coeff, 1)
+    # Gamma(x) = (b)_(x-b) Gamma(b) with b = 1 or 1/2, Gamma(1/2) = pi^(1/2)
+    base = Fraction(1, x.denominator)
+    return SqrtPiScaled(pochhammer(base, int(x - base)), x.denominator - 1)

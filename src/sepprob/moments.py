@@ -12,9 +12,11 @@ terminating hypergeometric sums:
 For integer k < n the 5F4 sum degenerates: terms with k+1 <= j <= (k+n)/2
 vanish outright, while terms with j > (k+n)/2 are 0/0 forms whose finite
 cancellation limits contribute.  One evaluator serves both families: it
-doubles every half-integer parameter and runs the sums in big integers,
-taking those limits exactly.  pt_moment and diff_moment are its validated
-public front; moment_sequence calls it for whole memoized sequences.
+doubles every half-integer parameter and runs each sum as a single pass in
+big integers.  The pass takes those limits exactly by carrying the paired
+zero factors, one on top and one below, as 1.  pt_moment and diff_moment
+are its validated public front; moment_sequence calls it for whole
+memoized sequences.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -23,12 +25,13 @@ The underlying random variables are supported on [-1/16, 1/256] (pt) and
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DomainError, SepprobError
+from .errors import DomainError
 from .exactnum import RationalLike, as_rational, is_half_integer
 
 HALF = Fraction(1, 2)
@@ -103,106 +106,67 @@ class MomentSequence:
 # ---------------------------------------------------------------------------
 #
 # All parameters are half-integers, so doubling every linear factor turns the
-# whole computation into big-int arithmetic with a single Fraction reduction
-# at the end.  Numerator and denominator always carry equally many doubled
+# whole computation into big-int arithmetic, reduced to Fractions only at
+# the end.  Numerator and denominator always carry equally many doubled
 # factors, so the introduced powers of 2 cancel.  The running series sum is
-# kept as Sn/Sd with the current term's denominator nested into Sd, which
-# avoids per-term gcd work.
+# kept as sum_n / td over the current term's denominator td, which avoids
+# per-term gcd work.
 #
 # In the 5F4 sum the bottom pair -(k+n)/2, -(k+n-1)/2 enters through the
 # duplication identity (x/2)_j ((x+1)/2)_j = (x)_(2j) / 4^j with x = -k-n,
-# so every factor moves at the same unit rate in k.  That is what lets the
-# degenerate integer-k case pair one numerator zero with one denominator
-# zero and take the finite limit of the rest.
+# so every factor moves at the same unit rate in k.  For integer k < n
+# exactly two factors vanish: the top factor -k+j at j = k and, at
+# j = (k+n)//2, one factor of the bottom pair.  Under k -> k + eps both are
+# -eps, so their ratio tends to 1 and the single pass carries each of them
+# as 1.  The terms between the two zeros keep an unpaired zero on top and
+# are exactly 0: they add nothing, while the running product still moves
+# through them to the finite 0/0 limits beyond.
+
+def _rising2(start: int, count: int) -> int:
+    """start (start+2) ... (start+2(count-1)): a doubled rising factorial."""
+    return math.prod(range(start, start + 2 * count, 2))
+
 
 def _pt_series_fast(a2: int, k2: int, n: int) -> Fraction:
-    def step(j: int) -> tuple[int, int]:
-        sn = 4 * ((-2 * n + 2 * j) * (-k2 + 2 * j) * (a2 + 2 * j)
-                  * (a2 + 1 + 2 * j) * (-2 * k2 - 4 * n - 2 - 5 * a2 + 2 * j))
+    tn = td = sum_n = 1
+    unpaired = 0            # 1 while a top zero waits for its bottom partner
+    for j in range(n):
+        top = -k2 + 2 * j
+        low = -k2 - 2 * n + 4 * j
+        unpaired += (top == 0) - (low * (low + 2) == 0)
+        tn *= 4 * ((-2 * n + 2 * j) * (top or 1) * (a2 + 2 * j)
+                   * (a2 + 1 + 2 * j) * (-2 * k2 - 4 * n - 2 - 5 * a2 + 2 * j))
         sd = ((-k2 - 2 * n - a2 + 2 * j) * (-k2 - 2 * n - 2 * a2 + 2 * j)
-              * (-k2 - 2 * n + 4 * j) * (-k2 - 2 * n + 4 * j + 2) * (2 * j + 2))
-        return sn, sd
+              * (low or 1) * (low + 2 or 1) * (2 * j + 2))
+        td *= sd
+        sum_n = sum_n * sd + (0 if unpaired else tn)
+    return Fraction(sum_n, td)
 
-    tn = td = sum_n = sum_d = 1
-    degenerate = (k2 % 2 == 0) and (k2 // 2 < n)
-    if not degenerate:
-        for j in range(n):
-            sn, sd = step(j)
-            tn *= sn
-            td *= sd
-            sum_n = sum_n * sd + tn
-            sum_d = td
-        return Fraction(sum_n, sum_d)
 
-    kk = k2 // 2
-    for j in range(kk):
-        sn, sd = step(j)
-        tn *= sn
+def _diff_series_fast(a2: int, k2: int, n: int) -> Fraction:
+    tn = td = sum_n = 1
+    for j in range(n // 2):
+        tn *= ((-2 * n + 4 * j) * (-2 * n + 4 * j + 2)
+               * (k2 + 2 + a2 + 2 * j) * (k2 + 2 + 2 * a2 + 2 * j))
+        sd = 4 * ((2 - 2 * n - a2 + 2 * j) * (1 - 2 * n - a2 + 2 * j)
+                  * (2 * n + 2 * k2 + 4 + 5 * a2 + 2 * j) * (2 * j + 2))
         td *= sd
         sum_n = sum_n * sd + tn
-        sum_d = td
-    # terms kk+1 .. (kk+n)//2 are exactly zero; the next nonzero term is the
-    # 0/0 limit at jstar, computed directly with the paired zero factors
-    # (i = kk on top, i = kk+n below) skipped
-    jstar = (kk + n) // 2 + 1
-    num = 4 ** jstar
-    for i in range(jstar):
-        num *= ((-2 * n + 2 * i) * (a2 + 2 * i) * (a2 + 1 + 2 * i)
-                * (-2 * k2 - 4 * n - 2 - 5 * a2 + 2 * i))
-        if i != kk:
-            num *= -k2 + 2 * i
-    den = 1
-    for i in range(jstar):
-        den *= ((-k2 - 2 * n - a2 + 2 * i) * (-k2 - 2 * n - 2 * a2 + 2 * i)
-                * (2 * i + 2))
-    for i in range(2 * jstar):
-        if i != kk + n:
-            den *= -k2 - 2 * n + 2 * i
-    old_d = sum_d
-    sum_n = sum_n * den + num * old_d
-    sum_d = old_d * den
-    tn, td = num * old_d, sum_d
-    for j in range(jstar, n):
-        sn, sd = step(j)
-        tn *= sn
-        td *= sd
-        sum_n = sum_n * sd + tn
-        sum_d = td
-    return Fraction(sum_n, sum_d)
+    return Fraction(sum_n, td)
 
 
 def _fast_moment(variable: Variable, alpha: Fraction, k: Fraction, n: int) -> Fraction:
     a2, k2 = int(2 * alpha), int(2 * k)
+    # (k+3a+3/2)_n (2k+6a+5/2)_(2n), shared by both families
+    den = _rising2(k2 + 3 * a2 + 3, n) * _rising2(2 * k2 + 6 * a2 + 5, 2 * n)
     if variable is Variable.PT_DET:
-        num = den = 1
-        for i in range(n):
-            num *= ((k2 + 2 + 2 * i) * (k2 + 2 + a2 + 2 * i)
-                    * (k2 + 2 + 2 * a2 + 2 * i))
-            den *= k2 + 3 * a2 + 3 + 2 * i
-        for i in range(2 * n):
-            den *= 2 * k2 + 6 * a2 + 5 + 2 * i
-        pref = Fraction(num, den * 2 ** (6 * n))
-        return pref * _pt_series_fast(a2, k2, n)
-
-    num = den = 1
-    for i in range(n):
-        num *= ((a2 + 2 * i) * (a2 + 1 + 2 * i)
-                * (2 * n + 2 * k2 + 4 + 5 * a2 + 2 * i))
-        den *= k2 + 3 * a2 + 3 + 2 * i
-    for i in range(2 * n):
-        den *= 2 * k2 + 6 * a2 + 5 + 2 * i
-    pref = Fraction((-1) ** n * num, den * 2 ** (4 * n))
-    tn = td = sum_n = sum_d = 1
-    for j in range(n // 2):
-        sn = ((-2 * n + 4 * j) * (-2 * n + 4 * j + 2)
-              * (k2 + 2 + a2 + 2 * j) * (k2 + 2 + 2 * a2 + 2 * j))
-        sd = 4 * ((2 - 2 * n - a2 + 2 * j) * (1 - 2 * n - a2 + 2 * j)
-                  * (2 * n + 2 * k2 + 4 + 5 * a2 + 2 * j) * (2 * j + 2))
-        tn *= sn
-        td *= sd
-        sum_n = sum_n * sd + tn
-        sum_d = td
-    return pref * Fraction(sum_n, sum_d)
+        num = (_rising2(k2 + 2, n) * _rising2(k2 + 2 + a2, n)
+               * _rising2(k2 + 2 + 2 * a2, n))
+        return Fraction(num, den << 6 * n) * _pt_series_fast(a2, k2, n)
+    num = (math.prod(range(a2, a2 + 2 * n))
+           * _rising2(2 * n + 2 * k2 + 4 + 5 * a2, n))
+    return (Fraction((-1) ** n * num, den << 4 * n)
+            * _diff_series_fast(a2, k2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +213,8 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
         known = list(_SEQ_MEMO.get(key, ()))
     if len(known) <= m:
         for n in range(len(known), m + 1):
-            try:
-                known.append(_fast_moment(scenario.variable, scenario.alpha,
-                                          scenario.k, n))
-            except SepprobError as exc:
-                raise type(exc)(f"moment index n={n}: {exc}") from exc
+            known.append(_fast_moment(scenario.variable, scenario.alpha,
+                                      scenario.k, n))
         with _SEQ_LOCK:
             if len(_SEQ_MEMO.get(key, ())) < len(known):
                 _SEQ_MEMO[key] = known

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -151,6 +152,30 @@ def test_cache_hit_neither_locks_nor_writes(tmp_path):
     assert cache.read_bytes() == before
 
 
+def test_cache_lock_of_dead_writer_is_cleared(tmp_path):
+    cache = tmp_path / "c.moments"
+    lock = tmp_path / "c.moments.lock"
+    rc, _, _ = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                        "--k", "0", "--m", "6", "--cache", str(cache)])
+    assert rc == 0
+    before = cache.read_bytes()
+    # a live holder still blocks growth
+    lock.write_text(f"{os.getpid()}\n")
+    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                          "--k", "0", "--m", "7", "--cache", str(cache)])
+    assert rc == 1 and err.startswith("CacheLockedError")
+    assert cache.read_bytes() == before
+    # a finished process's PID marks the lock as left by a killed writer
+    writer = subprocess.Popen([sys.executable, "-c", "pass"])
+    writer.wait(timeout=60)
+    lock.write_text(f"{writer.pid}\n")
+    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                          "--k", "0", "--m", "7", "--cache", str(cache)])
+    assert rc == 0 and err == ""
+    assert not lock.exists()
+    assert body_lines(cache.read_text())[-1].startswith("7 ")
+
+
 def test_tail_baseline_and_reconstruction():
     rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m", "0"])
@@ -212,6 +237,14 @@ def test_tail_profile():
     expect = inversion.legendre_tail(seq, 0, 50).value
     assert rows[1].split()[0] == "50"
     assert rows[1].split()[2] == f"{expect.numerator}/{expect.denominator}"
+    assert "precision" not in out
+    # float rows show the digits they were rounded to, and say how many
+    rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                          "--k", "0", "--m-list", "10,50", "--mode", "float",
+                          "--precision", "10"])
+    assert rc == 0
+    assert out.splitlines()[0].endswith(" mode=float precision=10")
+    assert body_lines(out) == ["10 0.2937497601 -", "50 0.2390129125 -"]
     rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m-list", "10,50", "--bound", "40",
                           "--radius", "1e-3"])

@@ -34,6 +34,9 @@ def test_pochhammer_values():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
     assert pochhammer(-2, 4) == 0
     assert pochhammer("1/2", 1) == Fraction(1, 2)
+    # (1/3)(4/3)(7/3)(10/3) and (-5/2)(-3/2)(-1/2)(1/2)
+    assert pochhammer(Fraction(1, 3), 4) == Fraction(280, 81)
+    assert pochhammer(Fraction(-5, 2), 4) == Fraction(-15, 16)
 
 
 def test_pochhammer_rejects_negative_length():
