@@ -26,7 +26,7 @@ import mpmath
 from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheLockedError, \
     SepprobError, StructureViolation
-from .exactnum import as_rational, check_digits
+from .exactnum import as_rational
 from .moments import Scenario, Variable, diff_moment, moment_sequence, \
     pt_moment, seed_sequence
 
@@ -243,79 +243,74 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _int_list(text: str, flag: str, what: str) -> List[int]:
+    """The integers of a comma-separated flag value, blank parts skipped."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise SepprobError(
+            f"{flag} takes comma-separated integers, got {text!r}") from None
+    if not values:
+        raise SepprobError(f"{flag} names no {what}")
+    return values
+
+
 def cmd_tail(args) -> int:
     scenario = _scenario_of(args)
     if (args.m is None) == (args.m_list is None):
         raise SepprobError("exactly one of --m and --m-list is required")
-    xi = as_rational(args.xi)
-    if args.m_list is not None:
-        return _tail_profile(args, scenario, xi)
-    seq = _sequence_with_cache(scenario, args.m, args.cache)
-    if args.method == "legendre":
-        est = inversion.legendre_tail(seq, xi, args.m, mode=args.mode,
-                                      precision=args.precision)
-    else:
-        est = inversion.gegenbauer_tail(seq, args.geg_alpha, xi, args.m,
-                                        mode=args.mode,
-                                        precision=args.precision)
-    meta = {"command": "tail", "variable": str(scenario.variable),
-            "alpha": str(scenario.alpha), "k": str(scenario.k),
-            "method": est.method, "alpha_w": str(est.alpha_w),
-            "xi": str(xi), "m": str(est.m), "mode": est.mode}
-    fields = ["field", "value"]
-    rows = []
-    if est.mode == inversion.MODE_EXACT:
-        rows.append({"field": "value_decimal",
-                     "value": _dec(est.value, EXACT_VALUE_DIGITS)})
-        rows.append({"field": "value_exact", "value": _rat(est.value)})
-    else:
-        meta["precision"] = str(est.precision)
-        rows.append({"field": "value_decimal",
-                     "value": _dec(est.value, est.precision)})
-    if args.bound is not None or args.radius is not None:
-        if args.bound is None or args.radius is None:
+    reconstruct = args.bound is not None or args.radius is not None
+    if args.m_list is None:
+        orders = [args.m]
+        if reconstruct and None in (args.bound, args.radius):
             raise SepprobError(
                 "reconstruction needs both --bound and --radius")
-        guess = recon.reconstruct(est.value, args.radius, args.bound)
+    else:
+        orders = inversion._check_orders(
+            _int_list(args.m_list, "--m-list", "truncation orders"))
+        if reconstruct:
+            raise SepprobError(
+                "reconstruction applies to a single estimate; use --m")
+    xi = as_rational(args.xi)
+    seq = _sequence_with_cache(scenario, orders[-1], args.cache)
+    ests = [inversion.legendre_tail(seq, xi, m, mode=args.mode,
+                                    precision=args.precision)
+            if args.method == "legendre" else
+            inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
+                                      mode=args.mode, precision=args.precision)
+            for m in orders]
+    meta = {"command": "tail", "variable": str(scenario.variable),
+            "alpha": str(scenario.alpha), "k": str(scenario.k),
+            "method": ests[0].method, "alpha_w": str(ests[0].alpha_w),
+            "xi": str(xi)}
+    if args.m_list is None:
+        meta.update(m=str(args.m), mode=ests[0].mode)
+    else:
+        meta.update(m_list=args.m_list, mode=args.mode)
+    rows = []
+    for est in ests:
+        exact = est.mode == inversion.MODE_EXACT
+        if not exact:
+            # a rounded value holds only the digits it was rounded to
+            meta["precision"] = str(est.precision)
+        digits = est.precision or EXACT_VALUE_DIGITS
+        rows.append({"m": str(est.m), "value_decimal": _dec(est.value, digits),
+                     "value_exact": _rat(est.value) if exact else "-"})
+    if args.m_list is not None:
+        _emit(args.format, meta, rows, ["m", "value_decimal", "value_exact"])
+        return 0
+    rows = [{"field": field, "value": rows[0][field]}
+            for field in ("value_decimal", "value_exact")
+            if rows[0][field] != "-"]
+    if reconstruct:
+        guess = recon.reconstruct(ests[0].value, args.radius, args.bound)
         rows.append({"field": "reconstructed", "value": _rat(guess.value)})
         rows.append({"field": "confidence",
                      "value": guess.confidence.value})
         rows.append({"field": "residual", "value": _dec(guess.residual, 8)})
         meta["bound"] = str(args.bound)
         meta["radius"] = str(args.radius)
-    _emit(args.format, meta, rows, fields)
-    return 0
-
-
-def _tail_profile(args, scenario, xi) -> int:
-    if args.bound is not None or args.radius is not None:
-        raise SepprobError(
-            "reconstruction applies to a single estimate; use --m")
-    orders = [int(part) for part in args.m_list.split(",") if part.strip()]
-    if not orders:
-        raise SepprobError("--m-list names no truncation orders")
-    if args.cache:
-        _sequence_with_cache(scenario, max(orders), args.cache)
-    alpha_w = 0 if args.method == "legendre" else args.geg_alpha
-    profile = inversion.convergence_profile(
-        scenario, args.method, xi, orders, mode=args.mode,
-        precision=args.precision, alpha_w=alpha_w)
-    digits = check_digits(args.precision, inversion.DEFAULT_FLOAT_DIGITS)
-    meta = {"command": "tail", "variable": str(scenario.variable),
-            "alpha": str(scenario.alpha), "k": str(scenario.k),
-            "method": args.method, "alpha_w": str(alpha_w),
-            "xi": str(xi), "m_list": args.m_list, "mode": args.mode}
-    rows = []
-    for m, value in profile:
-        if isinstance(value, Fraction):
-            shown, exact = _dec(value, EXACT_VALUE_DIGITS), _rat(value)
-        else:
-            # a float-mode row holds only the digits it was rounded to
-            meta["precision"] = str(digits)
-            shown, exact = _dec(value, digits), "-"
-        rows.append({"m": str(m), "value_decimal": shown,
-                     "value_exact": exact})
-    _emit(args.format, meta, rows, ["m", "value_decimal", "value_exact"])
+    _emit(args.format, meta, rows, ["field", "value"])
     return 0
 
 
@@ -416,8 +411,7 @@ def cmd_fit(args) -> int:
     alpha = as_rational(args.alpha)
     if args.from_approximants:
         return _fit_from_approximants(args, alpha)
-    supported = alpha in (Fraction(1, 2), Fraction(1), Fraction(2))
-    if not supported:
+    if alpha not in ALPHA_COLUMNS:
         pred = closedform.structural_prediction(alpha)
         meta = {"command": "fit", "alpha": str(alpha),
                 "note": "prediction only; no closed form for this alpha"}
@@ -500,7 +494,7 @@ def _poly_str(coeffs) -> str:
 
 def cmd_asymptote(args) -> int:
     alpha = as_rational(args.alpha)
-    ks = [int(part) for part in args.k_list.split(",") if part.strip()]
+    ks = _int_list(args.k_list, "--k-list", "k values")
     target = closedform.ASYMPTOTE
     meta = {"command": "asymptote", "alpha": str(alpha),
             "precision": str(args.precision), "target": _rat(target)}

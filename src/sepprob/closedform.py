@@ -13,9 +13,11 @@ three formulas: the gamma kernel G(alpha, k), the polynomial p_alpha with
 F = p * G (integer alpha) or F = p / (k + 2 alpha + 1)_{alpha + 1/2} * G
 (half-integer alpha), predictions for p's degree, leading and next-order
 coefficients, and a check of the extracted polynomial against those
-predictions.  A log-domain evaluator covers the large-k regime, where F
-underflows anything but a big float and the ratio log P_{k+1} / log P_k
-approaches 16/27.
+predictions.  G is one more instance of the shape every F has (constant 1,
+no shift, polynomial 1), so one exact and one log-domain evaluator serve
+the three formulas and the kernel.  The log-domain one covers the large-k
+regime, where F underflows anything but a big float and the ratio
+log P_{k+1} / log P_k approaches 16/27.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class _ClosedForm:
-    """F(k) = const * 4^(k+shift) * poly(k) * G(k+u) G(2k+v) / (sqrt(pi) G(3k+w))."""
+    """const * 4^(k+shift) * poly(k) * G(k+u) G(2k+v) / (sqrt(pi) G(3k+w)).
+
+    The shape of every complement F(alpha, k) = 1 - P(alpha, k) and of the
+    kernel G(alpha, k).  `exact` evaluates it as a rational and `log` its
+    logarithm at the ambient mpmath precision.  A k that puts a gamma
+    argument at or below 0 raises `pole`: SingularityError unless the
+    caller names another error.
+    """
 
     const: Fraction
     shift: int
@@ -45,6 +54,30 @@ class _ClosedForm:
     u: Fraction
     v: Fraction
     w: Fraction
+
+    def _gamma_args(self, k: int, pole=SingularityError):
+        args = (k + self.u, 2 * k + self.v, 3 * k + self.w)
+        for arg in args:
+            if arg <= 0:
+                raise pole(f"gamma argument {arg} <= 0 at k={k}")
+        return args
+
+    def exact(self, k: int, pole=SingularityError) -> Fraction:
+        gu, gv, gw = (gamma_half(a) for a in self._gamma_args(k, pole))
+        rat = (self.const * Fraction(4) ** (k + self.shift)
+               * _poly_eval(self.poly, k))
+        sqrt_pi = SqrtPiScaled(Fraction(1), 1)
+        return (gu * gv * rat / (gw * sqrt_pi)).to_rational()
+
+    def log(self, k: int) -> mpmath.mpf:
+        au, av, aw = (mpmath.mpf(a.numerator) / a.denominator
+                      for a in self._gamma_args(k))
+        return (mpmath.log(mpmath.mpf(self.const.numerator)
+                           / self.const.denominator)
+                + (k + self.shift) * mpmath.log(4)
+                + mpmath.log(_poly_eval(self.poly, k))
+                + mpmath.loggamma(au) + mpmath.loggamma(av)
+                - mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(aw))
 
 
 _FORMULAS: Dict[Fraction, _ClosedForm] = {
@@ -79,36 +112,6 @@ def _check_alpha_case(alpha: RationalLike) -> Fraction:
     return alpha
 
 
-def _f_exact(alpha: Fraction, k: int) -> Fraction:
-    cf = _FORMULAS[alpha]
-    args = (k + cf.u, 2 * k + cf.v, 3 * k + cf.w)
-    for arg in args:
-        if arg <= 0:
-            raise SingularityError(
-                f"gamma argument {arg} <= 0 at alpha={alpha}, k={k}")
-    rat = cf.const * Fraction(4) ** (k + cf.shift) * _poly_eval(cf.poly, k)
-    num = gamma_half(args[0]) * gamma_half(args[1]) * rat
-    den = gamma_half(args[2]) * SqrtPiScaled(Fraction(1), 1)
-    return (num / den).to_rational()
-
-
-def _log_f(alpha: Fraction, k: int) -> mpmath.mpf:
-    """log F(alpha, k) at the ambient working precision."""
-    cf = _FORMULAS[alpha]
-    args = [k + cf.u, 2 * k + cf.v, 3 * k + cf.w]
-    for arg in args:
-        if arg <= 0:
-            raise SingularityError(
-                f"gamma argument {arg} <= 0 at alpha={alpha}, k={k}")
-    am = [mpmath.mpf(a.numerator) / a.denominator for a in args]
-    pv = _poly_eval(cf.poly, k)
-    return (mpmath.log(mpmath.mpf(cf.const.numerator) / cf.const.denominator)
-            + (k + cf.shift) * mpmath.log(4)
-            + mpmath.log(pv)
-            + mpmath.loggamma(am[0]) + mpmath.loggamma(am[1])
-            - mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(am[2]))
-
-
 def sep_prob(alpha: RationalLike, k: int, mode: str = MODE_EXACT,
              precision: Optional[int] = None):
     """Separability probability 1 - F(alpha, k), exact by default.
@@ -126,11 +129,11 @@ def sep_prob(alpha: RationalLike, k: int, mode: str = MODE_EXACT,
         raise DomainError(f"k must be >= -2, got {k}")
     digits = check_digits(precision, DEFAULT_FLOAT_DIGITS)
     if mode == MODE_EXACT:
-        return 1 - _f_exact(alpha, k)
+        return 1 - _FORMULAS[alpha].exact(k)
     if mode != MODE_FLOAT:
         raise DomainError(f"unknown mode {mode!r}")
     with mpmath.mp.workdps(digits + 10):
-        value = 1 - mpmath.exp(_log_f(alpha, k))
+        value = 1 - mpmath.exp(_FORMULAS[alpha].log(k))
     with mpmath.mp.workdps(digits):
         value = +value
     return value
@@ -143,15 +146,9 @@ def G(alpha: RationalLike, k: int) -> Fraction:
         raise DomainError(f"alpha must be a half-integer >= 1/2, got {alpha}")
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"k must be an integer, got {k!r}")
-    args = (k + 3 * alpha + Fraction(3, 2), 2 * k + 5 * alpha + 2,
-            3 * k + 10 * alpha + 2)
-    for arg in args:
-        if arg <= 0:
-            raise DomainError(
-                f"gamma argument {arg} <= 0 at alpha={alpha}, k={k}")
-    num = gamma_half(args[0]) * gamma_half(args[1]) * Fraction(4) ** k
-    den = gamma_half(args[2]) * SqrtPiScaled(Fraction(1), 1)
-    return (num / den).to_rational()
+    kernel = _ClosedForm(Fraction(1), 0, (1,), 3 * alpha + Fraction(3, 2),
+                         5 * alpha + 2, 10 * alpha + 2)
+    return kernel.exact(k, pole=DomainError)
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def extract_p(alpha: RationalLike) -> Tuple[Fraction, ...]:
     """
     alpha = _check_alpha_case(alpha)
     deg = structural_prediction(alpha).degree
-    values = [(k, 1 - _f_exact(alpha, k)) for k in range(deg + 2)]
+    values = [(k, 1 - _FORMULAS[alpha].exact(k)) for k in range(deg + 2)]
     return extract_p_from_values(alpha, values)
 
 
@@ -380,8 +377,8 @@ def log_ratio(alpha: RationalLike, k: int, precision: int = DEFAULT_LOG_DIGITS) 
     if not isinstance(precision, int) or precision < 15:
         raise DomainError(f"precision must be an integer >= 15, got {precision!r}")
     with mpmath.mp.workdps(precision):
-        lf_k = _log_f(alpha, k)
-        lf_k1 = _log_f(alpha, k + 1)
+        lf_k = _FORMULAS[alpha].log(k)
+        lf_k1 = _FORMULAS[alpha].log(k + 1)
         bound = mpmath.mpf(10) ** (12 - precision) * (1 + abs(lf_k) + abs(lf_k1))
         if bound > mpmath.mpf("1e-3"):
             raise PrecisionError(

@@ -25,13 +25,16 @@ correctly rounded once to the requested number of digits.
 The exact evaluator below streams the B rows in scaled-integer form (one
 big-int row per degree, no per-entry gcd) and keeps the accumulated sums
 S_i at a common running scale, reducing to Fractions only when a truncation
-order is emitted.  Streams are cached per (interval, w, zeta) so increasing
-truncation orders and further scenarios on the same interval reuse all
-previous rows; the A_i do not depend on the moments at all.
+order is emitted.  One stream is kept per (interval, w, zeta), with every
+vector it has emitted, so increasing truncation orders and further
+scenarios on the same interval reuse all previous rows; the A_i do not
+depend on the moments at all.  A stream only moves forward: an order below
+the one it has reached, and not emitted before, restarts it from row 0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -122,12 +125,10 @@ class _ExactCoeffStream:
     scale factors.
     """
 
-    def __init__(self, lo: Fraction, hi: Fraction, alpha_w: int,
+    def __init__(self, c0: Fraction, c1: Fraction, alpha_w: int,
                  zeta: Fraction) -> None:
-        self.lo, self.hi, self.a = lo, hi, alpha_w
-        self.zeta = zeta
-        self.c0, self.c1 = _map_constants(lo, hi)
-        self.p, self.q = self.c0.numerator, self.c0.denominator
+        self.a, self.c1 = alpha_w, c1
+        self.p, self.q = c0.numerator, c0.denominator
         self.P, self.Q = zeta.numerator, zeta.denominator
         self.h0 = _h0(alpha_w)
         self.q0 = _q0(alpha_w, zeta)
@@ -140,8 +141,6 @@ class _ExactCoeffStream:
         self._ghat_prev: Optional[int] = None
         self._ghat_cur: Optional[int] = None
         self._poch = 1            # (2a+1)_j
-        self._cache: dict[int, Tuple[Fraction, ...]] = {}
-        self._lock = threading.Lock()
 
     def _advance_row(self) -> None:
         a, p, q, P, Q = self.a, self.p, self.q, self.P, self.Q
@@ -193,38 +192,27 @@ class _ExactCoeffStream:
             out.append(ci * qh * Fraction(self.shat[i], self.V))
         return tuple(out)
 
-    def coeffs(self, m: int) -> Tuple[Fraction, ...]:
-        with self._lock:
-            hit = self._cache.get(m)
-            if hit is not None:
-                return hit
-            if m < self.j:
-                # already streamed past this order; rebuild just for it
-                side = _ExactCoeffStream(self.lo, self.hi, self.a, self.zeta)
-                while side.j < m:
-                    side._advance_row()
-                vec = side._emit()
-            else:
-                while self.j < m:
-                    self._advance_row()
-                vec = self._emit()
-            self._cache[m] = vec
-            return vec
 
-
-_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction], _ExactCoeffStream] = {}
+# (c0, c1, w, zeta) -> the stream and the vectors it has emitted, by order
+_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction],
+             Tuple[_ExactCoeffStream, dict[int, Tuple[Fraction, ...]]]] = {}
 _BANKS_LOCK = threading.Lock()
 
 
-def _exact_coeffs(lo: Fraction, hi: Fraction, alpha_w: int, zeta: Fraction,
+def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
                   m: int) -> Tuple[Fraction, ...]:
-    key = (lo, hi, alpha_w, zeta)
+    """A_0..A_m: advance the stream to m, then emit."""
+    key = (c0, c1, alpha_w, zeta)
     with _BANKS_LOCK:
-        bank = _BANKS.get(key)
-        if bank is None:
-            bank = _ExactCoeffStream(lo, hi, alpha_w, zeta)
-            _BANKS[key] = bank
-    return bank.coeffs(m)
+        stream, emitted = _BANKS.get(key, (None, {}))
+        if m not in emitted:
+            if stream is None or stream.j > m:
+                stream = _ExactCoeffStream(c0, c1, alpha_w, zeta)
+                _BANKS[key] = stream, emitted
+            while stream.j < m:
+                stream._advance_row()
+            emitted[m] = stream._emit()
+        return emitted[m]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +257,7 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     c0, c1 = _map_constants(lo, hi)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    A = _exact_coeffs(lo, hi, alpha_w, zeta, m)
+    A = _exact_coeffs(c0, c1, alpha_w, zeta, m)
     value = Fraction(0)
     for i in range(m + 1):
         value += A[i] * moments.mu[i]
@@ -290,11 +278,17 @@ def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
     Identical by definition to gegenbauer_tail with alpha_w = 0; exposed on
     its own and reported under its own method name.
     """
-    est = gegenbauer_tail(moments, 0, xi, m, mode, precision)
-    return TailEstimate(scenario=est.scenario, method=METHOD_LEGENDRE,
-                        alpha_w=0, m=est.m, mode=est.mode,
-                        precision=est.precision, value=est.value,
-                        coeffs=est.coeffs)
+    return dataclasses.replace(
+        gegenbauer_tail(moments, 0, xi, m, mode, precision),
+        method=METHOD_LEGENDRE)
+
+
+def _check_orders(orders: List[int]) -> List[int]:
+    if any(not isinstance(m, int) or m < 0 for m in orders):
+        raise DomainError("truncation orders must be integers >= 0")
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise DomainError("truncation orders must be strictly increasing")
+    return orders
 
 
 def convergence_profile(scenario: Scenario, method: str, xi: RationalLike,
@@ -302,11 +296,7 @@ def convergence_profile(scenario: Scenario, method: str, xi: RationalLike,
                         precision: Optional[int] = None,
                         alpha_w: int = 0) -> List[Tuple[int, Union[Fraction, mpmath.mpf]]]:
     """Tail estimates at increasing truncation orders, sharing all tables."""
-    orders = list(m_list)
-    if any(not isinstance(m, int) or m < 0 for m in orders):
-        raise DomainError("truncation orders must be integers >= 0")
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise DomainError("truncation orders must be strictly increasing")
+    orders = _check_orders(list(m_list))
     if method == METHOD_LEGENDRE:
         alpha_w = 0
     elif method != METHOD_GEGENBAUER:
@@ -314,8 +304,5 @@ def convergence_profile(scenario: Scenario, method: str, xi: RationalLike,
     if not orders:
         return []
     moments = moment_sequence(scenario, orders[-1])
-    out = []
-    for m in orders:
-        est = gegenbauer_tail(moments, alpha_w, xi, m, mode, precision)
-        out.append((m, est.value))
-    return out
+    return [(m, gegenbauer_tail(moments, alpha_w, xi, m, mode,
+                                precision).value) for m in orders]

@@ -249,6 +249,40 @@ def test_tail_profile():
                           "--k", "0", "--m-list", "10,50", "--bound", "40",
                           "--radius", "1e-3"])
     assert rc == 1 and "single estimate" in err
+    # a profile row shows what the single estimate at its order shows
+    for extra in ([], ["--mode", "float", "--precision", "10"]):
+        base = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0"]
+        rc, out, _ = run_cli(base + ["--m", "50"] + extra)
+        assert rc == 0
+        single = dict(ln.split() for ln in body_lines(out))
+        rc, out, _ = run_cli(base + ["--m-list", "10,50"] + extra)
+        assert rc == 0
+        m, decimal, exact = body_lines(out)[1].split()
+        assert m == "50" and decimal == single["value_decimal"]
+        assert exact == single.get("value_exact", "-")
+
+
+def test_unparseable_lists_are_reported():
+    for argv in (["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
+                  "--m-list", "10,abc"],
+                 ["asymptote", "--alpha", "1/2", "--k-list", "5,x"],
+                 ["asymptote", "--alpha", "1/2", "--k-list", ","]):
+        rc, out, err = run_cli(argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("SepprobError: ") and err.count("\n") == 1
+    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                          "--k", "0", "--m-list", ","])
+    assert rc == 1 and "--m-list names no truncation orders" in err
+
+
+def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
+    cache = tmp_path / "c.moments"
+    for extra in (["--m-list", "50,10"], ["--m", "5", "--radius", "1e-3"],
+                  ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"]):
+        rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                              "--k", "0", "--cache", str(cache)] + extra)
+        assert rc == 1 and out == ""
+        assert not cache.exists()
 
 
 def test_tail_diff_approaches_reported_limit():
@@ -375,10 +409,12 @@ def test_error_reporting_and_exit_code():
 
 
 def test_console_script_entry_point():
+    # the child imports sepprob from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "sepprob.cli", "moments", "--variable", "diff",
          "--alpha", "1/2", "--k", "1", "--m", "2", "--format", "json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["rows"][2]["mu"] == "13/3046400"

@@ -9,6 +9,8 @@ those tables, and float mode against correct rounding of the exact result.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -192,12 +194,39 @@ def test_legendre_is_weight_zero_gegenbauer():
 
 def test_stream_reuse_after_larger_order():
     # a fresh weight so the shared bank has not streamed this case yet;
-    # asking for a smaller order after a larger one must not disturb it
+    # a smaller order after a larger one restarts the stream from row 0,
+    # the next larger one resumes it, and no order is disturbed
     seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)), 30)
-    first30 = gegenbauer_tail(seq, 1, 0, 30).coeffs
-    ten = gegenbauer_tail(seq, 1, 0, 10).coeffs
-    assert ten == tail_coeffs_from_tables(build_tables(PT_INTERVAL, 1, 10))
-    assert gegenbauer_tail(seq, 1, 0, 30).coeffs == first30
+    for m in (30, 10, 20, 30):
+        assert gegenbauer_tail(seq, 1, 0, m).coeffs == \
+            tail_coeffs_from_tables(build_tables(PT_INTERVAL, 1, m))
+
+
+def test_bank_stays_consistent_under_threads():
+    # more threads than cores move one fresh bank up and down at once
+    seq = moment_sequence(Scenario(Variable.DIFF, Fraction(1), Fraction(0)), 24)
+    orders = [24, 3, 17, 9, 24, 0, 12, 20] * 2
+    expect = {m: tail_coeffs_from_tables(build_tables(DIFF_INTERVAL, 3, m))
+              for m in set(orders)}
+    results = {}
+
+    def work(i, m):
+        results[i] = gegenbauer_tail(seq, 3, 0, m, mode=MODE_EXACT).coeffs
+
+    threads = [threading.Thread(target=work, args=(i, m))
+               for i, m in enumerate(orders)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(len(orders))] == \
+        [expect[m] for m in orders]
 
 
 def correctly_rounded(x, digits):
