@@ -29,6 +29,7 @@ from .errors import CacheHeaderError, CacheIntegrityError, CacheLockedError, \
 from .exactnum import as_rational
 from .moments import Scenario, Variable, diff_moment, moment_sequence, \
     pt_moment, seed_sequence
+from .reported import DIFF_TAILS, TABLE_IV
 
 CACHE_HEADER_PREFIX = "sepprob-moments v1"
 
@@ -38,38 +39,6 @@ EXACT_VALUE_DIGITS = 30
 ALPHA_COLUMNS = (Fraction(1, 2), Fraction(1), Fraction(2))
 ALPHA_NAMES = {Fraction(1, 2): "rebit", Fraction(1): "qubit",
                Fraction(2): "quaterbit"}
-
-# Reported diff-variable tail limits for small k; these are the inputs of
-# the proportion identities (proportion = diff tail / total probability).
-DIFF_TAILS: Dict[tuple, Fraction] = {
-    (Fraction(1, 2), 0): Fraction(29, 128),
-    (Fraction(1, 2), 1): Fraction(281, 1024),
-    (Fraction(1), 0): Fraction(4, 33),
-    (Fraction(1), 1): Fraction(45, 286),
-    (Fraction(2), -1): Fraction(11, 442),
-    (Fraction(2), 0): Fraction(13, 323),
-    (Fraction(2), 1): Fraction(2056, 37145),
-}
-
-# Recorded proportion table; entries past k=1 have no independently
-# reported diff tail, so they are printed as recorded rather than derived.
-TABLE_IV: Dict[tuple, Fraction] = {
-    (Fraction(1, 2), 0): Fraction(1, 2),
-    (Fraction(1, 2), 1): Fraction(843, 2060),
-    (Fraction(1, 2), 2): Fraction(9949, 26320),
-    (Fraction(1), 0): Fraction(1, 2),
-    (Fraction(1), 1): Fraction(45, 122),
-    (Fraction(1), 2): Fraction(1553, 4921),
-    (Fraction(1), 3): Fraction(3073, 10557),
-    (Fraction(1), 4): Fraction(2087, 7450),
-    (Fraction(2), 0): Fraction(1, 2),
-    (Fraction(2), 1): Fraction(771, 2335),
-    (Fraction(2), 2): Fraction(26503, 104806),
-    (Fraction(2), 3): Fraction(51585, 242978),
-    (Fraction(2), 4): Fraction(2195945, 11586069),
-    (Fraction(2), 5): Fraction(4390079, 24859079),
-    (Fraction(2), 6): Fraction(8310451, 48993770),
-}
 
 
 def _rat(v: Fraction) -> str:
@@ -271,7 +240,11 @@ def cmd_tail(args) -> int:
         if reconstruct:
             raise SepprobError(
                 "reconstruction applies to a single estimate; use --m")
-    xi = as_rational(args.xi)
+    # everything the tails would reject is rejected before the cache is used
+    if args.method == "gegenbauer":
+        inversion._check_weight(args.geg_alpha)
+    xi = inversion._check_xi(scenario.interval, args.xi)
+    inversion._resolve_mode(args.mode, orders[-1], args.precision)
     seq = _sequence_with_cache(scenario, orders[-1], args.cache)
     ests = [inversion.legendre_tail(seq, xi, m, mode=args.mode,
                                     precision=args.precision)

@@ -22,14 +22,13 @@ so the truncated tail estimate is always computed exactly.  Float mode only
 changes how the result is reported: the exact value and the exact A_i, each
 correctly rounded once to the requested number of digits.
 
-The exact evaluator below streams the B rows in scaled-integer form (one
-big-int row per degree, no per-entry gcd) and keeps the accumulated sums
-S_i at a common running scale, reducing to Fractions only when a truncation
-order is emitted.  One stream is kept per (interval, w, zeta), with every
-vector it has emitted, so increasing truncation orders and further
-scenarios on the same interval reuse all previous rows; the A_i do not
-depend on the moments at all.  A stream only moves forward: an order below
-the one it has reached, and not emitted before, restarts it from row 0.
+The exact evaluator below sums the B rows in scaled-integer form (no
+per-entry gcd) by one backward Clenshaw pass per truncation order, at that
+order's common scale, and reduces to Fractions once at the end.  Every
+vector is kept per (interval, w, zeta, order), so further scenarios on the
+same interval and repeated orders cost only the dot product; the A_i do
+not depend on the moments at all.  Orders are independent of each other:
+there is no resumable state, and they may be asked for in any sequence.
 """
 
 from __future__ import annotations
@@ -92,6 +91,15 @@ def _check_weight(alpha_w: int) -> int:
     return alpha_w
 
 
+def _check_xi(interval: Tuple[Fraction, Fraction],
+              xi: RationalLike) -> Fraction:
+    lo, hi = interval
+    xi = as_rational(xi)
+    if not lo <= xi <= hi:
+        raise DomainError(f"xi={xi} outside support [{lo}, {hi}]")
+    return xi
+
+
 def _h0(a: int) -> Fraction:
     # Gamma(1/2) Gamma(a+1) / Gamma(a+3/2) = a! 2^(a+1) / (1*3*...*(2a+1))
     return Fraction(math.factorial(a) * 2 ** (a + 1),
@@ -109,110 +117,89 @@ def _q1(a: int, zeta: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact coefficient streaming
+# Exact coefficient bank
 # ---------------------------------------------------------------------------
 
-class _ExactCoeffStream:
-    """Resumable scaled-integer stream of the A coefficient vectors.
+def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
+                 m: int) -> Tuple[List[int], int]:
+    """S_0..S_m at the common scale V of order m >= 1, as (shat, V).
 
-    Scales chosen so every recurrence stays in big ints:
-      B row n       scaled by D_n = q^n * prod_{i=1..n} (i + 2a)
-      g_n           scaled by E_n = Q^(n-1) * prod_{i=2..n} (i + 2a + 1)
-      accumulators  at V_j = E_j * j! * (2a+1) * D_j
-    with c0 = p/q and zeta = P/Q.  A row's contribution to S_i is
-    u * N[j][i] / V_j with u = Ghat_j * (2a+1)_j * (2j + 2a + 1), because
-    (g_j / eta_j) B[j][i] expands to exactly that after inserting the three
-    scale factors.
+    Scales chosen so every recurrence stays in big ints, with c0 = p/q and
+    zeta = P/Q:
+      B row j   N_j = B_j * q^j * (2a+1)_j
+      g_j       Ghat_j = g_j * Q^(j-1) * prod_{i=2..j} (i + 2a + 1)
+    Since 1/eta_j = (2a+1)_j (2j+2a+1) / (j! (2a+1)), row j adds
+    u_j N_j(y) / V_j to S(y) = sum_i S_i y^i, with u_j = Ghat_j (2j+2a+1)
+    and V_j = (2a+1) q^j Q^(j-1) j! prod_{i=2..j} (i + 2a + 1).
+    The rows obey
+
+      N_j = (2j+2a-1) (p + q y) N_{j-1} - q^2 (j-1) (j-1+2a) N_{j-2},
+
+    so S(y) V_m = b_0(y) by Clenshaw's backward recurrence
+
+      b_j = u_j V_m / V_j + (2j+2a+1) (p + q y) b_{j+1}
+            - q^2 (j+1) (j+1+2a) b_{j+2},
+
+    in which only the constant term takes a full-width product; every
+    other step multiplies a big coefficient by a small integer.
     """
-
-    def __init__(self, c0: Fraction, c1: Fraction, alpha_w: int,
-                 zeta: Fraction) -> None:
-        self.a, self.c1 = alpha_w, c1
-        self.p, self.q = c0.numerator, c0.denominator
-        self.P, self.Q = zeta.numerator, zeta.denominator
-        self.h0 = _h0(alpha_w)
-        self.q0 = _q0(alpha_w, zeta)
-        self.q1 = _q1(alpha_w, zeta)
-        self.j = 0
-        self.shat: List[int] = [0]
-        self.V: Optional[int] = None
-        self._nprev: List[int] = [1]
-        self._ncur: List[int] = []
-        self._ghat_prev: Optional[int] = None
-        self._ghat_cur: Optional[int] = None
-        self._poch = 1            # (2a+1)_j
-
-    def _advance_row(self) -> None:
-        a, p, q, P, Q = self.a, self.p, self.q, self.P, self.Q
-        j = self.j + 1
-        if j == 1:
-            self._ncur = [p * (1 + 2 * a), q * (1 + 2 * a)]
-            self._ghat_cur = 1
-            self._poch = 1 + 2 * a
-            self.V = (2 * a + 1) * q * (1 + 2 * a)
-        else:
-            prev, prev2 = self._ncur, self._nprev
-            lead = 2 * j + 2 * a - 1
-            drag = q * q * (j - 1) * (j - 1 + 2 * a)
-            row = []
-            for i in range(j + 1):
-                t = p * prev[i] if i <= j - 1 else 0
-                if i >= 1:
-                    t += q * prev[i - 1]
-                t *= lead
-                if i <= j - 2:
-                    t -= drag * prev2[i]
-                row.append(t)
-            self._nprev, self._ncur = prev, row
-            if j == 2:
-                self._ghat_prev, self._ghat_cur = self._ghat_cur, P * (2 * a + 3)
-            else:
-                self._ghat_prev, self._ghat_cur = self._ghat_cur, (
-                    (2 * j + 2 * a - 1) * P * self._ghat_cur
-                    - (j - 2) * (j + 2 * a) * Q * Q * self._ghat_prev)
-            self._poch *= 2 * a + j
-            ratio = Q * (j + 2 * a + 1) * j * q * (j + 2 * a)
-            self.V *= ratio
-            for i in range(j):
-                self.shat[i] *= ratio
-        u = self._ghat_cur * self._poch * (2 * j + 2 * a + 1)
-        self.shat.append(0)
-        for i in range(j + 1):
-            self.shat[i] += u * self._ncur[i]
-        self.j = j
-
-    def _emit(self) -> Tuple[Fraction, ...]:
-        qh = self.q1 / self.h0
-        if self.j == 0:
-            return (self.q0 / self.h0,)
-        out = [self.q0 / self.h0 + qh * Fraction(self.shat[0], self.V)]
-        ci = Fraction(1)
-        for i in range(1, self.j + 1):
-            ci *= self.c1
-            out.append(ci * qh * Fraction(self.shat[i], self.V))
-        return tuple(out)
+    p, q = c0.numerator, c0.denominator
+    P, Q = zeta.numerator, zeta.denominator
+    # forward pass for u_j
+    u = [0, 2 * a + 3]
+    ghat_prev, ghat = 0, 1
+    for j in range(2, m + 1):
+        ghat_prev, ghat = ghat, ((2 * j + 2 * a - 1) * P * ghat
+                                 - (j - 2) * (j + 2 * a) * Q * Q * ghat_prev)
+        u.append(ghat * (2 * j + 2 * a + 1))
+    # backward pass at scale = V_m / V_j; row 0 carries no weight (u_0 = 0)
+    b1: List[int] = []
+    b2: List[int] = []
+    scale = 1
+    for j in range(m, -1, -1):
+        lp, lq = (2 * j + 2 * a + 1) * p, (2 * j + 2 * a + 1) * q
+        drag = q * q * (j + 1) * (j + 1 + 2 * a)
+        b = [lp * x + lq * y for x, y in zip(b1 + [0], [0] + b1)]
+        for i, z in enumerate(b2):
+            b[i] -= drag * z
+        b[0] += u[j] * scale
+        if j > 1:
+            scale *= Q * q * j * (j + 2 * a + 1)     # V_j / V_{j-1}
+        b1, b2 = b, b1
+    return b1, (2 * a + 1) * q * scale
 
 
-# (c0, c1, w, zeta) -> the stream and the vectors it has emitted, by order
-_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction],
-             Tuple[_ExactCoeffStream, dict[int, Tuple[Fraction, ...]]]] = {}
+def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
+          m: int) -> Tuple[Fraction, ...]:
+    """A_0..A_m reduced to Fractions from the order-m scaled sums."""
+    h0 = _h0(a)
+    head = _q0(a, zeta) / h0
+    if m == 0:
+        return (head,)
+    shat, V = _scaled_sums(c0, a, zeta, m)
+    qh = _q1(a, zeta) / h0
+    out = [head + qh * Fraction(shat[0], V)]
+    ci = Fraction(1)
+    for i in range(1, m + 1):
+        ci *= c1
+        out.append(ci * qh * Fraction(shat[i], V))
+    return tuple(out)
+
+
+# (c0, c1, w, zeta, m) -> the emitted A_0..A_m
+_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int],
+             Tuple[Fraction, ...]] = {}
 _BANKS_LOCK = threading.Lock()
 
 
 def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
                   m: int) -> Tuple[Fraction, ...]:
-    """A_0..A_m: advance the stream to m, then emit."""
-    key = (c0, c1, alpha_w, zeta)
+    """A_0..A_m, computed once per (interval, w, zeta, order)."""
+    key = (c0, c1, alpha_w, zeta, m)
     with _BANKS_LOCK:
-        stream, emitted = _BANKS.get(key, (None, {}))
-        if m not in emitted:
-            if stream is None or stream.j > m:
-                stream = _ExactCoeffStream(c0, c1, alpha_w, zeta)
-                _BANKS[key] = stream, emitted
-            while stream.j < m:
-                stream._advance_row()
-            emitted[m] = stream._emit()
-        return emitted[m]
+        if key not in _BANKS:
+            _BANKS[key] = _emit(c0, c1, alpha_w, zeta, m)
+        return _BANKS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +237,8 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     if len(moments) < m + 1:
         raise DomainError(
             f"need {m + 1} moments, sequence has {len(moments)}")
-    lo, hi = moments.scenario.interval
-    xi = as_rational(xi)
-    if not lo <= xi <= hi:
-        raise DomainError(f"xi={xi} outside support [{lo}, {hi}]")
-    c0, c1 = _map_constants(lo, hi)
+    xi = _check_xi(moments.scenario.interval, xi)
+    c0, c1 = _map_constants(*moments.scenario.interval)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
     A = _exact_coeffs(c0, c1, alpha_w, zeta, m)

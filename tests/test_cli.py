@@ -278,7 +278,10 @@ def test_unparseable_lists_are_reported():
 def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
     cache = tmp_path / "c.moments"
     for extra in (["--m-list", "50,10"], ["--m", "5", "--radius", "1e-3"],
-                  ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"]):
+                  ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"],
+                  ["--m", "5", "--xi", "1"],
+                  ["--m", "5", "--method", "gegenbauer", "--geg-alpha", "-1"],
+                  ["--m", "5", "--mode", "float", "--precision", "0"]):
         rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                               "--k", "0", "--cache", str(cache)] + extra)
         assert rc == 1 and out == ""

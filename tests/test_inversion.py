@@ -192,14 +192,35 @@ def test_legendre_is_weight_zero_gegenbauer():
         assert leg.alpha_w == 0
 
 
-def test_stream_reuse_after_larger_order():
-    # a fresh weight so the shared bank has not streamed this case yet;
-    # a smaller order after a larger one restarts the stream from row 0,
-    # the next larger one resumes it, and no order is disturbed
+def test_per_order_memo_serves_orders_in_any_sequence():
+    # orders out of sequence and repeated: each is its own pass, checked
+    # against the oracle, and a repeat returns the vector kept for it
     seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)), 30)
     for m in (30, 10, 20, 30):
-        assert gegenbauer_tail(seq, 1, 0, m).coeffs == \
-            tail_coeffs_from_tables(build_tables(PT_INTERVAL, 1, m))
+        coeffs = gegenbauer_tail(seq, 1, 0, m).coeffs
+        assert coeffs == tail_coeffs_from_tables(build_tables(PT_INTERVAL, 1, m))
+        assert gegenbauer_tail(seq, 1, 0, m).coeffs is coeffs
+
+
+def test_interior_cut_points_match_table_assembly():
+    # zeta != c0: A_i = c1^i sum_{j>=i} (q_j / h_j) B[j][i], with q_j the
+    # partial weight integral of row j over [zeta, 1]
+    cases = ((Variable.PT_DET, PT_INTERVAL, Fraction(-1, 32)),
+             (Variable.DIFF, DIFF_INTERVAL, Fraction(1, 1000)))
+    for variable, interval, xi in cases:
+        seq = moment_sequence(Scenario(variable, Fraction(1), Fraction(0)), 25)
+        for a in (0, 1, 3):
+            t = build_tables(interval, a, 25)
+            zeta = t.c0 + t.c1 * xi
+            h0 = weight_integral([Fraction(1)], a)
+            w = [partial_weight_integral(monomial_coeffs(row, t.c0), a, zeta)
+                 / (h0 * eta) for row, eta in zip(t.B, t.eta)]
+            for m in (0, 1, 2, 3, 25):
+                expect = tuple(t.c1 ** i * sum(w[j] * t.B[j][i]
+                                               for j in range(i, m + 1))
+                               for i in range(m + 1))
+                est = gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT)
+                assert est.coeffs == expect
 
 
 def test_bank_stays_consistent_under_threads():
