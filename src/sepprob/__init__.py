@@ -20,7 +20,6 @@ from .errors import (
     CacheError,
     CacheHeaderError,
     CacheIntegrityError,
-    CacheLockedError,
     DomainError,
     NoCandidateError,
     PrecisionError,

@@ -12,7 +12,6 @@ A given config always produces identical bytes in exact mode.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -24,8 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import mpmath
 
 from . import closedform, inversion, recon
-from .errors import CacheHeaderError, CacheIntegrityError, CacheLockedError, \
-    SepprobError, StructureViolation
+from .errors import CacheHeaderError, CacheIntegrityError, SepprobError, \
+    StructureViolation
 from .exactnum import as_rational
 from .moments import Scenario, Variable, diff_moment, moment_sequence, \
     pt_moment, seed_sequence
@@ -81,9 +80,11 @@ class MomentCacheFile:
     Header line pins the scenario; records are "n num/den" with n counting
     up from 0.  Loading re-verifies one deterministic record by
     recomputation and refuses files whose header belongs to a different
-    scenario.  Writes replace the file whole, fail-fast exclusive via a
-    lock file that names the writer's PID; a lock whose writer no longer
-    exists is cleared once.
+    scenario.  Each write goes to a temp file of its own next to the cache
+    and replaces the cache with one atomic rename, so readers see either
+    the old file or a new complete one and concurrent writers never share
+    a file; the last complete writer wins.  A failed write removes its
+    temp file; a killed writer may leave one behind, which nothing reads.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -129,53 +130,18 @@ class MomentCacheFile:
         return mus
 
     def write(self, mus: Sequence[Fraction]) -> None:
-        lock = self.path + ".lock"
-        fd = self._open_lock(lock)
+        # os.urandom rather than uuid4, whose import costs every run ~2 ms
+        tmp = f"{self.path}.{os.urandom(16).hex()}.tmp"
+        fh = open(tmp, "x", encoding="ascii")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(f"{os.getpid()}\n")
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="ascii") as fh:
+            with fh:
                 fh.write(self.header() + "\n")
                 for n, value in enumerate(mus):
                     fh.write(f"{n} {_rat(value)}\n")
             os.replace(tmp, self.path)
-        finally:
-            os.unlink(lock)
-
-    def _open_lock(self, lock: str) -> int:
-        """Create the lock file exclusively; return its descriptor.
-
-        A lock naming a process that no longer exists was left by a killed
-        writer: it is removed and the lock taken, once.  A live, unknown or
-        unreadable holder fails fast.  Two writers that find the same dead
-        PID at the same moment can both pass; nothing here serializes them.
-        """
-        for retry in (True, False):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if retry and _holder_is_gone(lock):
-                    with contextlib.suppress(FileNotFoundError):
-                        os.unlink(lock)
-                    continue
-                raise CacheLockedError(
-                    f"cache {self.path} is locked ({lock} exists)") from None
-            return fd
-
-
-def _holder_is_gone(lock: str) -> bool:
-    """True when the lock names a process that no longer exists."""
-    try:
-        with open(lock, encoding="ascii") as fh:
-            pid = int(fh.read())
-        if pid > 0:     # kill(0) and kill(-n) would address process groups
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        return False    # unreadable, or a live holder we may not signal
-    return False
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _sequence_with_cache(scenario: Scenario, m: int,
@@ -186,7 +152,7 @@ def _sequence_with_cache(scenario: Scenario, m: int,
         seed_sequence(scenario, cached)
         have = len(cached) - 1
     seq = moment_sequence(scenario, m)
-    # a run that stays within the cached orders neither locks nor writes
+    # a run that stays within the cached orders only reads the file
     if cache_path and m > have:
         MomentCacheFile(cache_path, scenario).write(seq.mu)
     return seq
@@ -341,10 +307,11 @@ def _table_probabilities(args, number: int) -> None:
 
 def _table_four(args) -> None:
     meta = {"command": "tables", "table": "4"}
-    if args.approx_m:
+    approx = args.approx_m is not None
+    if approx:
         meta["approx_m"] = str(args.approx_m)
     fields = ["k", "alpha", "proportion", "decimal", "source"]
-    if args.approx_m:
+    if approx:
         fields.append("approx_decimal")
     rows = []
     for k in range(0, 7):
@@ -361,13 +328,13 @@ def _table_four(args) -> None:
                 cell = (_rat(prop), _dec(prop), "identity")
             elif recorded is not None:
                 cell = (_rat(recorded), _dec(recorded), "recorded")
-            elif args.approx_m:
+            elif approx:
                 cell = ("-", "-", "unconfirmed")
             else:
                 cell = ("-", "-", "none")
             row = {"k": str(k), "alpha": str(alpha), "proportion": cell[0],
                    "decimal": cell[1], "source": cell[2]}
-            if args.approx_m:
+            if approx:
                 est = _diff_tail_estimate(alpha, k, args.approx_m)
                 row["approx_decimal"] = _dec(est / total, 10)
             rows.append(row)

@@ -36,7 +36,3 @@ class CacheHeaderError(CacheError):
 
 class CacheIntegrityError(CacheError):
     """Cache file records are malformed or fail spot re-verification."""
-
-
-class CacheLockedError(CacheError):
-    """Another writer holds the cache lock."""

@@ -30,7 +30,10 @@ def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"not an exact rational: {x!r}")
 
 

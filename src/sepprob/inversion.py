@@ -19,8 +19,8 @@ weight integrals from zeta = c0 + c1 xi to 1, and g_j the degree-(j-1)
 polynomials of the shifted weight evaluated at zeta.  w = 0 is the Legendre
 case.  All quantities are rational when the interval, w and xi are rational,
 so the truncated tail estimate is always computed exactly.  Float mode only
-changes how the result is reported: the exact value and the exact A_i, each
-correctly rounded once to the requested number of digits.
+changes how the value is reported: correctly rounded once to the requested
+number of digits.  The A_i stay exact Fractions in every mode.
 
 The exact evaluator below sums the B rows in scaled-integer form (no
 per-entry gcd) by one backward Clenshaw pass per truncation order, at that
@@ -64,8 +64,9 @@ DEFAULT_FLOAT_DIGITS = 300
 class TailEstimate:
     """A truncated tail reconstruction sum_i A_i mu_i.
 
-    In float mode value and coeffs are the exact ones rounded to precision
-    digits; in exact mode they are Fractions and precision is None.
+    coeffs are the exact A_i as Fractions in every mode.  In float mode
+    value is the exact one rounded to precision digits; in exact mode it
+    is a Fraction and precision is None.
     """
 
     scenario: Scenario
@@ -75,7 +76,7 @@ class TailEstimate:
     mode: str
     precision: Optional[int]
     value: Union[Fraction, mpmath.mpf]
-    coeffs: Tuple[Union[Fraction, mpmath.mpf], ...]
+    coeffs: Tuple[Fraction, ...]
 
 
 def _map_constants(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
@@ -229,7 +230,8 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
 
     The estimate is always computed exactly.  Float mode reports the exact
-    value and coefficients correctly rounded to `precision` digits.
+    value correctly rounded to `precision` digits; the coefficients stay
+    exact.
     """
     alpha_w = _check_weight(alpha_w)
     if not isinstance(m, int) or m < 0:
@@ -246,9 +248,7 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     for i in range(m + 1):
         value += A[i] * moments.mu[i]
     if mode == MODE_FLOAT:
-        bits = dps_to_prec(precision)
-        value = _rounded(value, bits)
-        A = tuple(_rounded(a, bits) for a in A)
+        value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
                         alpha_w=alpha_w, m=m, mode=mode, precision=precision,
                         value=value, coeffs=A)

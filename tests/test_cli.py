@@ -15,6 +15,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from sepprob import closedform, inversion
 from sepprob.cli import main
 from sepprob.moments import Scenario, Variable, moment_sequence
@@ -122,17 +124,7 @@ def test_cache_integrity_checks(tmp_path):
     assert rc == 1 and err.startswith("CacheIntegrityError")
 
 
-def test_cache_lock_is_fail_fast(tmp_path):
-    cache = tmp_path / "c.moments"
-    (tmp_path / "c.moments.lock").write_text("")
-    rc, _, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
-                          "--k", "0", "--m", "2", "--cache", str(cache)])
-    assert rc == 1 and err.startswith("CacheLockedError")
-    assert not cache.exists()
-
-
-def test_cache_hit_neither_locks_nor_writes(tmp_path):
-    # a leftover lock from a killed writer must not fail read-only runs
+def test_cache_hit_does_not_write(tmp_path):
     cache = tmp_path / "c.moments"
     rc, _, _ = run_cli(["moments", "--variable", "pt", "--alpha", "1",
                         "--k", "0", "--m", "6", "--cache", str(cache)])
@@ -145,35 +137,37 @@ def test_cache_hit_neither_locks_nor_writes(tmp_path):
         assert rc == 0 and err == ""
         assert "value_exact" in out
     assert cache.read_bytes() == before
-    # extending the cache still needs the lock
-    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
-                          "--k", "0", "--m", "7", "--cache", str(cache)])
-    assert rc == 1 and err.startswith("CacheLockedError")
-    assert cache.read_bytes() == before
-
-
-def test_cache_lock_of_dead_writer_is_cleared(tmp_path):
-    cache = tmp_path / "c.moments"
-    lock = tmp_path / "c.moments.lock"
-    rc, _, _ = run_cli(["moments", "--variable", "pt", "--alpha", "1",
-                        "--k", "0", "--m", "6", "--cache", str(cache)])
-    assert rc == 0
-    before = cache.read_bytes()
-    # a live holder still blocks growth
-    lock.write_text(f"{os.getpid()}\n")
-    rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
-                          "--k", "0", "--m", "7", "--cache", str(cache)])
-    assert rc == 1 and err.startswith("CacheLockedError")
-    assert cache.read_bytes() == before
-    # a finished process's PID marks the lock as left by a killed writer
-    writer = subprocess.Popen([sys.executable, "-c", "pass"])
-    writer.wait(timeout=60)
-    lock.write_text(f"{writer.pid}\n")
+    # a leftover lock file from an older writer no longer blocks growth
     rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m", "7", "--cache", str(cache)])
     assert rc == 0 and err == ""
-    assert not lock.exists()
     assert body_lines(cache.read_text())[-1].startswith("7 ")
+
+
+def test_cache_write_is_one_atomic_replace(tmp_path, monkeypatch):
+    cache = tmp_path / "c.moments"
+    argv = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
+            "--cache", str(cache)]
+    rc, _, _ = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                        "--k", "0", "--m", "6", "--cache", str(cache)])
+    assert rc == 0
+    # neither a live writer's lock nor a shared temp file is consulted
+    (tmp_path / "c.moments.lock").write_text(f"{os.getpid()}\n")
+    (tmp_path / "c.moments.tmp").write_text("junk\n")
+    rc, _, err = run_cli(argv + ["--m", "7"])
+    assert rc == 0 and err == ""
+    records = body_lines(cache.read_text())[1:]
+    assert [int(r.split()[0]) for r in records] == list(range(8))
+    before = cache.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        run_cli(argv + ["--m", "9"])
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.glob("*.tmp")] == ["c.moments.tmp"]
 
 
 def test_tail_baseline_and_reconstruction():
@@ -263,13 +257,22 @@ def test_tail_profile():
 
 
 def test_unparseable_lists_are_reported():
-    for argv in (["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
-                  "--m-list", "10,abc"],
-                 ["asymptote", "--alpha", "1/2", "--k-list", "5,x"],
-                 ["asymptote", "--alpha", "1/2", "--k-list", ","]):
+    tail = ["tail", "--variable", "pt", "--m", "3"]
+    for argv, name in (
+            (["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
+              "--m-list", "10,abc"], "SepprobError"),
+            (["asymptote", "--alpha", "1/2", "--k-list", "5,x"],
+             "SepprobError"),
+            (["asymptote", "--alpha", "1/2", "--k-list", ","], "SepprobError"),
+            (tail + ["--alpha", "abc", "--k", "0"], "DomainError"),
+            (tail + ["--alpha", "1", "--k", "1/0"], "DomainError"),
+            (tail + ["--alpha", "1", "--k", "0", "--xi", "abc"],
+             "DomainError"),
+            (["fit", "--alpha", "x"], "DomainError"),
+            (["asymptote", "--alpha", "1/0"], "DomainError")):
         rc, out, err = run_cli(argv)
         assert rc == 1 and out == ""
-        assert err.startswith("SepprobError: ") and err.count("\n") == 1
+        assert err.startswith(name + ": ") and err.count("\n") == 1
     rc, _, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m-list", ","])
     assert rc == 1 and "--m-list names no truncation orders" in err
@@ -342,6 +345,12 @@ def test_tables_proportion_approximants():
             assert abs(float(parts[5]) - float(recorded)) < 0.02
         if parts[0] == "3" and parts[1] == "1/2":
             assert parts[4] == "unconfirmed"
+    # order 0 is a truncation order like any other
+    rc, out, _ = run_cli(["tables", "--table", "4", "--approx-m", "0"])
+    assert rc == 0
+    assert "approx_m=0" in out and out.splitlines()[1].endswith(
+        " approx_decimal")
+    assert all(len(row.split()) == 6 for row in body_lines(out))
 
 
 def test_tables_all_is_text_only():
