@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import mpmath
 
 from . import closedform, inversion, recon
-from .errors import CacheHeaderError, CacheIntegrityError, SepprobError, \
-    StructureViolation
+from .errors import CacheHeaderError, CacheIntegrityError, CacheIOError, \
+    SepprobError, StructureViolation
 from .exactnum import as_rational
 from .moments import Scenario, Variable, diff_moment, moment_sequence, \
     pt_moment, seed_sequence
@@ -85,6 +85,8 @@ class MomentCacheFile:
     the old file or a new complete one and concurrent writers never share
     a file; the last complete writer wins.  A failed write removes its
     temp file; a killed writer may leave one behind, which nothing reads.
+    A file that cannot be opened, read, decoded or written raises
+    CacheIOError.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -97,8 +99,12 @@ class MomentCacheFile:
                 f"alpha={s.alpha} k={s.k}")
 
     def load(self) -> List[Fraction]:
-        with open(self.path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            with open(self.path, encoding="ascii") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CacheIOError(
+                f"cannot read cache {self.path}: {exc}") from exc
         if not lines or lines[0] != self.header():
             found = lines[0] if lines else "<empty>"
             raise CacheHeaderError(
@@ -132,16 +138,20 @@ class MomentCacheFile:
     def write(self, mus: Sequence[Fraction]) -> None:
         # os.urandom rather than uuid4, whose import costs every run ~2 ms
         tmp = f"{self.path}.{os.urandom(16).hex()}.tmp"
-        fh = open(tmp, "x", encoding="ascii")
         try:
-            with fh:
-                fh.write(self.header() + "\n")
-                for n, value in enumerate(mus):
-                    fh.write(f"{n} {_rat(value)}\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fh = open(tmp, "x", encoding="ascii")
+            try:
+                with fh:
+                    fh.write(self.header() + "\n")
+                    for n, value in enumerate(mus):
+                        fh.write(f"{n} {_rat(value)}\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise CacheIOError(
+                f"cannot write cache {self.path}: {exc}") from exc
 
 
 def _sequence_with_cache(scenario: Scenario, m: int,
@@ -586,9 +596,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SepprobError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe.  Send what is still buffered to
+        # devnull, so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -36,3 +36,8 @@ class CacheHeaderError(CacheError):
 
 class CacheIntegrityError(CacheError):
     """Cache file records are malformed or fail spot re-verification."""
+
+
+class CacheIOError(CacheError):
+    """Cache file cannot be read or written: a missing directory, a
+    directory in its place, denied access or bytes that are not ASCII."""

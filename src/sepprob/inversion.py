@@ -25,9 +25,11 @@ number of digits.  The A_i stay exact Fractions in every mode.
 The exact evaluator below sums the B rows in scaled-integer form (no
 per-entry gcd) by one backward Clenshaw pass per truncation order, at that
 order's common scale, and reduces to Fractions once at the end.  Every
-vector is kept per (interval, w, zeta, order), so further scenarios on the
-same interval and repeated orders cost only the dot product; the A_i do
-not depend on the moments at all.  Orders are independent of each other:
+vector is kept per (interval, w, zeta, order), beside its integer form at
+the A_i's common denominator, so further scenarios on the same interval
+and repeated orders cost only the dot product; the A_i do not depend on
+the moments at all.  The dot product is one integer sum at the product of
+the two common denominators, reduced once.  Orders are independent of each other:
 there is no resumable state, and they may be asked for in any sequence.
 """
 
@@ -38,7 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import mpmath
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
@@ -187,19 +189,30 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     return tuple(out)
 
 
-# (c0, c1, w, zeta, m) -> the emitted A_0..A_m
-_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int],
-             Tuple[Fraction, ...]] = {}
+class _Bank(NamedTuple):
+    """A_0..A_m, and the same at their common denominator: A_i equals
+    scaled[i] / scale."""
+
+    coeffs: Tuple[Fraction, ...]
+    scale: int
+    scaled: Tuple[int, ...]
+
+
+# (c0, c1, w, zeta, m) -> the emitted bank
+_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int], _Bank] = {}
 _BANKS_LOCK = threading.Lock()
 
 
 def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
-                  m: int) -> Tuple[Fraction, ...]:
+                  m: int) -> _Bank:
     """A_0..A_m, computed once per (interval, w, zeta, order)."""
     key = (c0, c1, alpha_w, zeta, m)
     with _BANKS_LOCK:
         if key not in _BANKS:
-            _BANKS[key] = _emit(c0, c1, alpha_w, zeta, m)
+            coeffs = _emit(c0, c1, alpha_w, zeta, m)
+            scale = math.lcm(*(a.denominator for a in coeffs))
+            _BANKS[key] = _Bank(coeffs, scale, tuple(
+                a.numerator * (scale // a.denominator) for a in coeffs))
         return _BANKS[key]
 
 
@@ -243,15 +256,18 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     c0, c1 = _map_constants(*moments.scenario.interval)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    A = _exact_coeffs(c0, c1, alpha_w, zeta, m)
-    value = Fraction(0)
-    for i in range(m + 1):
-        value += A[i] * moments.mu[i]
+    bank = _exact_coeffs(c0, c1, alpha_w, zeta, m)
+    # one integer sum at the common denominator, reduced once
+    mu = moments.mu[:m + 1]
+    mu_scale = math.lcm(*(x.denominator for x in mu))
+    total = sum(a * (x.numerator * (mu_scale // x.denominator))
+                for a, x in zip(bank.scaled, mu))
+    value = Fraction(total, bank.scale * mu_scale)
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
                         alpha_w=alpha_w, m=m, mode=mode, precision=precision,
-                        value=value, coeffs=A)
+                        value=value, coeffs=bank.coeffs)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,

@@ -11,12 +11,26 @@ terminating hypergeometric sums:
 
 For integer k < n the 5F4 sum degenerates: terms with k+1 <= j <= (k+n)/2
 vanish outright, while terms with j > (k+n)/2 are 0/0 forms whose finite
-cancellation limits contribute.  One evaluator serves both families: it
-doubles every half-integer parameter and runs each sum as a single pass in
-big integers.  The pass takes those limits exactly by carrying the paired
-zero factors, one on top and one below, as 1.  pt_moment and diff_moment
-are its validated public front; moment_sequence calls it for whole
-memoized sequences.
+cancellation limits contribute.  One evaluator, _fast_moment, sums either
+family directly: it doubles every half-integer parameter and runs each sum
+as a single pass in big integers.  The pass takes those limits exactly by
+carrying the paired zero factors, one on top and one below, as 1.
+pt_moment and diff_moment are its validated public front.
+
+moment_sequence does not sum each order afresh.  Each family obeys a
+linear recurrence in n, sum_{i=0..r} c_i(n) mu_{n+i} = 0, of order r = 3
+(pt) or 2 (diff), whose coefficients are integer polynomials in n,
+2 alpha and 2k of degree 20 or 11 (sepprob.recurrences, written by
+tools/derive_recurrences.py).  Zeilberger's creative telescoping proves
+it: tests/test_recurrence.py checks the certificate's telescoping
+identity and its boundary terms exactly.  The identity holds for generic
+alpha and k, and each mu_n is a rational function of both, so the
+recurrence holds at the 0/0 orders as well.  A sequence specializes the
+coefficients to its scenario and steps the recurrence in exact
+arithmetic.  _fast_moment still computes the first r orders of every new
+stretch of a sequence, any order whose leading coefficient c_r(n) would
+vanish (none does: c_r has positive coefficients), and the record a
+moment cache is spot-checked against.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -197,24 +211,85 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Batch driver with memoization
+# Batch driver: the certified recurrence in n, with memoization
 # ---------------------------------------------------------------------------
+
+def _coefficients(variable: Variable):
+    """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
+    each recurrence coefficient c_i."""
+    from . import recurrences       # imported on first use: it is large
+    for i, rows in enumerate(recurrences.COEFFS[variable.value]):
+        top = len(rows) - 1
+        for d, row in enumerate(rows):
+            values = map(int, row.split())
+            for u in range(top - d + 1):
+                for v in range(top - d - u + 1):
+                    yield i, d, u, v, next(values)
+
+
+def _recurrence(variable: Variable, alpha: Fraction,
+                k: Fraction) -> list[list[int]]:
+    """c_0..c_r of the scenario's recurrence, each as its integer
+    coefficients in ascending powers of n."""
+    a2, k2 = int(2 * alpha), int(2 * k)
+    out: list[list[int]] = []
+    for i, d, u, v, coeff in _coefficients(variable):
+        if i == len(out):
+            out.append([])
+        if d == len(out[i]):
+            out[i].append(0)
+        out[i][d] += coeff * a2 ** u * k2 ** v
+    return out
+
+
+def _horner(coeffs: list[int], n: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * n + c
+    return value
+
+
+def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
+                   lo: int, m: int) -> list[Fraction]:
+    """mu_lo..mu_m from nothing but this scenario.
+
+    The first r orders come from _fast_moment, and so does every order
+    whose leading coefficient c_r(n - r) vanishes; every other order is
+    one step of the recurrence from the r orders before it.
+    """
+    coeffs = _recurrence(variable, alpha, k)
+    r = len(coeffs) - 1
+    out: list[Fraction] = []
+    for n in range(lo, m + 1):
+        lead = _horner(coeffs[r], n - r) if n - lo >= r else 0
+        if lead:
+            tail = sum(_horner(coeffs[i], n - r) * out[n - lo - r + i]
+                       for i in range(r))
+            out.append(-tail / lead)
+        else:
+            out.append(_fast_moment(variable, alpha, k, n))
+    return out
+
 
 _SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], list[Fraction]] = {}
 _SEQ_LOCK = threading.Lock()
 
 
 def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
-    """mu_0..mu_m for a scenario; extends a cached sequence incrementally."""
+    """mu_0..mu_m for a scenario; extends a cached sequence incrementally.
+
+    New orders never step from remembered ones: _fresh_moments restarts
+    the recurrence, so a seeded prefix, which is only spot-checked, cannot
+    pass an error on.
+    """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
     key = (scenario.variable, scenario.alpha, scenario.k)
     with _SEQ_LOCK:
         known = list(_SEQ_MEMO.get(key, ()))
     if len(known) <= m:
-        for n in range(len(known), m + 1):
-            known.append(_fast_moment(scenario.variable, scenario.alpha,
-                                      scenario.k, n))
+        known += _fresh_moments(scenario.variable, scenario.alpha,
+                                scenario.k, len(known), m)
         with _SEQ_LOCK:
             if len(_SEQ_MEMO.get(key, ())) < len(known):
                 _SEQ_MEMO[key] = known
@@ -224,8 +299,10 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
 def seed_sequence(scenario: Scenario, values) -> None:
     """Install a precomputed moment prefix mu_0..mu_{len(values)-1}.
 
-    The values are trusted; callers (the CLI cache loader) are expected to
-    have verified them first.  A longer prefix already in memory wins.
+    The values are trusted as a prefix; callers (the CLI cache loader) are
+    expected to have verified them first.  Orders past it are computed
+    afresh, never from these values.  A longer prefix already in memory
+    wins.
     """
     vals = [as_rational(v) for v in values]
     if not vals:

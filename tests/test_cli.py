@@ -164,10 +164,51 @@ def test_cache_write_is_one_atomic_replace(tmp_path, monkeypatch):
         raise OSError("disk gone")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk gone"):
-        run_cli(argv + ["--m", "9"])
+    rc, _, err = run_cli(argv + ["--m", "9"])
+    assert rc == 1
+    assert err.startswith("CacheIOError: cannot write cache ")
+    assert err.rstrip().endswith("disk gone")
     assert cache.read_bytes() == before
     assert [p.name for p in tmp_path.glob("*.tmp")] == ["c.moments.tmp"]
+
+
+def test_cache_io_errors_print_one_line(tmp_path):
+    cases = {
+        # the directory of the cache does not exist
+        "missing_dir": tmp_path / "missing" / "c.moments",
+        # a directory where the cache file should be
+        "directory": tmp_path,
+        # a file that is not ASCII
+        "non_ascii": tmp_path / "latin1.moments",
+    }
+    cases["non_ascii"].write_bytes("sepprob-moments v1 k=\u00e9\n"
+                                   .encode("latin-1"))
+    for name, path in cases.items():
+        rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                                "--k", "0", "--m", "2", "--cache", str(path)])
+        assert rc == 1, name
+        assert out == "", name
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("CacheIOError: "), \
+            (name, err)
+        assert str(path) in lines[0], name
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader is gone before the command writes a byte
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepprob.cli", "tables", "--table", "4",
+         "--approx-m", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Error" not in err, err
 
 
 def test_tail_baseline_and_reconstruction():
