@@ -29,8 +29,9 @@ vector is kept per (interval, w, zeta, order), beside its integer form at
 the A_i's common denominator, so further scenarios on the same interval
 and repeated orders cost only the dot product; the A_i do not depend on
 the moments at all.  The dot product is one integer sum at the product of
-the two common denominators, reduced once.  Orders are independent of each other:
-there is no resumable state, and they may be asked for in any sequence.
+the A_i's and the moments' common denominators, reduced once.  Orders are
+independent of each other: there is no resumable state, and they may be
+asked for in any sequence.
 """
 
 from __future__ import annotations
