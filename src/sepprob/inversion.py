@@ -25,13 +25,13 @@ number of digits.  The A_i stay exact Fractions in every mode.
 The exact evaluator below sums the B rows in scaled-integer form (no
 per-entry gcd) by one backward Clenshaw pass per truncation order, at that
 order's common scale, and reduces to Fractions once at the end.  Every
-vector is kept per (interval, w, zeta, order), beside its integer form at
-the A_i's common denominator, so further scenarios on the same interval
-and repeated orders cost only the dot product; the A_i do not depend on
-the moments at all.  The dot product is one integer sum at the product of
-the A_i's and the moments' common denominators, reduced once.  Orders are
-independent of each other: there is no resumable state, and they may be
-asked for in any sequence.
+vector is kept per (interval, w, zeta, order), with the lcm of its
+denominators, so further scenarios on the same interval and repeated
+orders cost only the dot product; the A_i do not depend on the moments at
+all.  The dot product is one integer sum at the product of the A_i's and
+the moments' common denominators, reduced once.  Orders are independent
+of each other: there is no resumable state, and they may be asked for in
+any sequence.
 """
 
 from __future__ import annotations
@@ -191,12 +191,10 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
 
 
 class _Bank(NamedTuple):
-    """A_0..A_m, and the same at their common denominator: A_i equals
-    scaled[i] / scale."""
+    """A_0..A_m and the lcm of their denominators."""
 
     coeffs: Tuple[Fraction, ...]
     scale: int
-    scaled: Tuple[int, ...]
 
 
 # (c0, c1, w, zeta, m) -> the emitted bank
@@ -211,9 +209,8 @@ def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
     with _BANKS_LOCK:
         if key not in _BANKS:
             coeffs = _emit(c0, c1, alpha_w, zeta, m)
-            scale = math.lcm(*(a.denominator for a in coeffs))
-            _BANKS[key] = _Bank(coeffs, scale, tuple(
-                a.numerator * (scale // a.denominator) for a in coeffs))
+            _BANKS[key] = _Bank(coeffs, math.lcm(*(a.denominator
+                                                   for a in coeffs)))
         return _BANKS[key]
 
 
@@ -261,8 +258,9 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     # one integer sum at the common denominator, reduced once
     mu = moments.mu[:m + 1]
     mu_scale = math.lcm(*(x.denominator for x in mu))
-    total = sum(a * (x.numerator * (mu_scale // x.denominator))
-                for a, x in zip(bank.scaled, mu))
+    total = sum((a.numerator * (bank.scale // a.denominator))
+                * (x.numerator * (mu_scale // x.denominator))
+                for a, x in zip(bank.coeffs, mu))
     value = Fraction(total, bank.scale * mu_scale)
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))

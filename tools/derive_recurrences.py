@@ -31,10 +31,11 @@ telescoping identity as a rational-function identity with its boundary
 terms, is ``tests/test_recurrence.py``.
 
 The orders, degree bounds and denominators below come from a mod-p probe
-of the same kind; a bound that is too small fails the checks.  Grids and
-primes are fixed, so a rerun rewrites both outputs byte for byte:
+of the same kind; a bound that is too small fails the guess, the check
+against exact moments or the certificate test.  Grids and primes are
+fixed, so a rerun rewrites both outputs byte for byte:
 
-    python3 tools/derive_recurrences.py          # about 20 min on 2 cores
+    python3 tools/derive_recurrences.py      # about 7 minutes on 2 cores
 
 writes ``src/sepprob/recurrences.py`` (the coefficients c, which
 ``sepprob.moments`` serves) and ``tests/recurrence_certificates.py`` (the
