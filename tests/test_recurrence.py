@@ -23,9 +23,12 @@ test cover it:
   shown not to reach new orders.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -182,7 +185,7 @@ def identity_terms(variable):
         entries = [(d, 0, ea, ek, c) for ii, d, ea, ek, c in coeffs
                    if ii == i]
         terms.append((const * d0, entries, 0, forms))
-    num = [(u, v, ea, ek, c) for u, v, ea, ek, c in cert.NUM[variable]]
+    num = cert.NUM[variable]
     const, forms = ratio(term, 0, 1)
     for f, e in den.items():
         forms[shift_j(f)] -= e
@@ -203,16 +206,15 @@ def expand_and_check(terms):
     all_forms = set().union(*(f for *_, f in units))
     low = {f: min(t[3][f] for t in units) for f in all_forms}
     scale = lcm(*(t[0].denominator for t in units))
-    work = []
-    for const, entries, js, forms in units:
-        exps = Counter({f: forms[f] - low[f] for f in all_forms})
-        work.append((int(const * scale), entries, js,
-                     +exps))
+    work = [(int(const * scale), entries, js,
+             Counter({f: forms[f] - low[f] for f in all_forms
+                      if forms[f] > low[f]}))
+            for const, entries, js, forms in units]
     # injectivity bounds of the packing
     dn = max(degree(e, 0) + sum(x for f, x in fs.items() if f[1])
              for _, e, _, fs in work) + 1
     bound = sum(abs(c) * l1(e) * 2 ** (degree(e, 1) * js)
-                * _prod(sum(map(abs, f)) ** x for f, x in fs.items())
+                * prod(sum(map(abs, f)) ** x for f, x in fs.items())
                 for c, e, js, fs in work)
     pack = Packing(bound.bit_length() + 2, dn)
     total = {}
@@ -226,20 +228,13 @@ def expand_and_check(terms):
     return all(z == 0 for z in total.values())
 
 
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def term_value(term, n, j, a2, k2):
     """F(n, j) exactly, from the rising products of its definition."""
     value = term["cn"] ** n * term["cj"] ** j
     for form, count, e in term["rising"]:
         start = at(form, n, j, a2, k2)
         steps = at(COUNT[count], n, j, a2, k2) // 2
-        value *= Fraction(_prod(range(start, start + 2 * steps, 2))) ** e
+        value *= Fraction(prod(range(start, start + 2 * steps, 2))) ** e
     return value
 
 
@@ -315,9 +310,9 @@ def _quotient(top, bottom):
 
 @pytest.mark.parametrize("variable", list(Variable))
 def test_leading_coefficient_never_vanishes(variable):
-    # every coefficient of c_r is positive, so c_r(n) > 0 at n >= 0 for
-    # every alpha >= 1/2 and k >= 0: past its first r orders no sequence
-    # needs a direct sum
+    # c_r has no negative coefficient and a positive constant term, so
+    # c_r(n) > 0 at n >= 0 for every alpha >= 1/2 and k >= 0: past its
+    # first r orders no stretch of a sequence needs a direct sum
     r = recurrences.ORDER[variable.value]
     lead = [(d, ea, ek, c) for i, d, ea, ek, c
             in moments._coefficients(variable) if i == r]
@@ -348,11 +343,9 @@ def test_extension_does_not_step_from_seeded_values():
 
 
 def test_recurrence_data_is_imported_on_first_use():
-    import subprocess
-    import sys
     probe = ("import sys, sepprob.cli, sepprob.moments as m; "
              "assert 'sepprob.recurrences' not in sys.modules; "
              "m.moment_sequence(m.Scenario('pt', 1, 0), 5); "
              "assert 'sepprob.recurrences' in sys.modules")
     subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
-                   env={"PYTHONPATH": ":".join(sys.path)})
+                   env={"PYTHONPATH": os.pathsep.join(sys.path)})
