@@ -211,7 +211,7 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Batch driver: the certified recurrence in n, with memoization
+# Whole sequences: the certified recurrence in n, with memoization
 # ---------------------------------------------------------------------------
 
 def _coefficients(variable: Variable):
