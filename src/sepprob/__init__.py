@@ -20,6 +20,7 @@ from .errors import (
     CacheError,
     CacheHeaderError,
     CacheIntegrityError,
+    CacheIOError,
     DomainError,
     NoCandidateError,
     PrecisionError,

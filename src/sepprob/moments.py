@@ -20,17 +20,17 @@ pt_moment and diff_moment are its validated public front.
 moment_sequence does not sum each order afresh.  Each family obeys a
 linear recurrence in n, sum_{i=0..r} c_i(n) mu_{n+i} = 0, of order r = 3
 (pt) or 2 (diff), whose coefficients are integer polynomials in n,
-2 alpha and 2k of degree 20 or 11 (sepprob.recurrences, written by
-tools/derive_recurrences.py).  Zeilberger's creative telescoping proves
-it: tests/test_recurrence.py checks the certificate's telescoping
-identity and its boundary terms exactly.  The identity holds for generic
-alpha and k, and each mu_n is a rational function of both, so the
-recurrence holds at the 0/0 orders as well.  A sequence specializes the
-coefficients to its scenario and steps the recurrence in exact
-arithmetic.  _fast_moment still computes the first r orders of every new
-stretch of a sequence, any order whose leading coefficient c_r(n) would
-vanish (none does: c_r has positive coefficients), and the record a
-moment cache is spot-checked against.
+2 alpha and 2k of degree 20 or 11 (the table recurrences.txt next to this
+module, written by tools/derive_recurrences.py).  Zeilberger's creative
+telescoping proves it: tests/test_recurrence.py checks the certificate's
+telescoping identity and its boundary terms exactly.  The identity holds
+for generic alpha and k, and each mu_n is a rational function of both, so
+the recurrence holds at the 0/0 orders as well.  A sequence reads the
+table, specializes the coefficients to its scenario and steps the
+recurrence in exact arithmetic; c_r has only positive coefficients, so
+every step is defined.  _fast_moment still computes the first r orders of
+every new stretch of a sequence and the record a moment cache is
+spot-checked against.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,17 +215,23 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 # Whole sequences: the certified recurrence in n, with memoization
 # ---------------------------------------------------------------------------
 
+_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "recurrences.txt")
+
+
 def _coefficients(variable: Variable):
     """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
-    each recurrence coefficient c_i."""
-    from . import recurrences       # imported on first use: it is large
-    for i, rows in enumerate(recurrences.COEFFS[variable.value]):
-        top = len(rows) - 1
-        for d, row in enumerate(rows):
-            values = map(int, row.split())
-            for u in range(top - d + 1):
-                for v in range(top - d - u + 1):
-                    yield i, d, u, v, next(values)
+    each recurrence coefficient c_i, read from the table one line at a
+    time, so that nothing of it stays in memory."""
+    prefix = variable.value + " "
+    with open(_TABLE, encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith(prefix):
+                _, i, d, top, *row = line.split()
+                i, d, top, values = int(i), int(d), int(top), map(int, row)
+                for u in range(top + 1):
+                    for v in range(top - u + 1):
+                        yield i, d, u, v, next(values)
 
 
 def _recurrence(variable: Variable, alpha: Fraction,
@@ -253,21 +260,19 @@ def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
                    lo: int, m: int) -> list[Fraction]:
     """mu_lo..mu_m from nothing but this scenario.
 
-    The first r orders come from _fast_moment, and so does every order
-    whose leading coefficient c_r(n - r) vanishes; every other order is
-    one step of the recurrence from the r orders before it.
+    The first r orders come from _fast_moment; every later order is one
+    step of the recurrence from the r orders before it.
     """
     coeffs = _recurrence(variable, alpha, k)
     r = len(coeffs) - 1
     out: list[Fraction] = []
     for n in range(lo, m + 1):
-        lead = _horner(coeffs[r], n - r) if n - lo >= r else 0
-        if lead:
+        if n - lo < r:
+            out.append(_fast_moment(variable, alpha, k, n))
+        else:
             tail = sum(_horner(coeffs[i], n - r) * out[n - lo - r + i]
                        for i in range(r))
-            out.append(-tail / lead)
-        else:
-            out.append(_fast_moment(variable, alpha, k, n))
+            out.append(-tail / _horner(coeffs[r], n - r))
     return out
 
 

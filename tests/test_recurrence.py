@@ -1,8 +1,8 @@
 """The recurrences in n that serve the exact moment sequences.
 
 moment_sequence runs, for each variable, sum_i c_i(n) mu_{n+i} = 0 with
-the integer polynomial coefficients of sepprob.recurrences.  Two kinds of
-test cover it:
+the integer polynomial coefficients of src/sepprob/recurrences.txt.  Two
+kinds of test cover it:
 
 * The certificate test proves the recurrence.  With the summand F of
   mu_n = sum_j F(n, j) and the certificate R of
@@ -18,14 +18,11 @@ test cover it:
   mu_n is a rational function of alpha and k, for every scenario; the
   pt sum's 0/0 limits at integer k < n need no case of their own.
 * The served sequences are compared with the direct sums of
-  pt_moment/diff_moment, at the 0/0 orders and at every order where the
-  scenario's leading coefficient vanishes, and a wrong seeded record is
+  pt_moment/diff_moment, at the 0/0 orders among others, the leading
+  coefficient is shown never to vanish, and a wrong seeded record is
   shown not to reach new orders.
 """
 
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -33,7 +30,7 @@ from math import gcd, lcm, prod
 import pytest
 
 import recurrence_certificates as cert
-from sepprob import moments, recurrences
+from sepprob import moments
 from sepprob.moments import Scenario, Variable, diff_moment, \
     moment_sequence, pt_moment, seed_sequence
 
@@ -46,6 +43,11 @@ DIRECT = {Variable.PT_DET: pt_moment, Variable.DIFF: diff_moment}
 # a2 = 2 alpha and k2 = 2k.
 COUNT = {"n": (0, 2, 0, 0, 0), "2n": (0, 4, 0, 0, 0),
          "j": (0, 0, 2, 0, 0), "2j": (0, 0, 4, 0, 0)}
+
+
+def order(variable):
+    """r, the order of the variable's recurrence."""
+    return max(i for i, *_ in moments._coefficients(Variable(variable)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,7 @@ def identity_terms(variable):
     d0 = cert.D0[variable]
     terms = []
     coeffs = list(moments._coefficients(Variable(variable)))
-    for i in range(recurrences.ORDER[variable] + 1):
+    for i in range(order(variable) + 1):
         const, forms = ratio(term, i, 0)
         entries = [(d, 0, ea, ek, c) for ii, d, ea, ek, c in coeffs
                    if ii == i]
@@ -272,8 +274,7 @@ def test_certificate_check_rejects_a_wrong_certificate(monkeypatch):
 @pytest.mark.parametrize("variable", ["pt", "diff"])
 def test_certificate_boundary_terms(variable):
     term = cert.TERMS[variable]
-    r = recurrences.ORDER[variable]
-    assert len(recurrences.COEFFS[variable]) == r + 1
+    r = order(variable)
     # F(n, j) carries rising2(-2n, j) or rising2(-2n, 2j), so it vanishes
     # for j > n, and the sums run over j = 0..n+r
     assert any(form == (0, -2, 0, 0, 0) and e == 1
@@ -313,7 +314,7 @@ def test_leading_coefficient_never_vanishes(variable):
     # c_r has no negative coefficient and a positive constant term, so
     # c_r(n) > 0 at n >= 0 for every alpha >= 1/2 and k >= 0: past its
     # first r orders no stretch of a sequence needs a direct sum
-    r = recurrences.ORDER[variable.value]
+    r = order(variable.value)
     lead = [(d, ea, ek, c) for i, d, ea, ek, c
             in moments._coefficients(variable) if i == r]
     assert all(c > 0 for *_, c in lead if c)
@@ -342,10 +343,21 @@ def test_extension_does_not_step_from_seeded_values():
     assert seq.mu[31:] == tuple(good[31:])
 
 
-def test_recurrence_data_is_imported_on_first_use():
-    probe = ("import sys, sepprob.cli, sepprob.moments as m; "
-             "assert 'sepprob.recurrences' not in sys.modules; "
-             "m.moment_sequence(m.Scenario('pt', 1, 0), 5); "
-             "assert 'sepprob.recurrences' in sys.modules")
-    subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
-                   env={"PYTHONPATH": os.pathsep.join(sys.path)})
+def test_table_rows_are_whole():
+    # each line of the table holds one full triangle of coefficients, and
+    # the rows of every c_i run d = 0..D with total degree D - d
+    rows = {}
+    with open(moments._TABLE, encoding="ascii") as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                name, i, d, top, *values = line.split()
+                i, d, top = int(i), int(d), int(top)
+                assert len(values) == (top + 1) * (top + 2) // 2, (name, i, d)
+                rows.setdefault((name, i), []).append((d, top))
+    assert {name for name, _ in rows} == {v.value for v in Variable}
+    for (name, i), ds in rows.items():
+        deg = len(ds) - 1
+        assert ds == [(d, deg - d) for d in range(deg + 1)], (name, i)
+    for variable in Variable:
+        orders = sorted(i for name, i in rows if name == variable.value)
+        assert orders == list(range(len(orders))), variable

@@ -24,7 +24,9 @@ random (a2, k2) in GF(p):
 
 Interpolation in n, j, a2 and k2 gives every coefficient mod p; the
 Chinese remainder theorem and rational reconstruction over the primes
-give it in Q once two prime counts agree.  Scaling to coprime integers
+give it in Q once two prime counts agree.  Primes come in batches of
+BATCH, one per worker process, so the counts compared, and with them the
+output, do not depend on the machine.  Scaling to coprime integers
 then fixes c, and N over an integer d0 fixes R = N / (d0 D).  The result
 is checked against exact moments at a few scenarios; the exact proof, the
 telescoping identity as a rational-function identity with its boundary
@@ -37,7 +39,7 @@ fixed, so a rerun rewrites both outputs byte for byte:
 
     python3 tools/derive_recurrences.py      # about 7 minutes on 2 cores
 
-writes ``src/sepprob/recurrences.py`` (the coefficients c, which
+writes ``src/sepprob/recurrences.txt`` (the coefficients c, which
 ``sepprob.moments`` serves) and ``tests/recurrence_certificates.py`` (the
 terms F and the certificates, which only the test reads).
 """
@@ -399,6 +401,10 @@ def flatten(c_out, n_out):
     return out
 
 
+# primes lifted per round, and worker processes
+BATCH = 2
+
+
 class Lift:
     """Residues CRT-combined over the primes seen so far."""
 
@@ -477,39 +483,30 @@ def poly_lines(entries, indent="    "):
 
 def write_recurrences(results) -> str:
     lines = [
-        '"""Recurrences in n of the exact moment sequences.',
-        "",
-        "Generated by tools/derive_recurrences.py; do not edit.  For each",
-        "variable, sum_{i=0..ORDER} c_i(n) mu_{n+i} = 0 for every n >= 0.",
-        "COEFFS[variable][i][d] holds the coefficient of n^d in c_i, a",
-        "polynomial in a2 = 2 alpha and k2 = 2k of total degree at most",
-        "D - d, with D + 1 the number of rows: the space-separated integer",
-        "coefficients of a2^u k2^v in the order u = 0..D-d, and for each u",
-        "v = 0..D-d-u.  Strings keep the table small in memory until",
-        "sepprob.moments reads it.  The certificate that proves each",
-        "recurrence is tests/recurrence_certificates.py.",
-        '"""',
-        "",
-        "ORDER = {",
+        "# Recurrences in n of the exact moment sequences.",
+        "#",
+        "# Generated by tools/derive_recurrences.py; do not edit.  For each",
+        "# variable, sum_{i=0..r} c_i(n) mu_{n+i} = 0 for every n >= 0.  A",
+        "# line 'variable i d t coeffs' holds the coefficient of n^d in c_i,",
+        "# a polynomial in a2 = 2 alpha and k2 = 2k of total degree at most",
+        "# t: the integer coefficients of a2^u k2^v in the order u = 0..t,",
+        "# and for each u v = 0..t-u.  sepprob.moments reads the lines of",
+        "# one variable when it specializes a scenario's recurrence.  The",
+        "# certificate that proves each recurrence is",
+        "# tests/recurrence_certificates.py.",
     ]
-    for variable in TERMS:
-        lines.append(f"    {variable!r}: {SHAPES[variable]['order']},")
-    lines += ["}", "", "COEFFS = {"]
     for variable in TERMS:
         coeffs = results[variable][0]
         shape = SHAPES[variable]
         deg = shape["degree"]
-        lines.append(f"    {variable!r}: (")
         for i in range(shape["order"] + 1):
-            lines.append("        (")
             for d in range(deg + 1):
+                top = deg - d
                 row = " ".join(str(coeffs.get((i, d, u, v), 0))
-                               for u in range(deg - d + 1)
-                               for v in range(deg - d - u + 1))
-                lines.append(f"            {row!r},")
-            lines.append("        ),")
-        lines.append("    ),")
-    lines += ["}", ""]
+                               for u in range(top + 1)
+                               for v in range(top - u + 1))
+                lines.append(f"{variable} {i} {d} {top} {row}")
+    lines.append("")
     return "\n".join(lines)
 
 
@@ -525,7 +522,7 @@ def write_certificates(results) -> str:
         "The certificate is R(n, j) = N(n, j) / (D0 * prod DEN), with",
         "N = sum coeff n^u j^v (2 alpha)^x (2k)^y over NUM's (u, v, x, y, coeff),",
         "such that sum_i c_i(n) F(n+i, j) = R(n, j+1) F(n, j+1) - R(n, j) F(n, j)",
-        "with the c_i of sepprob.recurrences.",
+        "with the c_i of src/sepprob/recurrences.txt.",
         '"""',
         "",
         "from fractions import Fraction",
@@ -562,17 +559,15 @@ def write_certificates(results) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker processes (default 2)")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]) \
+        .parse_args(argv)
     results = {}
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(args.jobs) as pool:
+    with ctx.Pool(BATCH) as pool:
         for variable in TERMS:
             lift, values, source = Lift(), None, primes()
             while values is None:
-                batch = [(variable, next(source)) for _ in range(args.jobs)]
+                batch = [(variable, next(source)) for _ in range(BATCH)]
                 for _, p, c_out, n_out in pool.map(solve_prime, batch):
                     lift.add(flatten(c_out, n_out), p)
                 print(f"{variable}: {lift.modulus.bit_length()} bits",
@@ -581,7 +576,7 @@ def main(argv=None) -> int:
             coeffs, d0, num = to_integers(values, variable)
             check_against_moments(variable, coeffs)
             results[variable] = (coeffs, d0, num)
-    (ROOT / "src" / "sepprob" / "recurrences.py").write_text(
+    (ROOT / "src" / "sepprob" / "recurrences.txt").write_text(
         write_recurrences(results))
     (ROOT / "tests" / "recurrence_certificates.py").write_text(
         write_certificates(results))
