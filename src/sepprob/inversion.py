@@ -41,7 +41,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import mpmath
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
@@ -190,27 +190,22 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     return tuple(out)
 
 
-class _Bank(NamedTuple):
-    """A_0..A_m and the lcm of their denominators."""
-
-    coeffs: Tuple[Fraction, ...]
-    scale: int
-
-
-# (c0, c1, w, zeta, m) -> the emitted bank
-_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int], _Bank] = {}
+# (c0, c1, w, zeta, m) -> (A_0..A_m, the lcm of their denominators)
+_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int],
+             Tuple[Tuple[Fraction, ...], int]] = {}
 _BANKS_LOCK = threading.Lock()
 
 
 def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
-                  m: int) -> _Bank:
-    """A_0..A_m, computed once per (interval, w, zeta, order)."""
+                  m: int) -> Tuple[Tuple[Fraction, ...], int]:
+    """A_0..A_m and the lcm of their denominators, computed once per
+    (interval, w, zeta, order)."""
     key = (c0, c1, alpha_w, zeta, m)
     with _BANKS_LOCK:
         if key not in _BANKS:
             coeffs = _emit(c0, c1, alpha_w, zeta, m)
-            _BANKS[key] = _Bank(coeffs, math.lcm(*(a.denominator
-                                                   for a in coeffs)))
+            _BANKS[key] = coeffs, math.lcm(*(a.denominator
+                                             for a in coeffs))
         return _BANKS[key]
 
 
@@ -254,19 +249,19 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     c0, c1 = _map_constants(*moments.scenario.interval)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    bank = _exact_coeffs(c0, c1, alpha_w, zeta, m)
+    coeffs, scale = _exact_coeffs(c0, c1, alpha_w, zeta, m)
     # one integer sum at the common denominator, reduced once
     mu = moments.mu[:m + 1]
     mu_scale = math.lcm(*(x.denominator for x in mu))
-    total = sum((a.numerator * (bank.scale // a.denominator))
+    total = sum((a.numerator * (scale // a.denominator))
                 * (x.numerator * (mu_scale // x.denominator))
-                for a, x in zip(bank.coeffs, mu))
-    value = Fraction(total, bank.scale * mu_scale)
+                for a, x in zip(coeffs, mu))
+    value = Fraction(total, scale * mu_scale)
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
                         alpha_w=alpha_w, m=m, mode=mode, precision=precision,
-                        value=value, coeffs=bank.coeffs)
+                        value=value, coeffs=coeffs)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
