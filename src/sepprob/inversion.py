@@ -131,10 +131,20 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
     Scales chosen so every recurrence stays in big ints, with c0 = p/q and
     zeta = P/Q:
       B row j   N_j = B_j * q^j * (2a+1)_j
-      g_j       Ghat_j = g_j * Q^(j-1) * prod_{i=2..j} (i + 2a + 1)
+      g_j       H_j = g_j * Q^(j-1) * prod_{i=2..j} r_i,
+    where r_i = (i + 2a + 1) / f_i is the part of i + 2a + 1 that the
+    weights keep.  The g_j obey (j+2a+1) g_j = (2j+2a-1) zeta g_{j-1}
+    - (j-2) g_{j-2}, so
+
+      f_j H_j = (2j+2a-1) P H_{j-1} - (j-2) Q^2 r_{j-1} H_{j-2},
+
+    and f_j = gcd(right-hand side, j + 2a + 1) makes the division exact
+    by construction: the factor prod (i + 2a + 1), which the plain
+    integer weights would carry, enters the scale only where a step
+    leaves some of it behind.
     Since 1/eta_j = (2a+1)_j (2j+2a+1) / (j! (2a+1)), row j adds
-    u_j N_j(y) / V_j to S(y) = sum_i S_i y^i, with u_j = Ghat_j (2j+2a+1)
-    and V_j = (2a+1) q^j Q^(j-1) j! prod_{i=2..j} (i + 2a + 1).
+    u_j N_j(y) / V_j to S(y) = sum_i S_i y^i, with u_j = H_j (2j+2a+1)
+    and V_j = (2a+1) q^j Q^(j-1) j! prod_{i=2..j} r_i.
     The rows obey
 
       N_j = (2j+2a-1) (p + q y) N_{j-1} - q^2 (j-1) (j-1+2a) N_{j-2},
@@ -149,13 +159,17 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
     """
     p, q = c0.numerator, c0.denominator
     P, Q = zeta.numerator, zeta.denominator
-    # forward pass for u_j
+    # forward pass for u_j and r_j
     u = [0, 2 * a + 3]
-    ghat_prev, ghat = 0, 1
+    r = [1, 1]
+    h_prev, h = 0, 1
     for j in range(2, m + 1):
-        ghat_prev, ghat = ghat, ((2 * j + 2 * a - 1) * P * ghat
-                                 - (j - 2) * (j + 2 * a) * Q * Q * ghat_prev)
-        u.append(ghat * (2 * j + 2 * a + 1))
+        rhs = ((2 * j + 2 * a - 1) * P * h
+               - (j - 2) * Q * Q * r[j - 1] * h_prev)
+        f = math.gcd(rhs, j + 2 * a + 1)
+        h_prev, h = h, rhs // f
+        r.append((j + 2 * a + 1) // f)
+        u.append(h * (2 * j + 2 * a + 1))
     # backward pass at scale = V_m / V_j; row 0 carries no weight (u_0 = 0)
     b1: List[int] = []
     b2: List[int] = []
@@ -168,7 +182,7 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
             b[i] -= drag * z
         b[0] += u[j] * scale
         if j > 1:
-            scale *= Q * q * j * (j + 2 * a + 1)     # V_j / V_{j-1}
+            scale *= Q * q * j * r[j]     # V_j / V_{j-1}
         b1, b2 = b, b1
     return b1, (2 * a + 1) * q * scale
 

@@ -121,20 +121,24 @@ class GegenbauerTables:
 
     B is the lower-triangular coefficient table of the shifted polynomials
     around c0, eta the normalized structure constants (eta_0 = 1) and g the
-    shifted-weight polynomial values at zeta = c0, i.e. for xi = 0.
+    shifted-weight polynomial values at the mapped cut point
+    zeta = c0 + c1 xi.
     """
 
     alpha_w: int
     m: int
     c0: Fraction
     c1: Fraction
+    zeta: Fraction
     B: Tuple[Tuple[Fraction, ...], ...]
     eta: Tuple[Fraction, ...]
     g: Tuple[Fraction, ...]
 
 
-def build_tables(interval, alpha_w: int, m: int) -> GegenbauerTables:
-    """Compute the B / eta / g tables by their defining recurrences."""
+def build_tables(interval, alpha_w: int, m: int,
+                 xi=0) -> GegenbauerTables:
+    """Compute the B / eta / g tables by their defining recurrences, with
+    g for the cut point xi."""
     if isinstance(alpha_w, bool) or not isinstance(alpha_w, int) or alpha_w < 0:
         raise DomainError(
             f"weight exponent must be a nonnegative integer, got {alpha_w!r}")
@@ -144,6 +148,7 @@ def build_tables(interval, alpha_w: int, m: int) -> GegenbauerTables:
     if not lo < hi:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     c0, c1 = -(lo + hi) / (hi - lo), 2 / (hi - lo)
+    zeta = c0 + c1 * as_rational(xi)
     a = alpha_w
 
     rows: List[Tuple[Fraction, ...]] = [(Fraction(1),)]
@@ -173,26 +178,27 @@ def build_tables(interval, alpha_w: int, m: int) -> GegenbauerTables:
     if m >= 1:
         g.append(Fraction(1))
     if m >= 2:
-        g.append(c0)
+        g.append(zeta)
     for n in range(3, m + 1):
-        g.append((Fraction(2 * n + 2 * a - 1, n + 2 * a + 1) * c0 * g[-1]
+        g.append((Fraction(2 * n + 2 * a - 1, n + 2 * a + 1) * zeta * g[-1]
                   - Fraction(n - 2, n + 2 * a + 1) * g[-2]))
 
-    return GegenbauerTables(alpha_w=a, m=m, c0=c0, c1=c1,
+    return GegenbauerTables(alpha_w=a, m=m, c0=c0, c1=c1, zeta=zeta,
                             B=tuple(rows), eta=tuple(eta), g=tuple(g))
 
 
 def tail_coeffs_from_tables(tables) -> Tuple[Fraction, ...]:
-    """A_0..A_m for the xi = 0 tail, assembled from explicit tables.
+    """A_0..A_m for the tail past the tables' cut point, assembled from
+    explicit tables.
 
     Follows the documented linear functional directly: A_0 = q0/h0 +
     (q1/h0) sum_j (g_j/eta_j) B[j][0] and A_i = c1^i (q1/h0)
-    sum_{j>=i} (g_j/eta_j) B[j][i], with zeta = c0 and the structure
+    sum_{j>=i} (g_j/eta_j) B[j][i], with the tables' zeta and the structure
     constant h0 recomputed from gamma values rather than taken from the
     inversion module.
     """
     a = tables.alpha_w
-    zeta = tables.c0
+    zeta = tables.zeta
     h0 = (gamma_half(HALF) * gamma_half(a + 1)
           / gamma_half(a + Fraction(3, 2))).to_rational()
     q0 = sum(Fraction(math.comb(a, r) * (-1) ** r, 2 * r + 1)

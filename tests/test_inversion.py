@@ -12,9 +12,11 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sepprob.inversion as inversion
 from oracles import build_tables, tail_coeffs_from_tables
@@ -23,8 +25,8 @@ from sepprob.exactnum import gamma_half
 from sepprob.inversion import METHOD_GEGENBAUER, METHOD_LEGENDRE, \
     MODE_AUTO, MODE_EXACT, MODE_FLOAT, convergence_profile, \
     gegenbauer_tail, legendre_tail
-from sepprob.moments import DIFF_INTERVAL, PT_INTERVAL, Scenario, Variable, \
-    moment_sequence
+from sepprob.moments import DIFF_INTERVAL, PT_INTERVAL, MomentSequence, \
+    Scenario, Variable, moment_sequence
 
 HALF = Fraction(1, 2)
 
@@ -120,12 +122,14 @@ def test_same_polynomials_on_both_intervals():
 def test_partial_integrals_match_g():
     for interval in (PT_INTERVAL, DIFF_INTERVAL):
         for a in (0, 1, 2):
-            t = build_tables(interval, a, 6)
-            zeta = t.c0
-            q1 = (1 - zeta * zeta) ** (a + 1) / (2 * (a + 1))
-            for j in range(1, 7):
-                poly = monomial_coeffs(t.B[j], t.c0)
-                assert partial_weight_integral(poly, a, zeta) == q1 * t.g[j - 1]
+            for xi in (0, Fraction(-1, 32), interval[1]):
+                t = build_tables(interval, a, 6, xi)
+                zeta = t.zeta
+                q1 = (1 - zeta * zeta) ** (a + 1) / (2 * (a + 1))
+                for j in range(1, 7):
+                    poly = monomial_coeffs(t.B[j], t.c0)
+                    assert partial_weight_integral(poly, a, zeta) == \
+                        q1 * t.g[j - 1]
 
 
 def test_build_tables_validation():
@@ -221,6 +225,55 @@ def test_interior_cut_points_match_table_assembly():
                                for i in range(m + 1))
                 est = gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT)
                 assert est.coeffs == expect
+
+
+def bank(interval, a, xi, m):
+    """gegenbauer_tail's A_0..A_m on any interval.  They do not depend on
+    the moments, so a stand-in sequence carries the interval."""
+    seq = MomentSequence(SimpleNamespace(interval=interval),
+                         (Fraction(1),) * (m + 1))
+    return gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT).coeffs
+
+
+@st.composite
+def cut_points(draw):
+    ends = st.fractions(min_value=-4, max_value=4, max_denominator=60)
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=30))
+    return (lo, hi), lo + (hi - lo) * t
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_points(), st.integers(0, 4), st.integers(0, 30))
+def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
+    interval, xi = case
+    assert bank(interval, a, xi, m) == \
+        tail_coeffs_from_tables(build_tables(interval, a, m, xi))
+
+
+@pytest.mark.parametrize("interval, a, kept", [
+    (DIFF_INTERVAL, 0, 4),      # f_3 = 1
+    (PT_INTERVAL, 1, 3),        # f_3 = 2
+])
+def test_partial_divisor_steps(interval, a, kept):
+    # at xi = 0 the order-3 step divides out only f_3 of 3 + 2a + 1, so the
+    # scale keeps the rest beside the one it has when every step is whole
+    c0, _ = inversion._map_constants(*interval)
+    zeta = c0
+    whole = ((2 * a + 1) * c0.denominator ** 3 * zeta.denominator ** 2
+             * math.factorial(3))
+    assert inversion._scaled_sums(c0, a, zeta, 3)[1] == kept * whole
+    for m in (3, 4, 30):
+        assert bank(interval, a, 0, m) == \
+            tail_coeffs_from_tables(build_tables(interval, a, m))
+
+
+def test_bank_scale_width():
+    # the scale drops the factor prod (j + 2a + 1): 4,490 bits here, where
+    # carrying it took 6,539
+    c0, _ = inversion._map_constants(*PT_INTERVAL)
+    _, scale = inversion._scaled_sums(c0, 0, c0, 300)
+    assert scale.bit_length() < 5000
 
 
 def test_bank_stays_consistent_under_threads():
