@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -26,8 +25,8 @@ from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheIOError, \
     SepprobError, StructureViolation
 from .exactnum import as_rational
-from .moments import Scenario, Variable, diff_moment, moment_sequence, \
-    pt_moment, seed_sequence
+from .moments import Scenario, Variable, first_wrong_moment, \
+    moment_sequence, seed_sequence
 from .reported import DIFF_TAILS, TABLE_IV
 
 CACHE_HEADER_PREFIX = "sepprob-moments v1"
@@ -78,8 +77,9 @@ class MomentCacheFile:
     """One scenario's exact moments as a text file.
 
     Header line pins the scenario; records are "n num/den" with n counting
-    up from 0.  Loading re-verifies one deterministic record by
-    recomputation and refuses files whose header belongs to a different
+    up from 0.  Loading checks every record (moments.first_wrong_moment:
+    the first few exactly, the rest by the moment recurrence modulo a
+    61-bit prime) and refuses files whose header belongs to a different
     scenario.  Each write goes to a temp file of its own next to the cache
     and replaces the cache with one atomic rename, so readers see either
     the old file or a new complete one and concurrent writers never share
@@ -126,13 +126,10 @@ class MomentCacheFile:
             mus.append(value)
         if not mus:
             raise CacheIntegrityError(f"cache {self.path} has no records")
-        pick = random.Random(len(mus)).randrange(len(mus))
-        s = self.scenario
-        moment = pt_moment if s.variable is Variable.PT_DET else diff_moment
-        expect = moment(s.alpha, s.k, pick)
-        if mus[pick] != expect:
+        bad = first_wrong_moment(self.scenario, mus)
+        if bad is not None:
             raise CacheIntegrityError(
-                f"cache {self.path}: record n={pick} fails recomputation")
+                f"cache {self.path}: record n={bad} fails recomputation")
         return mus
 
     def write(self, mus: Sequence[Fraction]) -> None:

@@ -29,8 +29,8 @@ the recurrence holds at the 0/0 orders as well.  A sequence reads the
 table, specializes the coefficients to its scenario and steps the
 recurrence in exact arithmetic; c_r has only positive coefficients, so
 every step is defined.  _fast_moment still computes the first r orders of
-every new stretch of a sequence and the record a moment cache is
-spot-checked against.
+every new stretch of a sequence.  first_wrong_moment checks a stored
+prefix (a moment cache) by the same recurrence modulo a 61-bit prime.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -276,6 +276,40 @@ def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
     return out
 
 
+# the Mersenne prime 2^61 - 1, modulo which stored records are checked
+CHECK_PRIME = (1 << 61) - 1
+
+
+def first_wrong_moment(scenario: Scenario, values) -> int | None:
+    """The first n at which values[n] is not mu_n, or None if none is.
+
+    The first r values are compared exactly with _fast_moment.  Every
+    later one is checked by the recurrence modulo the prime
+    p = CHECK_PRIME: sum_i c_i(n-r) mu_{n-r+i} must vanish mod p.  A value
+    is compared exactly instead when c_r(n-r) vanishes mod p, or when a
+    denominator in its window of r+1 values does.  Each value that passes
+    is congruent to mu_n mod p, so the next one is checked against the true
+    residue.  The residual case: a wrong value congruent to the true mu_n
+    mod p passes.
+    """
+    variable, alpha, k = scenario.variable, scenario.alpha, scenario.k
+    p = CHECK_PRIME
+    coeffs = [[c % p for c in ci] for ci in _recurrence(variable, alpha, k)]
+    r = len(coeffs) - 1
+    residues: list[int | None] = []
+    for n, x in enumerate(values):
+        den = x.denominator % p
+        residues.append(x.numerator * pow(den, -1, p) % p if den else None)
+        window = residues[n - r:] if n >= r else [None]
+        if None not in window and _horner(coeffs[r], n - r) % p:
+            if sum(_horner(c, n - r) * y
+                   for c, y in zip(coeffs, window)) % p:
+                return n
+        elif x != _fast_moment(variable, alpha, k, n):
+            return n
+    return None
+
+
 _SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], list[Fraction]] = {}
 _SEQ_LOCK = threading.Lock()
 
@@ -284,8 +318,8 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
     """mu_0..mu_m for a scenario; extends a cached sequence incrementally.
 
     New orders never step from remembered ones: _fresh_moments restarts
-    the recurrence, so a seeded prefix, which is only spot-checked, cannot
-    pass an error on.
+    the recurrence, so a seeded prefix, which is checked only modulo a
+    prime, cannot pass an error on.
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")

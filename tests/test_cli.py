@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -107,11 +106,9 @@ def test_cache_integrity_checks(tmp_path):
              "--m", "8", "--cache", str(cache)])
     lines = cache.read_text().splitlines()
 
-    # corrupt the one record the loader will spot-verify
-    pick = random.Random(9).randrange(9)
+    # corrupt one record
     bad = lines[:]
-    n, _ = bad[1 + pick].split()
-    bad[1 + pick] = f"{n} 1/99999"
+    bad[1 + 5] = "5 1/99999"
     cache.write_text("\n".join(bad) + "\n")
     rc, _, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m", "8", "--cache", str(cache)])
@@ -122,6 +119,24 @@ def test_cache_integrity_checks(tmp_path):
     rc, _, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
                           "--k", "0", "--m", "8", "--cache", str(cache)])
     assert rc == 1 and err.startswith("CacheIntegrityError")
+
+
+def test_cache_check_covers_every_record(tmp_path):
+    # a doubled numerator far from the first orders is caught, not served
+    cache = tmp_path / "F"
+    argv = ["--variable", "pt", "--alpha", "1", "--k", "0", "--m", "40",
+            "--cache", str(cache)]
+    rc, _, _ = run_cli(["moments"] + argv)
+    assert rc == 0
+    lines = cache.read_text().splitlines()
+    n, value = lines[1 + 30].split()
+    num, den = value.split("/")
+    lines[1 + 30] = f"{n} {2 * int(num)}/{den}"
+    cache.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(["tail"] + argv)
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [
+        f"CacheIntegrityError: cache {cache}: record n=30 fails recomputation"]
 
 
 def test_cache_hit_does_not_write(tmp_path):
