@@ -24,7 +24,12 @@ number of digits.  The A_i stay exact Fractions in every mode.
 
 The exact evaluator below sums the B rows in scaled-integer form (no
 per-entry gcd) by one backward Clenshaw pass per truncation order, at that
-order's common scale, and reduces to Fractions once at the end.  Every
+order's common scale, and reduces to Fractions once at the end.  The
+integer g weights come from a forward pass that divides each one by the
+part of j + 2a + 1 it is exactly divisible by (one small gcd per order),
+so the common scale V_m = (2a+1) q^m Q^(m-1) m! prod_j (j+2a+1)/f_j
+carries only what that division leaves behind, about 7.9k bits at
+m = 500 where the undivided weights needed 11.6k.  Every
 vector is kept per (interval, w, zeta, order), with the lcm of its
 denominators, so further scenarios on the same interval and repeated
 orders cost only the dot product; the A_i do not depend on the moments at
