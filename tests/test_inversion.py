@@ -257,7 +257,8 @@ def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
 ])
 def test_partial_divisor_steps(interval, a, kept):
     # at xi = 0 the order-3 step divides out only f_3 of 3 + 2a + 1, so the
-    # scale keeps the rest beside the one it has when every step is whole
+    # order-3 scale is (3 + 2a + 1) / f_3 times (2a+1) q^3 Q^2 3!, the
+    # scale when every step divides out the whole factor
     c0, _ = inversion._map_constants(*interval)
     zeta = c0
     whole = ((2 * a + 1) * c0.denominator ** 3 * zeta.denominator ** 2

@@ -3,22 +3,23 @@
 
 Run from a git checkout of the repository:
 
-    python3 tools/bench_pairs.py --parent a85aabf --number 8 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --number 8 \\
         --note "what the change does"
 
-Both commits are exported with ``git archive`` into a scratch directory, so
-each side runs the benchmark of its own committed files.  For every
-workload of ``BENCHMARK.json`` the script runs ``--pairs`` pairs of
-``perfbench/run.py --trace 0`` at seeds ``--first-seed`` upwards; odd pairs
-run the parent first and even pairs the change first.  Then it runs one
-``--trace 1`` repetition per side at ``--trace-seed``.  Runs go one at a
-time.
+Both commits are exported with ``git archive`` into a temporary directory,
+so each side runs the benchmark of its own committed files.  For every
+workload of ``BENCHMARK.json`` the script runs PAIRS pairs of
+``perfbench/run.py --trace 0``, for BENCHMARK.json's run length, at seeds
+FIRST_SEED upwards; odd pairs run the parent first and even pairs the
+change first.  Then it runs one ``--trace 1`` repetition per side at
+TRACE_SEED.  Runs go one at a time.  ``--change`` names a commit other
+than HEAD, so an earlier record can be measured again.
 
 The output file holds the summary (per workload and end-to-end metric: each
 side's median and quartiles, the pairs the change wins, ties counting for
 neither, and the relative change of the medians) and every run: its
 command, side, seed, and the last JSON line it printed.  The file is
-rewritten after every run, so an interrupted session leaves the pairs it
+rewritten after every run, so an interrupted run leaves the pairs it
 finished.  Only the standard library is used.
 """
 
@@ -36,6 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+FIRST_SEED = 11
+TRACE_SEED = 1
 
 
 def export(rev: str, dest: Path) -> str:
@@ -117,21 +121,14 @@ def parse_args(argv=None):
                         help="n of the BENCH_<n>.json written at the root")
     parser.add_argument("--note", required=True,
                         help="one line on what the change does")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=11)
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's)")
-    parser.add_argument("--workloads", nargs="+",
-                        help="a subset of BENCHMARK.json's workloads")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     out_path = ROOT / f"BENCH_{args.number}.json"
     with tempfile.TemporaryDirectory() as scratch:
         roots = {side: Path(scratch) / side for side in SIDES}
@@ -142,23 +139,23 @@ def main(argv=None) -> int:
             "parent_commit": commits["parent"],
             "change_commit": commits["change"], "machine": "",
             "protocol": (
-                f"{args.pairs} alternating parent/change pairs per workload "
-                f"with --trace 0 (seeds {args.first_seed}-"
-                f"{args.first_seed + args.pairs - 1}; odd pairs run the "
+                f"{PAIRS} alternating parent/change pairs per workload "
+                f"with --trace 0 (seeds {FIRST_SEED}-"
+                f"{FIRST_SEED + PAIRS - 1}; odd pairs run the "
                 f"parent first, even pairs the change first), then one "
                 f"--trace 1 run per side and workload (seed "
-                f"{args.trace_seed}), {seconds:g}-s runs.  Each entry of "
+                f"{TRACE_SEED}), {seconds:g}-s runs.  Each entry of "
                 f"runs is the last JSON line of the command, run from the "
                 f"root of a fresh git archive export of the side's commit."),
             "summary": {}, "runs": [],
         }
         plan = []
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                plan += [(workload, side, args.first_seed + i, 0)
+                plan += [(workload, side, FIRST_SEED + i, 0)
                          for side in order]
-            plan += [(workload, side, args.trace_seed, 1) for side in SIDES]
+            plan += [(workload, side, TRACE_SEED, 1) for side in SIDES]
         for count, (workload, side, seed, trace) in enumerate(plan, 1):
             command, result, machine = bench_run(
                 roots[side], spec["command"], workload, seed, seconds, trace)
