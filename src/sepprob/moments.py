@@ -26,11 +26,13 @@ telescoping proves it: tests/test_recurrence.py checks the certificate's
 telescoping identity and its boundary terms exactly.  The identity holds
 for generic alpha and k, and each mu_n is a rational function of both, so
 the recurrence holds at the 0/0 orders as well.  A sequence reads the
-table, specializes the coefficients to its scenario and steps the
-recurrence in exact arithmetic; c_r has only positive coefficients, so
-every step is defined.  _fast_moment still computes the first r orders of
-every new stretch of a sequence.  first_wrong_moment checks a stored
-prefix (a moment cache) by the same recurrence modulo a 61-bit prime.
+table once per scenario, specializes the coefficients to it by nested
+Horner, and steps the recurrence in integers: each order is one sum at
+the lcm of its window's denominators, reduced by one gcd.  c_r has only
+positive coefficients, so every step is defined.  _fast_moment still
+computes the first r orders of every new stretch of a sequence.
+first_wrong_moment checks a stored prefix (a moment cache) by the same
+recurrence modulo a 61-bit prime.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -39,6 +41,7 @@ The underlying random variables are supported on [-1/16, 1/256] (pt) and
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import threading
@@ -219,60 +222,77 @@ _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "recurrences.txt")
 
 
-def _coefficients(variable: Variable):
-    """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
-    each recurrence coefficient c_i, read from the table one line at a
-    time, so that nothing of it stays in memory."""
+def _table_rows(variable: Variable):
+    """(i, d, top, row) for each line of the variable's table: row holds
+    the integer coefficients of n^d in c_i, those of (2 alpha)^u (2k)^v of
+    total degree at most top, in the order u = 0..top and for each u
+    v = 0..top-u.  The table is read one line at a time, so that nothing of
+    it stays in memory."""
     prefix = variable.value + " "
     with open(_TABLE, encoding="ascii") as fh:
         for line in fh:
             if line.startswith(prefix):
                 _, i, d, top, *row = line.split()
-                i, d, top, values = int(i), int(d), int(top), map(int, row)
-                for u in range(top + 1):
-                    for v in range(top - u + 1):
-                        yield i, d, u, v, next(values)
+                yield int(i), int(d), int(top), list(map(int, row))
 
 
-def _recurrence(variable: Variable, alpha: Fraction,
-                k: Fraction) -> list[list[int]]:
-    """c_0..c_r of the scenario's recurrence, each as its integer
-    coefficients in ascending powers of n."""
-    a2, k2 = int(2 * alpha), int(2 * k)
-    out: list[list[int]] = []
-    for i, d, u, v, coeff in _coefficients(variable):
-        if i == len(out):
-            out.append([])
-        if d == len(out[i]):
-            out[i].append(0)
-        out[i][d] += coeff * a2 ** u * k2 ** v
-    return out
-
-
-def _horner(coeffs: list[int], n: int) -> int:
+def _horner(coeffs, x: int) -> int:
     value = 0
     for c in reversed(coeffs):
-        value = value * n + c
+        value = value * x + c
     return value
+
+
+# A few KB per scenario: a cache load's check and the orders computed past
+# it specialize the table once.
+@functools.lru_cache(maxsize=4)
+def _recurrence(variable: Variable, alpha: Fraction,
+                k: Fraction) -> tuple[tuple[int, ...], ...]:
+    """c_0..c_r of the scenario's recurrence, each as its integer
+    coefficients in ascending powers of n.
+
+    Each row is a polynomial in 2 alpha and 2k, evaluated by nested Horner:
+    in 2k within each run of equal u, then in 2 alpha over the runs.
+    """
+    a2, k2 = int(2 * alpha), int(2 * k)
+    out: list[list[int]] = []
+    for i, _, top, row in _table_rows(variable):
+        if i == len(out):
+            out.append([])
+        runs, start = [], 0
+        for u in range(top + 1):
+            end = start + top - u + 1
+            runs.append(_horner(row[start:end], k2))
+            start = end
+        out[i].append(_horner(runs, a2))
+    return tuple(map(tuple, out))
 
 
 def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
                    lo: int, m: int) -> list[Fraction]:
     """mu_lo..mu_m from nothing but this scenario.
 
-    The first r orders come from _fast_moment; every later order is one
-    step of the recurrence from the r orders before it.
+    The first r orders come from _fast_moment.  Every later order is one
+    step of the recurrence in integers: with a_i / d_i the r orders before
+    it and L the lcm of the d_i,
+
+        mu_n = -sum_i c_i(n-r) a_i (L / d_i) / (c_r(n-r) L),
+
+    so the only reduction of the order is the one gcd that normalizes
+    this Fraction.
     """
-    coeffs = _recurrence(variable, alpha, k)
-    r = len(coeffs) - 1
-    out: list[Fraction] = []
-    for n in range(lo, m + 1):
-        if n - lo < r:
-            out.append(_fast_moment(variable, alpha, k, n))
-        else:
-            tail = sum(_horner(coeffs[i], n - r) * out[n - lo - r + i]
-                       for i in range(r))
-            out.append(-tail / _horner(coeffs[r], n - r))
+    *lower, lead = _recurrence(variable, alpha, k)
+    r = len(lower)
+    out = [_fast_moment(variable, alpha, k, n)
+           for n in range(lo, min(lo + r, m + 1))]
+    for n in range(lo + r, m + 1):
+        window = out[-r:]
+        # a list, not a generator: unpacking a generator parks one tuple
+        # per call on the interpreter's free list, up to 128 KB of them
+        scale = math.lcm(*[x.denominator for x in window])
+        num = sum(_horner(c, n - r) * x.numerator * (scale // x.denominator)
+                  for c, x in zip(lower, window))
+        out.append(Fraction(-num, _horner(lead, n - r) * scale))
     return out
 
 
@@ -294,16 +314,18 @@ def first_wrong_moment(scenario: Scenario, values) -> int | None:
     """
     variable, alpha, k = scenario.variable, scenario.alpha, scenario.k
     p = CHECK_PRIME
-    coeffs = [[c % p for c in ci] for ci in _recurrence(variable, alpha, k)]
-    r = len(coeffs) - 1
+    *lower, lead = [[c % p for c in ci]
+                    for ci in _recurrence(variable, alpha, k)]
+    r = len(lower)
     residues: list[int | None] = []
     for n, x in enumerate(values):
         den = x.denominator % p
         residues.append(x.numerator * pow(den, -1, p) % p if den else None)
         window = residues[n - r:] if n >= r else [None]
-        if None not in window and _horner(coeffs[r], n - r) % p:
-            if sum(_horner(c, n - r) * y
-                   for c, y in zip(coeffs, window)) % p:
+        c_r = _horner(lead, n - r) % p if None not in window else 0
+        if c_r:
+            if (c_r * window[r] + sum(_horner(c, n - r) * y
+                                      for c, y in zip(lower, window))) % p:
                 return n
         elif x != _fast_moment(variable, alpha, k, n):
             return n

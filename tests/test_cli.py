@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from sepprob import closedform, inversion
+from sepprob import closedform, inversion, moments
 from sepprob.cli import main
-from sepprob.moments import Scenario, Variable, moment_sequence
+from sepprob.moments import Scenario, Variable, moment_sequence, \
+    pt_moment
 
 
 def run_cli(argv):
@@ -137,6 +138,32 @@ def test_cache_check_covers_every_record(tmp_path):
     assert rc == 1 and out == ""
     assert err.splitlines() == [
         f"CacheIntegrityError: cache {cache}: record n=30 fails recomputation"]
+
+
+def test_cache_extension_specializes_once(tmp_path, monkeypatch):
+    # the load's check and the orders past the cache share one reading of
+    # the recurrence table
+    cache = tmp_path / "c.moments"
+    argv = ["moments", "--variable", "pt", "--alpha", "7/2", "--k", "9/2",
+            "--cache", str(cache)]
+    rc, _, _ = run_cli(argv + ["--m", "39"])
+    assert rc == 0
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    moments._recurrence.cache_clear()
+    rows = moments._table_rows
+    reads = []
+
+    def counted(variable):
+        reads.append(variable)
+        return rows(variable)
+
+    monkeypatch.setattr(moments, "_table_rows", counted)
+    rc, out, err = run_cli(argv + ["--m", "59"])
+    assert rc == 0 and err == ""
+    assert reads == [Variable.PT_DET]
+    mu = [pt_moment(Fraction(7, 2), Fraction(9, 2), n) for n in range(60)]
+    records = [f"{n} {x.numerator}/{x.denominator}" for n, x in enumerate(mu)]
+    assert body_lines(out) == cache.read_text().splitlines()[1:] == records
 
 
 def test_cache_hit_does_not_write(tmp_path):

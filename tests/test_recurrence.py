@@ -18,9 +18,10 @@ kinds of test cover it:
   mu_n is a rational function of alpha and k, for every scenario; the
   pt sum's 0/0 limits at integer k < n need no case of their own.
 * The served sequences are compared with the direct sums of
-  pt_moment/diff_moment, at the 0/0 orders among others, the leading
-  coefficient is shown never to vanish, and a wrong seeded record is
-  shown not to reach new orders.
+  pt_moment/diff_moment, at the 0/0 orders among others, and so are
+  stretches started at any order; the leading coefficient is shown never
+  to vanish, the specialized coefficients are compared with the table's
+  terms, and a wrong seeded record is shown not to reach new orders.
 """
 
 from collections import Counter
@@ -28,6 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import recurrence_certificates as cert
 from sepprob import moments
@@ -45,9 +47,19 @@ COUNT = {"n": (0, 2, 0, 0, 0), "2n": (0, 4, 0, 0, 0),
          "j": (0, 0, 2, 0, 0), "2j": (0, 0, 4, 0, 0)}
 
 
+def table_terms(variable):
+    """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
+    each recurrence coefficient c_i, expanded from the table's rows."""
+    for i, d, top, row in moments._table_rows(Variable(variable)):
+        values = iter(row)
+        for u in range(top + 1):
+            for v in range(top - u + 1):
+                yield i, d, u, v, next(values)
+
+
 def order(variable):
     """r, the order of the variable's recurrence."""
-    return max(i for i, *_ in moments._coefficients(Variable(variable)))
+    return max(i for i, *_ in table_terms(variable))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +193,7 @@ def identity_terms(variable):
     den = Counter(cert.DEN[variable])
     d0 = cert.D0[variable]
     terms = []
-    coeffs = list(moments._coefficients(Variable(variable)))
+    coeffs = list(table_terms(variable))
     for i in range(order(variable) + 1):
         const, forms = ratio(term, i, 0)
         entries = [(d, 0, ea, ek, c) for ii, d, ea, ek, c in coeffs
@@ -316,7 +328,7 @@ def test_leading_coefficient_never_vanishes(variable):
     # first r orders no stretch of a sequence needs a direct sum
     r = order(variable.value)
     lead = [(d, ea, ek, c) for i, d, ea, ek, c
-            in moments._coefficients(variable) if i == r]
+            in table_terms(variable) if i == r]
     assert all(c > 0 for *_, c in lead if c)
     assert any(c > 0 for d, ea, ek, c in lead if d == ea == ek == 0)
 
@@ -330,6 +342,34 @@ def test_served_sequences_match_direct_sums(variable):
             seq = moment_sequence(Scenario(variable, alpha, k), 80)
             assert seq.mu == tuple(direct(alpha, k, n) for n in range(81)), \
                 (alpha, k)
+
+
+@pytest.mark.parametrize("variable", list(Variable))
+def test_specialized_coefficients_match_table_terms(variable):
+    # the nested Horner evaluation of each row against the term-by-term
+    # sum of coeff (2 alpha)^u (2k)^v over the raw table
+    terms = list(table_terms(variable))
+    for alpha in (HALF, Fraction(3, 2), Fraction(2)):
+        for k in (Fraction(0), Fraction(5, 2), Fraction(6)):
+            a2, k2 = int(2 * alpha), int(2 * k)
+            expect = [[0] * (1 + max(d for ii, d, *_ in terms if ii == i))
+                      for i in range(order(variable) + 1)]
+            for i, d, u, v, c in terms:
+                expect[i][d] += c * a2 ** u * k2 ** v
+            assert moments._recurrence(variable, alpha, k) == \
+                tuple(map(tuple, expect)), (alpha, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Variable)), st.integers(1, 8), st.integers(0, 16),
+       st.integers(0, 60), st.integers(0, 60))
+def test_integer_steps_from_any_stretch_start(variable, a2, k2, lo, m):
+    # a stretch may start anywhere, at the 0/0 orders of integer k < n too
+    lo, m = min(lo, m), max(lo, m)
+    alpha, k = Fraction(a2, 2), Fraction(k2, 2)
+    assert moments._fresh_moments(variable, alpha, k, lo, m) == \
+        [moments._fast_moment(variable, alpha, k, n)
+         for n in range(lo, m + 1)]
 
 
 def test_extension_does_not_step_from_seeded_values():
