@@ -224,7 +224,7 @@ _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 def _table_rows(variable: Variable):
     """(i, d, top, row) for each line of the variable's table: row holds
-    the integer coefficients of n^d in c_i, those of (2 alpha)^u (2k)^v of
+    the decimal coefficients of n^d in c_i, those of (2 alpha)^u (2k)^v of
     total degree at most top, in the order u = 0..top and for each u
     v = 0..top-u.  The table is read one line at a time, so that nothing of
     it stays in memory."""
@@ -233,7 +233,7 @@ def _table_rows(variable: Variable):
         for line in fh:
             if line.startswith(prefix):
                 _, i, d, top, *row = line.split()
-                yield int(i), int(d), int(top), list(map(int, row))
+                yield int(i), int(d), int(top), row
 
 
 def _horner(coeffs, x: int) -> int:
@@ -262,7 +262,7 @@ def _recurrence(variable: Variable, alpha: Fraction,
         runs, start = [], 0
         for u in range(top + 1):
             end = start + top - u + 1
-            runs.append(_horner(row[start:end], k2))
+            runs.append(_horner(list(map(int, row[start:end])), k2))
             start = end
         out[i].append(_horner(runs, a2))
     return tuple(map(tuple, out))

@@ -51,7 +51,7 @@ def table_terms(variable):
     """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
     each recurrence coefficient c_i, expanded from the table's rows."""
     for i, d, top, row in moments._table_rows(Variable(variable)):
-        values = iter(row)
+        values = map(int, row)
         for u in range(top + 1):
             for v in range(top - u + 1):
                 yield i, d, u, v, next(values)
