@@ -51,7 +51,6 @@ from .moments import (
     diff_moment,
     moment_sequence,
     pt_moment,
-    seed_sequence,
 )
 from .recon import (
     Confidence,

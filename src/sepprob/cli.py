@@ -25,8 +25,7 @@ from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheIOError, \
     SepprobError, StructureViolation
 from .exactnum import as_rational
-from .moments import Scenario, Variable, first_wrong_moment, \
-    moment_sequence, seed_sequence
+from .moments import Scenario, Variable, moment_sequence
 from .reported import DIFF_TAILS, TABLE_IV
 
 CACHE_HEADER_PREFIX = "sepprob-moments v1"
@@ -73,20 +72,24 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
 # Moment cache files
 # ---------------------------------------------------------------------------
 
+def _record(n: int, mu: Fraction) -> str:
+    return f"{n} {_rat(mu)}"
+
+
 class MomentCacheFile:
     """One scenario's exact moments as a text file.
 
     Header line pins the scenario; records are "n num/den" with n counting
-    up from 0.  Loading checks every record (moments.first_wrong_moment:
-    the first few exactly, the rest by the moment recurrence modulo a
-    61-bit prime) and refuses files whose header belongs to a different
-    scenario.  Each write goes to a temp file of its own next to the cache
-    and replaces the cache with one atomic rename, so readers see either
-    the old file or a new complete one and concurrent writers never share
-    a file; the last complete writer wins.  A failed write removes its
-    temp file; a killed writer may leave one behind, which nothing reads.
-    A file that cannot be opened, read, decoded or written raises
-    CacheIOError.
+    up from 0 and num/den in lowest terms.  Loading computes the moments
+    afresh and refuses every file whose header belongs to a different
+    scenario or whose records are not, line for line, what a write of
+    those moments emits.  Each write goes to a temp file of its own next
+    to the cache and replaces the cache with one atomic rename, so readers
+    see either the old file or a new complete one and concurrent writers
+    never share a file; the last complete writer wins.  A failed write
+    removes its temp file; a killed writer may leave one behind, which
+    nothing reads.  A file that cannot be opened, read, decoded or written
+    raises CacheIOError.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -98,7 +101,13 @@ class MomentCacheFile:
         return (f"{CACHE_HEADER_PREFIX} variable={s.variable} "
                 f"alpha={s.alpha} k={s.k}")
 
-    def load(self) -> List[Fraction]:
+    def load(self, m: int) -> Sequence[Fraction]:
+        """The file's moments, each record checked against mu_n.
+
+        One moment_sequence call computes them afresh, to order m or to
+        the last record, whichever is higher, so a run that goes on to
+        order m finds every order it needs in the memo.
+        """
         try:
             with open(self.path, encoding="ascii") as fh:
                 lines = [ln.strip() for ln in fh if ln.strip()]
@@ -110,27 +119,19 @@ class MomentCacheFile:
             raise CacheHeaderError(
                 f"cache {self.path} belongs to another scenario: expected "
                 f"{self.header()!r}, found {found!r}")
-        mus: List[Fraction] = []
-        for idx, line in enumerate(lines[1:]):
-            parts = line.split()
-            try:
-                n = int(parts[0])
-                num, den = parts[1].split("/")
-                value = Fraction(int(num), int(den))
-            except (IndexError, ValueError, ZeroDivisionError) as exc:
-                raise CacheIntegrityError(
-                    f"cache {self.path}: bad record {line!r}") from exc
-            if len(parts) != 2 or n != idx:
-                raise CacheIntegrityError(
-                    f"cache {self.path}: expected record {idx}, found {line!r}")
-            mus.append(value)
-        if not mus:
+        records = lines[1:]
+        if not records:
             raise CacheIntegrityError(f"cache {self.path} has no records")
-        bad = first_wrong_moment(self.scenario, mus)
-        if bad is not None:
+        mu = moment_sequence(self.scenario, max(m, len(records) - 1)).mu
+        for n, line in enumerate(records):
+            if line == _record(n, mu[n]):
+                continue
+            if line.split()[0] != str(n):
+                raise CacheIntegrityError(
+                    f"cache {self.path}: expected record {n}, found {line!r}")
             raise CacheIntegrityError(
-                f"cache {self.path}: record n={bad} fails recomputation")
-        return mus
+                f"cache {self.path}: record n={n} fails recomputation")
+        return mu[:len(records)]
 
     def write(self, mus: Sequence[Fraction]) -> None:
         # os.urandom rather than uuid4, whose import costs every run ~2 ms
@@ -141,7 +142,7 @@ class MomentCacheFile:
                 with fh:
                     fh.write(self.header() + "\n")
                     for n, value in enumerate(mus):
-                        fh.write(f"{n} {_rat(value)}\n")
+                        fh.write(_record(n, value) + "\n")
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
@@ -155,9 +156,7 @@ def _sequence_with_cache(scenario: Scenario, m: int,
                          cache_path: Optional[str]):
     have = -1
     if cache_path and os.path.exists(cache_path):
-        cached = MomentCacheFile(cache_path, scenario).load()
-        seed_sequence(scenario, cached)
-        have = len(cached) - 1
+        have = len(MomentCacheFile(cache_path, scenario).load(m)) - 1
     seq = moment_sequence(scenario, m)
     # a run that stays within the cached orders only reads the file
     if cache_path and m > have:

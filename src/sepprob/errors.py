@@ -35,7 +35,8 @@ class CacheHeaderError(CacheError):
 
 
 class CacheIntegrityError(CacheError):
-    """Cache file records are malformed or fail spot re-verification."""
+    """Cache file records are missing, out of order or differ from the
+    moments computed afresh."""
 
 
 class CacheIOError(CacheError):

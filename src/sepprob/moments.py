@@ -31,8 +31,6 @@ Horner, and steps the recurrence in integers: each order is one sum at
 the lcm of its window's denominators, reduced by one gcd.  c_r has only
 positive coefficients, so every step is defined.  _fast_moment still
 computes the first r orders of every new stretch of a sequence.
-first_wrong_moment checks a stored prefix (a moment cache) by the same
-recurrence modulo a 61-bit prime.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -41,7 +39,6 @@ The underlying random variables are supported on [-1/16, 1/256] (pt) and
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import threading
@@ -243,9 +240,6 @@ def _horner(coeffs, x: int) -> int:
     return value
 
 
-# A few KB per scenario: a cache load's check and the orders computed past
-# it specialize the table once.
-@functools.lru_cache(maxsize=4)
 def _recurrence(variable: Variable, alpha: Fraction,
                 k: Fraction) -> tuple[tuple[int, ...], ...]:
     """c_0..c_r of the scenario's recurrence, each as its integer
@@ -296,52 +290,15 @@ def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
     return out
 
 
-# the Mersenne prime 2^61 - 1, modulo which stored records are checked
-CHECK_PRIME = (1 << 61) - 1
-
-
-def first_wrong_moment(scenario: Scenario, values) -> int | None:
-    """The first n at which values[n] is not mu_n, or None if none is.
-
-    The first r values are compared exactly with _fast_moment.  Every
-    later one is checked by the recurrence modulo the prime
-    p = CHECK_PRIME: sum_i c_i(n-r) mu_{n-r+i} must vanish mod p.  A value
-    is compared exactly instead when c_r(n-r) vanishes mod p, or when a
-    denominator in its window of r+1 values does.  Each value that passes
-    is congruent to mu_n mod p, so the next one is checked against the true
-    residue.  The residual case: a wrong value congruent to the true mu_n
-    mod p passes.
-    """
-    variable, alpha, k = scenario.variable, scenario.alpha, scenario.k
-    p = CHECK_PRIME
-    *lower, lead = [[c % p for c in ci]
-                    for ci in _recurrence(variable, alpha, k)]
-    r = len(lower)
-    residues: list[int | None] = []
-    for n, x in enumerate(values):
-        den = x.denominator % p
-        residues.append(x.numerator * pow(den, -1, p) % p if den else None)
-        window = residues[n - r:] if n >= r else [None]
-        c_r = _horner(lead, n - r) % p if None not in window else 0
-        if c_r:
-            if (c_r * window[r] + sum(_horner(c, n - r) * y
-                                      for c, y in zip(lower, window))) % p:
-                return n
-        elif x != _fast_moment(variable, alpha, k, n):
-            return n
-    return None
-
-
 _SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], list[Fraction]] = {}
 _SEQ_LOCK = threading.Lock()
 
 
 def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
-    """mu_0..mu_m for a scenario; extends a cached sequence incrementally.
+    """mu_0..mu_m for a scenario, memoized per process.
 
-    New orders never step from remembered ones: _fresh_moments restarts
-    the recurrence, so a seeded prefix, which is checked only modulo a
-    prime, cannot pass an error on.
+    Only computed orders enter the memo.  A longer request extends the
+    remembered prefix by one stretch of _fresh_moments.
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
@@ -356,21 +313,3 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
                 _SEQ_MEMO[key] = known
     return MomentSequence(scenario, tuple(known[:m + 1]))
 
-
-def seed_sequence(scenario: Scenario, values) -> None:
-    """Install a precomputed moment prefix mu_0..mu_{len(values)-1}.
-
-    The values are trusted as a prefix; callers (the CLI cache loader) are
-    expected to have verified them first.  Orders past it are computed
-    afresh, never from these values.  A longer prefix already in memory
-    wins.
-    """
-    vals = [as_rational(v) for v in values]
-    if not vals:
-        return
-    if vals[0] != 1:
-        raise DomainError("mu_0 must be 1")
-    key = (scenario.variable, scenario.alpha, scenario.k)
-    with _SEQ_LOCK:
-        if len(_SEQ_MEMO.get(key, ())) < len(vals):
-            _SEQ_MEMO[key] = vals

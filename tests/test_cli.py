@@ -140,6 +140,52 @@ def test_cache_check_covers_every_record(tmp_path):
         f"CacheIntegrityError: cache {cache}: record n=30 fails recomputation"]
 
 
+def test_stored_moment_check_catches_every_record(tmp_path):
+    cache = tmp_path / "c.moments"
+    for variable in Variable:
+        argv = ["moments", "--variable", variable.value, "--alpha", "5/2",
+                "--k", "7/2", "--m", "12", "--cache", str(cache)]
+        cache.unlink(missing_ok=True)
+        rc, _, _ = run_cli(argv)
+        assert rc == 0
+        lines = cache.read_text().splitlines()
+        mu = moment_sequence(Scenario(variable, Fraction(5, 2),
+                                      Fraction(7, 2)), 12).mu
+        for n, x in enumerate(mu):
+            for wrong in (x + Fraction(1, 7), 2 * x + (n == 0)):
+                bad = lines[:]
+                bad[1 + n] = f"{n} {wrong.numerator}/{wrong.denominator}"
+                cache.write_text("\n".join(bad) + "\n")
+                rc, out, err = run_cli(argv)
+                assert rc == 1 and out == ""
+                assert err == (f"CacheIntegrityError: cache {cache}: "
+                               f"record n={n} fails recomputation\n")
+
+
+def test_cache_record_must_be_the_computed_text(tmp_path):
+    # the first record is congruent to mu_20 modulo 2^61 - 1, the second
+    # has a denominator divisible by it, the third is mu_20 itself but not
+    # in lowest terms; the rest of the file is exactly what a write emits
+    cache = tmp_path / "c.moments"
+    argv = ["--variable", "pt", "--alpha", "1", "--k", "0", "--m", "30",
+            "--cache", str(cache)]
+    rc, _, _ = run_cli(["moments"] + argv)
+    assert rc == 0
+    lines = cache.read_text().splitlines()
+    x = moment_sequence(Scenario(Variable.PT_DET, Fraction(1),
+                                 Fraction(0)), 30).mu[20]
+    p = (1 << 61) - 1
+    shifted = x + p
+    for value in (f"{shifted.numerator}/{shifted.denominator}", f"1/{p}",
+                  f"{2 * x.numerator}/{2 * x.denominator}"):
+        cache.write_text("\n".join(lines[:21] + [f"20 {value}"]
+                                   + lines[22:]) + "\n")
+        rc, out, err = run_cli(["tail"] + argv)
+        assert rc == 1 and out == ""
+        assert err == (f"CacheIntegrityError: cache {cache}: "
+                       "record n=20 fails recomputation\n")
+
+
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     # the load's check and the orders past the cache share one reading of
     # the recurrence table
@@ -149,7 +195,6 @@ def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     rc, _, _ = run_cli(argv + ["--m", "39"])
     assert rc == 0
     monkeypatch.setattr(moments, "_SEQ_MEMO", {})
-    moments._recurrence.cache_clear()
     rows = moments._table_rows
     reads = []
 

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-import sepprob.moments as moments
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob.errors import DomainError
 from sepprob.moments import DIFF_INTERVAL, MomentSequence, PT_INTERVAL, \
-    Scenario, Variable, diff_moment, first_wrong_moment, moment_sequence, \
-    pt_moment, seed_sequence
+    Scenario, Variable, diff_moment, moment_sequence, pt_moment
 
 HALF = Fraction(1, 2)
 
@@ -141,64 +139,9 @@ def test_moment_sequence_validation():
         moment_sequence(s, "5")
 
 
-def test_seed_sequence_is_trusted_and_longest_wins():
-    # a scenario used nowhere else, so the poisoned memo cannot leak
-    s = Scenario(Variable.DIFF, Fraction(9, 2), Fraction(7))
-    marker = Fraction(123, 456)
-    seed_sequence(s, [Fraction(1), marker])
-    assert moment_sequence(s, 1).mu == (Fraction(1), marker)
-    # a shorter seed does not displace the longer installed prefix
-    seed_sequence(s, [Fraction(1)])
-    assert moment_sequence(s, 1).mu == (Fraction(1), marker)
-    with pytest.raises(DomainError):
-        seed_sequence(s, [Fraction(2)])
-    seed_sequence(s, [])  # a no-op, not an error
-
-
 def test_moment_sequence_dataclass_validation():
     s = Scenario(Variable.PT_DET, Fraction(1), Fraction(0))
     with pytest.raises(DomainError):
         MomentSequence(s, ())
     with pytest.raises(DomainError):
         MomentSequence(s, (Fraction(2),))
-
-
-def test_stored_moment_check_catches_every_record():
-    for variable in Variable:
-        s = Scenario(variable, Fraction(5, 2), Fraction(7, 2))
-        mu = list(moment_sequence(s, 40).mu)
-        assert first_wrong_moment(s, mu) is None
-        for n in range(len(mu)):
-            for wrong in (mu[n] + Fraction(1, 7), 2 * mu[n] + (n == 0)):
-                assert first_wrong_moment(s, mu[:n] + [wrong] + mu[n + 1:]) == n
-
-
-def test_stored_moment_check_modular_edge_cases():
-    s = Scenario(Variable.PT_DET, Fraction(1), Fraction(0))
-    mu = list(moment_sequence(s, 30).mu)
-    p = moments.CHECK_PRIME
-    # a denominator that vanishes mod p sends the value to the exact check
-    assert first_wrong_moment(s, mu[:20] + [Fraction(1, p)] + mu[21:]) == 20
-    # the residual case: a wrong value congruent to the true one passes
-    shifted = mu[20] + p
-    assert first_wrong_moment(s, mu[:20] + [shifted] + mu[21:]) is None
-
-
-def test_stored_moment_check_with_a_small_prime(monkeypatch):
-    # modulo 101 denominators and leading coefficients vanish often, so
-    # the exact fallback runs inside the modular stretch as well
-    s = Scenario(Variable.PT_DET, Fraction(3, 2), Fraction(1))
-    mu = list(moment_sequence(s, 40).mu)
-    exact = []
-    fast = moments._fast_moment
-
-    def counted(variable, alpha, k, n):
-        exact.append(n)
-        return fast(variable, alpha, k, n)
-
-    monkeypatch.setattr(moments, "CHECK_PRIME", 101)
-    monkeypatch.setattr(moments, "_fast_moment", counted)
-    assert first_wrong_moment(s, mu) is None
-    assert max(exact) > 3
-    for n in range(len(mu)):
-        assert first_wrong_moment(s, mu[:n] + [mu[n] + 1] + mu[n + 1:]) == n

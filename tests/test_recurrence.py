@@ -20,8 +20,8 @@ kinds of test cover it:
 * The served sequences are compared with the direct sums of
   pt_moment/diff_moment, at the 0/0 orders among others, and so are
   stretches started at any order; the leading coefficient is shown never
-  to vanish, the specialized coefficients are compared with the table's
-  terms, and a wrong seeded record is shown not to reach new orders.
+  to vanish, and the specialized coefficients are compared with the
+  table's terms.
 """
 
 from collections import Counter
@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 import recurrence_certificates as cert
 from sepprob import moments
 from sepprob.moments import Scenario, Variable, diff_moment, \
-    moment_sequence, pt_moment, seed_sequence
+    moment_sequence, pt_moment
 
 HALF = Fraction(1, 2)
 ALPHAS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
@@ -370,17 +370,6 @@ def test_integer_steps_from_any_stretch_start(variable, a2, k2, lo, m):
     assert moments._fresh_moments(variable, alpha, k, lo, m) == \
         [moments._fast_moment(variable, alpha, k, n)
          for n in range(lo, m + 1)]
-
-
-def test_extension_does_not_step_from_seeded_values():
-    # a scenario used nowhere else, so the poisoned prefix cannot leak
-    s = Scenario(Variable.PT_DET, Fraction(7, 2), Fraction(11, 2))
-    good = [pt_moment(s.alpha, s.k, n) for n in range(41)]
-    bad = good[:30] + [good[30] * 2]
-    seed_sequence(s, bad)
-    seq = moment_sequence(s, 40)
-    assert seq.mu[:31] == tuple(bad)
-    assert seq.mu[31:] == tuple(good[31:])
 
 
 def test_table_rows_are_whole():
