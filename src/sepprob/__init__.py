@@ -29,7 +29,6 @@ from .errors import (
     StructureViolation,
 )
 from .exactnum import (
-    BigRational,
     SqrtPiScaled,
     as_rational,
     gamma_half,
@@ -56,7 +55,6 @@ from .recon import (
     Confidence,
     RationalGuess,
     reconstruct,
-    reconstruct_sequence,
 )
 
 __version__ = "0.1.0"

@@ -341,15 +341,16 @@ def _table_four(args) -> None:
             row = {"k": str(k), "alpha": str(alpha), "proportion": cell[0],
                    "decimal": cell[1], "source": cell[2]}
             if approx:
-                est = _diff_tail_estimate(alpha, k, args.approx_m)
+                est = _pipeline_tail(Variable.DIFF, alpha, k, args.approx_m)
                 row["approx_decimal"] = _dec(est / total, 10)
             rows.append(row)
     _emit(args.format, meta, rows, fields)
 
 
-def _diff_tail_estimate(alpha: Fraction, k, m: int) -> Fraction:
-    scenario = Scenario(variable=Variable.DIFF, alpha=alpha, k=as_rational(k))
-    seq = moment_sequence(scenario, m)
+def _pipeline_tail(variable: Variable, alpha: Fraction, k: int,
+                   m: int) -> Fraction:
+    """The exact order-m Legendre tail at xi = 0 of one scenario."""
+    seq = moment_sequence(Scenario(variable, alpha, k), m)
     return inversion.legendre_tail(seq, 0, m, mode=inversion.MODE_EXACT).value
 
 
@@ -398,15 +399,12 @@ def _fit_from_approximants(args, alpha: Fraction) -> int:
     sample_rows = []
     values = []
     for k in ks:
-        scenario = Scenario(variable=Variable.PT_DET, alpha=alpha, k=k)
-        seq = moment_sequence(scenario, args.m)
-        est = inversion.legendre_tail(seq, 0, args.m,
-                                      mode=inversion.MODE_EXACT)
-        guess = recon.reconstruct(est.value, args.radius, args.bound)
+        estimate = _pipeline_tail(Variable.PT_DET, alpha, k, args.m)
+        guess = recon.reconstruct(estimate, args.radius, args.bound)
         match = guess.value == closedform.sep_prob(alpha, k)
         values.append((k, guess.value))
         sample_rows.append({
-            "k": str(k), "estimate": _dec(est.value, 12),
+            "k": str(k), "estimate": _dec(estimate, 12),
             "reconstructed": _rat(guess.value),
             "confidence": guess.confidence.value,
             "matches_closed_form": str(match).lower()})
@@ -472,7 +470,7 @@ def cmd_plot_data(args) -> int:
         for k in range(0, k_max + 1):
             row = {"k": str(k)}
             for alpha in ALPHA_COLUMNS:
-                tail = _diff_tail_estimate(alpha, k, args.m)
+                tail = _pipeline_tail(Variable.DIFF, alpha, k, args.m)
                 row[ALPHA_NAMES[alpha]] = _dec(
                     tail / closedform.sep_prob(alpha, k))
             rows.append(row)

@@ -32,7 +32,7 @@ import mpmath
 from .errors import DomainError, PrecisionError, SingularityError, \
     StructureViolation
 from .exactnum import RationalLike, SqrtPiScaled, as_rational, \
-    check_digits, gamma_half, is_half_integer, pochhammer
+    check_alpha, gamma_half, horner, pochhammer
 
 HALF = Fraction(1, 2)
 
@@ -65,7 +65,7 @@ class _ClosedForm:
     def exact(self, k: int, pole=SingularityError) -> Fraction:
         gu, gv, gw = (gamma_half(a) for a in self._gamma_args(k, pole))
         rat = (self.const * Fraction(4) ** (k + self.shift)
-               * _poly_eval(self.poly, k))
+               * horner(self.poly, k))
         sqrt_pi = SqrtPiScaled(Fraction(1), 1)
         return (gu * gv * rat / (gw * sqrt_pi)).to_rational()
 
@@ -75,7 +75,7 @@ class _ClosedForm:
         return (mpmath.log(mpmath.mpf(self.const.numerator)
                            / self.const.denominator)
                 + (k + self.shift) * mpmath.log(4)
-                + mpmath.log(_poly_eval(self.poly, k))
+                + mpmath.log(horner(self.poly, k))
                 + mpmath.loggamma(au) + mpmath.loggamma(av)
                 - mpmath.log(mpmath.pi) / 2 - mpmath.loggamma(aw))
 
@@ -89,19 +89,8 @@ _FORMULAS: Dict[Fraction, _ClosedForm] = {
                              Fraction(13, 2), Fraction(15), Fraction(22)),
 }
 
-MODE_EXACT = "exact"
-MODE_FLOAT = "float"
-
-DEFAULT_FLOAT_DIGITS = 50
 DEFAULT_LOG_DIGITS = 200
 ASYMPTOTE = Fraction(16, 27)
-
-
-def _poly_eval(coeffs, x):
-    out = coeffs[-1] * 0 if coeffs else 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def _check_alpha_case(alpha: RationalLike) -> Fraction:
@@ -112,38 +101,24 @@ def _check_alpha_case(alpha: RationalLike) -> Fraction:
     return alpha
 
 
-def sep_prob(alpha: RationalLike, k: int, mode: str = MODE_EXACT,
-             precision: Optional[int] = None):
-    """Separability probability 1 - F(alpha, k), exact by default.
+def sep_prob(alpha: RationalLike, k: int) -> Fraction:
+    """Separability probability 1 - F(alpha, k), exactly.
 
     k may be any integer >= -2 whose gamma arguments stay positive; the
     one excluded point is (alpha, k) = (1/2, -2), where the formula hits
-    Gamma(0).  Float mode evaluates 1 - exp(log F) instead, at precision
-    digits (an int >= 1, default 50), and is meant for k large enough that
-    the factorials are unwieldy.
+    Gamma(0).
     """
     alpha = _check_alpha_case(alpha)
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"k must be an integer, got {k!r}")
     if k < -2:
         raise DomainError(f"k must be >= -2, got {k}")
-    digits = check_digits(precision, DEFAULT_FLOAT_DIGITS)
-    if mode == MODE_EXACT:
-        return 1 - _FORMULAS[alpha].exact(k)
-    if mode != MODE_FLOAT:
-        raise DomainError(f"unknown mode {mode!r}")
-    with mpmath.mp.workdps(digits + 10):
-        value = 1 - mpmath.exp(_FORMULAS[alpha].log(k))
-    with mpmath.mp.workdps(digits):
-        value = +value
-    return value
+    return 1 - _FORMULAS[alpha].exact(k)
 
 
 def G(alpha: RationalLike, k: int) -> Fraction:
     """The gamma kernel 4^k G(k+3a+3/2) G(2k+5a+2) / (G(1/2) G(3k+10a+2))."""
-    alpha = as_rational(alpha)
-    if not is_half_integer(alpha) or alpha < HALF:
-        raise DomainError(f"alpha must be a half-integer >= 1/2, got {alpha}")
+    alpha = check_alpha(alpha)
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"k must be an integer, got {k!r}")
     kernel = _ClosedForm(Fraction(1), 0, (1,), 3 * alpha + Fraction(3, 2),
@@ -177,9 +152,7 @@ class StructuralPrediction:
 
 def structural_prediction(alpha: RationalLike) -> StructuralPrediction:
     """Predicted degree, leading and next coefficients of p_alpha."""
-    alpha = as_rational(alpha)
-    if not is_half_integer(alpha) or alpha < HALF:
-        raise DomainError(f"alpha must be a half-integer >= 1/2, got {alpha}")
+    alpha = check_alpha(alpha)
     leading = Fraction(2 ** int(8 * alpha + 1), math.factorial(int(2 * alpha - 1)))
     if alpha.denominator == 2:
         return StructuralPrediction(
@@ -251,7 +224,7 @@ def extract_p_from_values(alpha: RationalLike,
     coeffs = _interpolate([kk for kk, _ in nodes],
                           [sample(kk, p) for kk, p in nodes])
     for kk, p in witnesses:
-        if _poly_eval(coeffs, kk) != sample(kk, p):
+        if horner(coeffs, kk) != sample(kk, p):
             raise StructureViolation(
                 f"degree-{deg} interpolant fails at witness k={kk} "
                 f"for alpha={alpha}")
@@ -334,7 +307,7 @@ def structure_checks(pred: StructuralPrediction,
     ]
     if pred.g1 is not None:
         chain = list(range(pred.g1, pred.g2 + 1))
-        divisible = all(_poly_eval(coeffs, -i) == 0 for i in chain)
+        divisible = all(horner(coeffs, -i) == 0 for i in chain)
         checks.append(StructureCheck("factor_chain", True, divisible, divisible))
         monic2 = coeffs[deg - 1] / coeffs[deg]
         checks.append(StructureCheck("monic_second", pred.c2, monic2,

@@ -1,12 +1,14 @@
 """Exact arithmetic primitives.
 
-Everything here is built on Python's fractions.Fraction (used throughout the
-package as the universal exact value type, aliased BigRational).  The module
-provides rational coercion, rising factorials, gamma at positive
-half-integer arguments carried symbolically as (rational) * pi^(e/2), and
-the check on a requested number of decimal digits shared by the float
-renderings of exact results.  Rising factorials, and gamma through them,
-are one integer product over one power of the denominator, reduced once.
+Everything here is built on Python's fractions.Fraction, the exact value
+type used throughout the package.  The module provides rational coercion,
+rising factorials, gamma at positive half-integer arguments carried
+symbolically as (rational) * pi^(e/2), Horner evaluation of polynomials,
+and the argument rules more than one layer applies: the Dyson-like
+parameter alpha, orders of moments and truncations, and a requested
+number of decimal digits for the float renderings of exact results.
+Rising factorials, and gamma through them, are one integer product over
+one power of the denominator, reduced once.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-
-# The universal exact number type.  Always in lowest terms, denominator > 0,
-# arithmetic never rounds; all invariants are guaranteed by Fraction itself.
-BigRational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -52,6 +50,28 @@ def check_digits(precision: Optional[int], default: int) -> int:
 def is_half_integer(x: Fraction) -> bool:
     """True when 2x is an integer (integers included)."""
     return (2 * x).denominator == 1
+
+
+def check_alpha(alpha: RationalLike) -> Fraction:
+    """The Dyson-like parameter alpha as a Fraction: a half-integer >= 1/2."""
+    alpha = as_rational(alpha)
+    if not is_half_integer(alpha) or alpha < Fraction(1, 2):
+        raise DomainError(f"alpha must be a half-integer >= 1/2, got {alpha}")
+    return alpha
+
+
+def is_order(n: object) -> bool:
+    """True for an int n >= 0, the shape of every moment or truncation
+    order; bool is refused."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def horner(coeffs, x):
+    """The polynomial with ascending coefficients coeffs at x."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 def pochhammer(a: RationalLike, n: int) -> Fraction:

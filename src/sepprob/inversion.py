@@ -52,7 +52,7 @@ import mpmath
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational, check_digits
+from .exactnum import RationalLike, as_rational, check_digits, is_order
 from .moments import MomentSequence, Scenario, moment_sequence
 
 METHOD_LEGENDRE = "legendre"
@@ -259,7 +259,7 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     exact.
     """
     alpha_w = _check_weight(alpha_w)
-    if not isinstance(m, int) or m < 0:
+    if not is_order(m):
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
     if len(moments) < m + 1:
         raise DomainError(
@@ -297,7 +297,7 @@ def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
 
 
 def _check_orders(orders: List[int]) -> List[int]:
-    if any(not isinstance(m, int) or m < 0 for m in orders):
+    if not all(map(is_order, orders)):
         raise DomainError("truncation orders must be integers >= 0")
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise DomainError("truncation orders must be strictly increasing")
@@ -308,7 +308,11 @@ def convergence_profile(scenario: Scenario, method: str, xi: RationalLike,
                         m_list: Iterable[int], mode: str = MODE_AUTO,
                         precision: Optional[int] = None,
                         alpha_w: int = 0) -> List[Tuple[int, Union[Fraction, mpmath.mpf]]]:
-    """Tail estimates at increasing truncation orders, sharing all tables."""
+    """Tail estimates at increasing truncation orders.
+
+    The orders share one moment sequence, computed to the highest of them;
+    each order runs its own pass of the coefficient bank.
+    """
     orders = _check_orders(list(m_list))
     if method == METHOD_LEGENDRE:
         alpha_w = 0

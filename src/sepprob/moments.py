@@ -47,9 +47,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational, is_half_integer
-
-HALF = Fraction(1, 2)
+from .exactnum import RationalLike, as_rational, check_alpha, horner, \
+    is_half_integer, is_order
 
 PT_INTERVAL = (Fraction(-1, 16), Fraction(1, 256))
 DIFF_INTERVAL = (Fraction(-1, 16), Fraction(1, 432))
@@ -66,11 +65,10 @@ class Variable(enum.Enum):
 
 
 def _check_params(alpha: Fraction, k: Fraction, n: int) -> None:
-    if not is_half_integer(alpha) or alpha < HALF:
-        raise DomainError(f"alpha must be a half-integer >= 1/2, got {alpha}")
+    check_alpha(alpha)
     if not is_half_integer(k) or k < 0:
         raise DomainError(f"k must be a half-integer >= 0, got {k}")
-    if not isinstance(n, int) or n < 0:
+    if not is_order(n):
         raise DomainError(f"moment order must be an integer >= 0, got {n!r}")
 
 
@@ -233,13 +231,6 @@ def _table_rows(variable: Variable):
                 yield int(i), int(d), int(top), row
 
 
-def _horner(coeffs, x: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
 def _recurrence(variable: Variable, alpha: Fraction,
                 k: Fraction) -> tuple[tuple[int, ...], ...]:
     """c_0..c_r of the scenario's recurrence, each as its integer
@@ -256,9 +247,9 @@ def _recurrence(variable: Variable, alpha: Fraction,
         runs, start = [], 0
         for u in range(top + 1):
             end = start + top - u + 1
-            runs.append(_horner(list(map(int, row[start:end])), k2))
+            runs.append(horner(list(map(int, row[start:end])), k2))
             start = end
-        out[i].append(_horner(runs, a2))
+        out[i].append(horner(runs, a2))
     return tuple(map(tuple, out))
 
 
@@ -284,9 +275,9 @@ def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
         # a list, not a generator: unpacking a generator parks one tuple
         # per call on the interpreter's free list, up to 128 KB of them
         scale = math.lcm(*[x.denominator for x in window])
-        num = sum(_horner(c, n - r) * x.numerator * (scale // x.denominator)
+        num = sum(horner(c, n - r) * x.numerator * (scale // x.denominator)
                   for c, x in zip(lower, window))
-        out.append(Fraction(-num, _horner(lead, n - r) * scale))
+        out.append(Fraction(-num, horner(lead, n - r) * scale))
     return out
 
 
@@ -300,7 +291,7 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
     Only computed orders enter the memo.  A longer request extends the
     remembered prefix by one stretch of _fresh_moments.
     """
-    if not isinstance(m, int) or m < 0:
+    if not is_order(m):
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
     key = (scenario.variable, scenario.alpha, scenario.k)
     with _SEQ_LOCK:

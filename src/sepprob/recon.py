@@ -4,7 +4,7 @@ A moment-based tail estimate that agrees with some p/q "to N decimal
 places" only supports the claim P = p/q if no other small-denominator
 rational sits inside the error window.  reconstruct makes that inference
 explicit: it finds the best rational approximation under a denominator
-bound via the continued-fraction expansion, then decides uniqueness by
+bound (Fraction.limit_denominator), then decides uniqueness by
 checking that both Farey neighbors of the candidate fall strictly outside
 [x - eps, x + eps].  The neighbors are the closest bounded-denominator
 rationals on either side, so no exhaustive scan is needed.
@@ -16,7 +16,7 @@ import decimal
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import mpmath
 
@@ -76,28 +76,9 @@ def _exact_value(x: ApproxLike) -> Tuple[Fraction, Optional[Fraction]]:
 
 
 def _best_within(x: Fraction, bound: int) -> Fraction:
-    """Best rational approximation to x with denominator <= bound.
-
-    Walks the continued fraction of x; the answer is the last convergent
-    that fits the bound or the deepest semiconvergent past it, whichever
-    is closer (ties go to the smaller denominator).
-    """
-    if x.denominator <= bound:
-        return x
-    num, den = x.numerator, x.denominator
-    hm2, km2, hm1, km1 = 0, 1, 1, 0
-    while den:
-        a, rem = divmod(num, den)
-        h, k = a * hm1 + hm2, a * km1 + km2
-        if k > bound:
-            cands = [Fraction(hm1, km1)]
-            t = (bound - km2) // km1
-            if t >= 1:
-                cands.append(Fraction(t * hm1 + hm2, t * km1 + km2))
-            return min(cands, key=lambda c: (abs(x - c), c.denominator))
-        hm2, km2, hm1, km1 = hm1, km1, h, k
-        num, den = den, rem
-    return Fraction(hm1, km1)
+    """Best rational approximation to x with denominator <= bound; ties go
+    to the smaller denominator."""
+    return x.limit_denominator(bound)
 
 
 def _farey_neighbors(value: Fraction, bound: int) -> Tuple[Fraction, Fraction]:
@@ -151,32 +132,3 @@ def reconstruct(x: ApproxLike, error_radius: Optional[ApproxLike] = None,
                          residual=residual,
                          confidence=Confidence.UNIQUE if unique
                          else Confidence.AMBIGUOUS)
-
-
-def reconstruct_sequence(values: Iterable[Tuple[object, ApproxLike]],
-                         error_radii: Union[None, ApproxLike,
-                                            Sequence[Optional[ApproxLike]]] = None,
-                         denominator_bound: int = DEFAULT_BOUND
-                         ) -> List[Optional[RationalGuess]]:
-    """Element-wise reconstruction of labeled approximants (k, x).
-
-    error_radii may be absent (per-element defaults), a single radius for
-    all elements, or a sequence matching the input length.  A failed
-    element is recorded as None instead of aborting the rest.
-    """
-    pairs = list(values)
-    if error_radii is None or isinstance(error_radii, (str, decimal.Decimal)) \
-            or not isinstance(error_radii, Sequence):
-        radii = [error_radii] * len(pairs)
-    else:
-        radii = list(error_radii)
-        if len(radii) != len(pairs):
-            raise DomainError(
-                f"{len(radii)} radii for {len(pairs)} approximants")
-    out: List[Optional[RationalGuess]] = []
-    for (_, x), eps in zip(pairs, radii):
-        try:
-            out.append(reconstruct(x, eps, denominator_bound))
-        except NoCandidateError:
-            out.append(None)
-    return out

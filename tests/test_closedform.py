@@ -3,11 +3,10 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from refdata import TABLE_PROBS
-from sepprob.closedform import ASYMPTOTE, G, MODE_FLOAT, StructureCheck, \
+from sepprob.closedform import ASYMPTOTE, G, StructureCheck, \
     extract_p, extract_p_from_values, log_ratio, sep_prob, \
     structural_prediction, structure_checks, verify_structure
 from sepprob.errors import DomainError, PrecisionError, SingularityError, \
@@ -42,8 +41,6 @@ def test_argument_validation():
         sep_prob(1, HALF)
     with pytest.raises(DomainError):
         sep_prob(1, True)
-    with pytest.raises(DomainError):
-        sep_prob(1, 0, mode="algebraic")
 
 
 def test_probability_ordering_and_growth():
@@ -180,22 +177,6 @@ def test_extract_p_from_values_witness():
         extract_p_from_values(1, values[:3])
     with pytest.raises(DomainError):
         extract_p_from_values(1, values + [(0, sep_prob(1, 0))])
-
-
-def test_float_mode_tracks_exact():
-    exact = sep_prob(1, 5)
-    approx = sep_prob(1, 5, mode=MODE_FLOAT, precision=30)
-    with mpmath.mp.workdps(40):
-        err = abs(approx - mpmath.mpf(exact.numerator) / exact.denominator)
-        assert err < mpmath.mpf("1e-25")
-
-
-def test_sep_prob_rejects_bad_precision():
-    for mode in (MODE_FLOAT, "exact"):
-        for bad in (-3, 0, 2.5, True):
-            with pytest.raises(DomainError):
-                sep_prob(1, 5, mode=mode, precision=bad)
-    assert abs(sep_prob(1, 5, mode=MODE_FLOAT, precision=1) - 0.8673) < 0.01
 
 
 def test_log_ratio_small_k_cross_check():

@@ -363,6 +363,8 @@ def test_tail_validation_errors():
     with pytest.raises(DomainError):
         gegenbauer_tail(seq, 0, 0, "3")
     with pytest.raises(DomainError):
+        legendre_tail(seq, 0, True)
+    with pytest.raises(DomainError):
         gegenbauer_tail(seq, 0, 0, 6)  # needs 7 moments, has 6
     with pytest.raises(DomainError):
         gegenbauer_tail(seq, 0, Fraction(1, 2), 3)  # outside support
@@ -386,5 +388,7 @@ def test_convergence_profile_validation():
         convergence_profile(scenario, METHOD_LEGENDRE, 0, [5, 5])
     with pytest.raises(DomainError):
         convergence_profile(scenario, METHOD_LEGENDRE, 0, [5, -1])
+    with pytest.raises(DomainError):
+        convergence_profile(scenario, METHOD_LEGENDRE, 0, [True])
     with pytest.raises(DomainError):
         convergence_profile(scenario, "jacobi", 0, [5, 10])

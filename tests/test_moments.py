@@ -107,6 +107,8 @@ def test_parameter_validation():
         pt_moment(1, 0, -1)
     with pytest.raises(DomainError):
         pt_moment(1, 0, 2.0)
+    with pytest.raises(DomainError):
+        pt_moment(1, 0, True)
 
 
 def test_scenario_coercion_and_interval():
@@ -137,6 +139,8 @@ def test_moment_sequence_validation():
         moment_sequence(s, -1)
     with pytest.raises(DomainError):
         moment_sequence(s, "5")
+    with pytest.raises(DomainError):
+        moment_sequence(s, True)
 
 
 def test_moment_sequence_dataclass_validation():

@@ -10,7 +10,7 @@ import pytest
 from oracles import best_rational_scan, window_fractions_scan
 from sepprob.errors import DomainError, NoCandidateError
 from sepprob.recon import Confidence, DEFAULT_BOUND, RationalGuess, \
-    _best_within, _farey_neighbors, reconstruct, reconstruct_sequence
+    _best_within, _farey_neighbors, reconstruct
 
 
 def test_simple_decimal_examples():
@@ -68,12 +68,14 @@ def test_best_within_equals_exhaustive_scan():
     rnd = random.Random(8250)
     cases = [Fraction(355, 113) - Fraction(1, 10 ** 7),
              Fraction(-22, 7) + Fraction(1, 10 ** 5),
-             Fraction(1, 10 ** 9), Fraction(0)]
+             Fraction(1, 10 ** 9), Fraction(0),
+             # halfway between two integers: at bound 1 the floor wins
+             Fraction(1, 2), Fraction(5, 2), Fraction(-1, 2), Fraction(-7, 2)]
     for _ in range(40):
         cases.append(Fraction(rnd.randrange(-10 ** 6, 10 ** 6),
                               rnd.randrange(1, 10 ** 6)))
     for x in cases:
-        for bound in (7, 50, 123, 1000):
+        for bound in (1, 2, 7, 50, 123, 1000):
             assert _best_within(x, bound) == best_rational_scan(x, bound)
 
 
@@ -172,24 +174,3 @@ def test_input_validation():
         reconstruct("0.5", "1e-3", 0)
     with pytest.raises(DomainError):
         reconstruct("0.5", "1e-3", True)
-
-
-def test_reconstruct_sequence_examples():
-    out = reconstruct_sequence([(0, 0.45312500)], "1e-7", 2 ** 10)
-    assert [g.value for g in out] == [Fraction(29, 64)]
-    out = reconstruct_sequence([(1, "0.167631354601")], "1e-5", 10 ** 5)
-    assert out[0].value == Fraction(3736, 22287)
-    assert reconstruct_sequence([]) == []
-
-
-def test_reconstruct_sequence_radii_handling():
-    pairs = [(0, "0.5"), (1, "0.333333")]
-    out = reconstruct_sequence(pairs, ["1e-6", "1e-5"], 100)
-    assert [g.value for g in out] == [Fraction(1, 2), Fraction(1, 3)]
-    # an element whose window excludes every candidate becomes None
-    out = reconstruct_sequence([(0, "0.5"), (1, "0.416")],
-                               ["1e-6", "1e-6"], 7)
-    assert out[0].value == Fraction(1, 2)
-    assert out[1] is None
-    with pytest.raises(DomainError):
-        reconstruct_sequence(pairs, ["1e-6"], 100)
