@@ -4,8 +4,8 @@ Everything here is built on Python's fractions.Fraction, the exact value
 type used throughout the package.  The module provides rational coercion,
 rising factorials, gamma at positive half-integer arguments carried
 symbolically as (rational) * pi^(e/2), Horner evaluation of polynomials,
-and the argument rules more than one layer applies: the Dyson-like
-parameter alpha, orders of moments and truncations, and a requested
+the argument rules more than one layer applies (the Dyson-like parameter
+alpha, orders of moments and truncations), and the check on a requested
 number of decimal digits for the float renderings of exact results.
 Rising factorials, and gamma through them, are one integer product over
 one power of the denominator, reduced once.
