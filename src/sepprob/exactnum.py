@@ -4,9 +4,8 @@ Everything here is built on Python's fractions.Fraction, the exact value
 type used throughout the package.  The module provides rational coercion,
 rising factorials, gamma at positive half-integer arguments carried
 symbolically as (rational) * pi^(e/2), Horner evaluation of polynomials,
-the argument rules more than one layer applies (the Dyson-like parameter
-alpha, orders of moments and truncations), and the check on a requested
-number of decimal digits for the float renderings of exact results.
+and the argument rules more than one layer applies (the Dyson-like
+parameter alpha, orders of moments and truncations).
 Rising factorials, and gamma through them, are one integer product over
 one power of the denominator, reduced once.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -35,18 +34,6 @@ def as_rational(x: RationalLike) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
-def check_digits(precision: Optional[int], default: int) -> int:
-    """A requested number of decimal digits: default when None, else an
-    int >= 1."""
-    if precision is None:
-        return default
-    if isinstance(precision, bool) or not isinstance(precision, int) \
-            or precision < 1:
-        raise DomainError("precision must be a whole number of digits >= 1, "
-                          f"got {precision!r}")
-    return precision
-
-
 def is_half_integer(x: Fraction) -> bool:
     """True when 2x is an integer (integers included)."""
     return (2 * x).denominator == 1
@@ -62,7 +49,7 @@ def check_alpha(alpha: RationalLike) -> Fraction:
 
 def is_order(n: object) -> bool:
     """True for an int n >= 0, the shape of every moment or truncation
-    order; bool is refused."""
+    order and of the Gegenbauer weight exponent; bool is refused."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 

@@ -42,6 +42,7 @@ any sequence.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ import mpmath
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational, check_digits, is_order
+from .exactnum import RationalLike, as_rational, is_order
 from .moments import MomentSequence, Scenario, moment_sequence
 
 METHOD_LEGENDRE = "legendre"
@@ -72,9 +73,12 @@ DEFAULT_FLOAT_DIGITS = 300
 class TailEstimate:
     """A truncated tail reconstruction sum_i A_i mu_i.
 
-    coeffs are the exact A_i as Fractions in every mode.  In float mode
-    value is the exact one rounded to precision digits; in exact mode it
-    is a Fraction and precision is None.
+    bank holds the exact A_i over their common scale, shared by every
+    estimate of the same interval, weight, cut point and order; coeffs
+    are those A_i as reduced Fractions in every mode, built once per bank
+    on first access.  In float mode value is the exact one rounded to
+    precision digits; in exact mode it is a Fraction and precision is
+    None.
     """
 
     scenario: Scenario
@@ -84,7 +88,11 @@ class TailEstimate:
     mode: str
     precision: Optional[int]
     value: Union[Fraction, mpmath.mpf]
-    coeffs: Tuple[Fraction, ...]
+    bank: _Bank = dataclasses.field(repr=False)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return self.bank.coeffs
 
 
 def _map_constants(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
@@ -94,7 +102,7 @@ def _map_constants(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def _check_weight(alpha_w: int) -> int:
-    if isinstance(alpha_w, bool) or not isinstance(alpha_w, int) or alpha_w < 0:
+    if not is_order(alpha_w):
         raise DomainError(
             f"weight exponent must be a nonnegative integer, got {alpha_w!r}")
     return alpha_w
@@ -131,7 +139,8 @@ def _q1(a: int, zeta: Fraction) -> Fraction:
 
 def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
                  m: int) -> Tuple[List[int], int]:
-    """S_0..S_m at the common scale V of order m >= 1, as (shat, V).
+    """S_0..S_m at the common scale V of order m >= 1, as (shat, V), in
+    the variable y' = (q/p) y, or in y itself when c0 = 0.
 
     Scales chosen so every recurrence stays in big ints, with c0 = p/q and
     zeta = P/Q:
@@ -157,10 +166,13 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
     so S(y) V_m = b_0(y) by Clenshaw's backward recurrence
 
       b_j = u_j V_m / V_j + (2j+2a+1) (p + q y) b_{j+1}
-            - q^2 (j+1) (j+1+2a) b_{j+2},
+            - q^2 (j+1) (j+1+2a) b_{j+2}.
 
-    in which only the constant term takes a full-width product; every
-    other step multiplies a big coefficient by a small integer.
+    In y' the factor p + q y is p (1 + y'), so each coefficient of b_j
+    costs two products of a big integer by a small one,
+    (2j+2a+1) p (b_{j+1}[i] + b_{j+1}[i-1]) - q^2 (j+1) (j+1+2a) b_{j+2}[i],
+    and only the constant term takes a full-width one.  When c0 = 0 the
+    factor is q y, a single product, and the pass stays in y.
     """
     p, q = c0.numerator, c0.denominator
     P, Q = zeta.numerator, zeta.denominator
@@ -180,11 +192,13 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
     b2: List[int] = []
     scale = 1
     for j in range(m, -1, -1):
-        lp, lq = (2 * j + 2 * a + 1) * p, (2 * j + 2 * a + 1) * q
+        lead = (2 * j + 2 * a + 1) * (p or q)
         drag = q * q * (j + 1) * (j + 1 + 2 * a)
-        b = [lp * x + lq * y for x, y in zip(b1 + [0], [0] + b1)]
-        for i, z in enumerate(b2):
-            b[i] -= drag * z
+        if p:
+            b = [lead * (x + y) - drag * z
+                 for x, y, z in zip(b1 + [0], [0] + b1, b2 + [0, 0])]
+        else:
+            b = [lead * y - drag * z for y, z in zip([0] + b1, b2 + [0, 0])]
         b[0] += u[j] * scale
         if j > 1:
             scale *= Q * q * j * r[j]     # V_j / V_{j-1}
@@ -192,39 +206,66 @@ def _scaled_sums(c0: Fraction, a: int, zeta: Fraction,
     return b1, (2 * a + 1) * q * scale
 
 
+@dataclass(frozen=True)
+class _Bank:
+    """A_0..A_m of one order as integers over one scale: A_i = an[i] / scale,
+    where scale is the lcm of the reduced denominators of the A_i."""
+
+    an: Tuple[int, ...]
+    scale: int
+
+    @functools.cached_property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The A_i as reduced Fractions, built on first access."""
+        return tuple(Fraction(n, self.scale) for n in self.an)
+
+
 def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
-          m: int) -> Tuple[Fraction, ...]:
-    """A_0..A_m reduced to Fractions from the order-m scaled sums."""
+          m: int) -> _Bank:
+    """A_0..A_m of order m from the scaled sums, content-scaled.
+
+    With s = c1 q/p the power step of y' (c1 when c0 = 0), the A_i are
+    written as N_i / D over the one denominator D = e_d h_d s_d^m V of
+    head = e_n / e_d, q1/h0 = h_n / h_d and s = s_n / s_d.  One gcd g of
+    D and all N_i leaves an_i = N_i / g over D / g, which is the lcm of
+    the reduced denominators: lcm(D / g_i) = D / gcd(g_i) for divisors
+    g_i of D.
+    """
     h0 = _h0(a)
     head = _q0(a, zeta) / h0
     if m == 0:
-        return (head,)
+        return _Bank((head.numerator,), head.denominator)
     shat, V = _scaled_sums(c0, a, zeta, m)
     qh = _q1(a, zeta) / h0
-    out = [head + qh * Fraction(shat[0], V)]
-    ci = Fraction(1)
-    for i in range(1, m + 1):
-        ci *= c1
-        out.append(ci * qh * Fraction(shat[i], V))
-    return tuple(out)
+    step = c1 / c0 if c0 else c1
+    sn, sd = step.numerator, step.denominator
+    # N_i = e_d h_n s_n^i s_d^(m-i) shat_i, and N_0 also carries head
+    lift = [head.denominator * qh.numerator]
+    for _ in range(m):
+        lift.append(lift[-1] * sn)
+    drop = 1
+    for i in range(m, -1, -1):
+        lift[i] *= drop * shat[i]
+        drop *= sd
+    den = head.denominator * qh.denominator * sd ** m * V
+    lift[0] += head.numerator * (den // head.denominator)
+    g = math.gcd(den, *lift)
+    return _Bank(tuple(n // g for n in lift), den // g)
 
 
-# (c0, c1, w, zeta, m) -> (A_0..A_m, the lcm of their denominators)
-_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int],
-             Tuple[Tuple[Fraction, ...], int]] = {}
+# (c0, c1, w, zeta, m) -> the bank of that order
+_BANKS: dict[Tuple[Fraction, Fraction, int, Fraction, int], _Bank] = {}
 _BANKS_LOCK = threading.Lock()
 
 
-def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
-                  m: int) -> Tuple[Tuple[Fraction, ...], int]:
-    """A_0..A_m and the lcm of their denominators, computed once per
+def _exact_bank(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
+                m: int) -> _Bank:
+    """A_0..A_m over their common scale, computed once per
     (interval, w, zeta, order)."""
     key = (c0, c1, alpha_w, zeta, m)
     with _BANKS_LOCK:
         if key not in _BANKS:
-            coeffs = _emit(c0, c1, alpha_w, zeta, m)
-            _BANKS[key] = coeffs, math.lcm(*(a.denominator
-                                             for a in coeffs))
+            _BANKS[key] = _emit(c0, c1, alpha_w, zeta, m)
         return _BANKS[key]
 
 
@@ -232,8 +273,20 @@ def _exact_coeffs(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
 # Public operations
 # ---------------------------------------------------------------------------
 
+def _check_digits(precision: Optional[int]) -> int:
+    """A requested number of decimal digits: the default when None, else
+    an int >= 1."""
+    if precision is None:
+        return DEFAULT_FLOAT_DIGITS
+    if isinstance(precision, bool) or not isinstance(precision, int) \
+            or precision < 1:
+        raise DomainError("precision must be a whole number of digits >= 1, "
+                          f"got {precision!r}")
+    return precision
+
+
 def _resolve_mode(mode: str, m: int, precision: Optional[int]):
-    digits = check_digits(precision, DEFAULT_FLOAT_DIGITS)
+    digits = _check_digits(precision)
     if mode == MODE_AUTO:
         mode = MODE_EXACT if m <= AUTO_EXACT_LIMIT else MODE_FLOAT
     if mode == MODE_EXACT:
@@ -268,19 +321,18 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     c0, c1 = _map_constants(*moments.scenario.interval)
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    coeffs, scale = _exact_coeffs(c0, c1, alpha_w, zeta, m)
+    bank = _exact_bank(c0, c1, alpha_w, zeta, m)
     # one integer sum at the common denominator, reduced once
     mu = moments.mu[:m + 1]
     mu_scale = math.lcm(*(x.denominator for x in mu))
-    total = sum((a.numerator * (scale // a.denominator))
-                * (x.numerator * (mu_scale // x.denominator))
-                for a, x in zip(coeffs, mu))
-    value = Fraction(total, scale * mu_scale)
+    total = sum(a * (x.numerator * (mu_scale // x.denominator))
+                for a, x in zip(bank.an, mu))
+    value = Fraction(total, bank.scale * mu_scale)
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
                         alpha_w=alpha_w, m=m, mode=mode, precision=precision,
-                        value=value, coeffs=coeffs)
+                        value=value, bank=bank)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,

@@ -39,6 +39,8 @@ The underlying random variables are supported on [-1/16, 1/256] (pt) and
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import os
 import threading
@@ -231,26 +233,42 @@ def _table_rows(variable: Variable):
                 yield int(i), int(d), int(top), row
 
 
-def _recurrence(variable: Variable, alpha: Fraction,
-                k: Fraction) -> tuple[tuple[int, ...], ...]:
-    """c_0..c_r of the scenario's recurrence, each as its integer
-    coefficients in ascending powers of n.
+@functools.lru_cache(maxsize=4)
+def _alpha_table(variable: Variable,
+                 a2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The variable's table at 2 alpha = a2: for each c_i and each power
+    of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    Each row is a polynomial in 2 alpha and 2k, evaluated by nested Horner:
-    in 2k within each run of equal u, then in 2 alpha over the runs.
+    Each row's runs of equal u hold the coefficients of (2 alpha)^u; the
+    runs are summed by Horner in a2, coefficient by coefficient of 2k.
+    One reading serves every k at this alpha, and the few most recent
+    alphas are kept.
     """
-    a2, k2 = int(2 * alpha), int(2 * k)
-    out: list[list[int]] = []
+    out: list[list[tuple[int, ...]]] = []
     for i, _, top, row in _table_rows(variable):
         if i == len(out):
             out.append([])
         runs, start = [], 0
         for u in range(top + 1):
             end = start + top - u + 1
-            runs.append(horner(list(map(int, row[start:end])), k2))
+            runs.append(map(int, row[start:end]))
             start = end
-        out[i].append(horner(runs, a2))
+        poly: list[int] = []
+        for run in reversed(runs):
+            poly = [c + a2 * x for c, x in
+                    itertools.zip_longest(run, poly, fillvalue=0)]
+        out[i].append(tuple(poly))
     return tuple(map(tuple, out))
+
+
+def _recurrence(variable: Variable, alpha: Fraction,
+                k: Fraction) -> tuple[tuple[int, ...], ...]:
+    """c_0..c_r of the scenario's recurrence, each as its integer
+    coefficients in ascending powers of n: the table at this alpha,
+    evaluated at 2k by Horner."""
+    k2 = int(2 * k)
+    return tuple(tuple(horner(poly, k2) for poly in c)
+                 for c in _alpha_table(variable, int(2 * alpha)))
 
 
 def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,

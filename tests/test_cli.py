@@ -188,13 +188,14 @@ def test_cache_record_must_be_the_computed_text(tmp_path):
 
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     # the load's check and the orders past the cache share one reading of
-    # the recurrence table
+    # the recurrence table, and a second k at the same alpha reads none
     cache = tmp_path / "c.moments"
     argv = ["moments", "--variable", "pt", "--alpha", "7/2", "--k", "9/2",
             "--cache", str(cache)]
     rc, _, _ = run_cli(argv + ["--m", "39"])
     assert rc == 0
     monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    moments._alpha_table.cache_clear()
     rows = moments._table_rows
     reads = []
 
@@ -209,6 +210,10 @@ def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     mu = [pt_moment(Fraction(7, 2), Fraction(9, 2), n) for n in range(60)]
     records = [f"{n} {x.numerator}/{x.denominator}" for n, x in enumerate(mu)]
     assert body_lines(out) == cache.read_text().splitlines()[1:] == records
+    rc, _, err = run_cli(["moments", "--variable", "pt", "--alpha", "7/2",
+                          "--k", "11/2", "--m", "59"])
+    assert rc == 0 and err == ""
+    assert reads == [Variable.PT_DET]
 
 
 def test_cache_hit_does_not_write(tmp_path):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sepprob.inversion as inversion
 from oracles import build_tables, tail_coeffs_from_tables
@@ -245,6 +245,15 @@ def cut_points(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cut_points(), st.integers(0, 4), st.integers(0, 30))
+# symmetric intervals have c0 = 0, where the bank's pass stays in y
+@example(((-HALF, HALF), 0), 0, 12)
+@example(((-HALF, HALF), 0), 2, 12)
+@example(((-HALF, HALF), Fraction(1, 5)), 0, 12)
+@example(((-HALF, HALF), Fraction(1, 5)), 2, 12)
+@example(((Fraction(-3), Fraction(3)), 0), 0, 12)
+@example(((Fraction(-3), Fraction(3)), 0), 2, 12)
+@example(((Fraction(-3), Fraction(3)), Fraction(-7, 4)), 0, 12)
+@example(((Fraction(-3), Fraction(3)), Fraction(-7, 4)), 2, 12)
 def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
     interval, xi = case
     assert bank(interval, a, xi, m) == \
@@ -267,6 +276,21 @@ def test_partial_divisor_steps(interval, a, kept):
     for m in (3, 4, 30):
         assert bank(interval, a, 0, m) == \
             tail_coeffs_from_tables(build_tables(interval, a, m))
+
+
+@pytest.mark.parametrize("interval", [PT_INTERVAL, DIFF_INTERVAL])
+def test_bank_scale_is_lcm_of_reduced_denominators(interval):
+    # the bank keeps the A_i as integers an_i over one scale, the lcm of
+    # their reduced denominators, whatever the weight, cut point and order
+    c0, c1 = inversion._map_constants(*interval)
+    for a in (0, 1, 3):
+        for zeta in (c0, c0 + c1 * Fraction(-1, 64), Fraction(-1),
+                     Fraction(1)):
+            for m in (0, 1, 2, 7, 60):
+                bank = inversion._exact_bank(c0, c1, a, zeta, m)
+                assert bank.scale == math.lcm(
+                    *(x.denominator for x in bank.coeffs))
+                assert bank.an == tuple(x * bank.scale for x in bank.coeffs)
 
 
 def test_bank_scale_width():
