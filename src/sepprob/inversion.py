@@ -24,19 +24,26 @@ number of digits.  The A_i stay exact Fractions in every mode.
 
 The exact evaluator below sums the B rows in scaled-integer form (no
 per-entry gcd) by one backward Clenshaw pass per truncation order, at that
-order's common scale, and reduces to Fractions once at the end.  The
+order's common scale.  The pass runs in y' = (q/p) y with c0 = p/q, where
+p + q y = p (1 + y'), so each coefficient step takes two products of a
+big integer by a small one; the power step of the A_i becomes c1 q/p
+(when c0 = 0 the factor is q y and the pass stays in y).  The
 integer g weights come from a forward pass that divides each one by the
 part of j + 2a + 1 it is exactly divisible by (one small gcd per order),
 so the common scale V_m = (2a+1) q^m Q^(m-1) m! prod_j (j+2a+1)/f_j
 carries only what that division leaves behind, about 7.9k bits at
-m = 500 where the undivided weights needed 11.6k.  Every
-vector is kept per (interval, w, zeta, order), with the lcm of its
-denominators, so further scenarios on the same interval and repeated
-orders cost only the dot product; the A_i do not depend on the moments at
-all.  The dot product is one integer sum at the product of the A_i's and
-the moments' common denominators, reduced once.  Orders are independent
-of each other: there is no resumable state, and they may be asked for in
-any sequence.
+m = 500 where the undivided weights needed 11.6k.
+
+The bank is content-scaled: all A_i are written over one denominator,
+and one gcd of it with every numerator leaves integers an_i over the lcm
+of the reduced denominators (4.1k bits at m = 500).  No Fraction is
+built per coefficient; TailEstimate.coeffs reduces them once per bank,
+on first access.  Every bank is kept per (interval, w, zeta, order), so
+further scenarios on the same interval and repeated orders cost only the
+dot product; the A_i do not depend on the moments at all.  The dot
+product is one integer sum of the an_i against the moments at their
+common denominator, reduced once.  Orders are independent of each other:
+there is no resumable state, and they may be asked for in any sequence.
 """
 
 from __future__ import annotations
@@ -92,6 +99,7 @@ class TailEstimate:
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
+        """The exact A_i as reduced Fractions."""
         return self.bank.coeffs
 
 

@@ -25,12 +25,15 @@ module, written by tools/derive_recurrences.py).  Zeilberger's creative
 telescoping proves it: tests/test_recurrence.py checks the certificate's
 telescoping identity and its boundary terms exactly.  The identity holds
 for generic alpha and k, and each mu_n is a rational function of both, so
-the recurrence holds at the 0/0 orders as well.  A sequence reads the
-table once per scenario, specializes the coefficients to it by nested
-Horner, and steps the recurrence in integers: each order is one sum at
-the lcm of its window's denominators, reduced by one gcd.  c_r has only
-positive coefficients, so every step is defined.  _fast_moment still
-computes the first r orders of every new stretch of a sequence.
+the recurrence holds at the 0/0 orders as well.  The table is read and
+specialized to 2 alpha once per (variable, alpha), leaving each
+coefficient a polynomial in 2k; a small memo keeps the last few alphas,
+so the scenarios of a sweep that share an alpha share that set-up.  A
+sequence then evaluates those polynomials at its 2k by Horner (924
+steps for pt) and steps the recurrence in integers: each order is one
+sum at the lcm of its window's denominators, reduced by one gcd.  c_r
+has only positive coefficients, so every step is defined.  _fast_moment
+still computes the first r orders of every new stretch of a sequence.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
