@@ -7,6 +7,7 @@ installed console script to cover the entry point wiring.
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -579,3 +580,32 @@ def test_full_pipeline_fit_from_approximants():
     confidences = [r["confidence"] for r in doc["rows"]]
     assert confidences == ["unique", "unique", "ambiguous", "unique"]
     assert all(r["matches_closed_form"] == "true" for r in doc["rows"])
+
+
+# SHA-256 of the default stdout of fast invocations, recorded from the
+# m^2/2-step Clenshaw bank; each exits 0 with nothing on stderr
+RECORDED_STDOUT = {
+    "tail --variable pt --alpha 1 --k 0 --m 300 --bound 40 --radius 2e-4":
+        "c2158b1f91649333a9e3c61deea3ba692c899893f5157c44f93d44980e752303",
+    "tail --variable pt --alpha 1 --k 3 --m 300 --bound 40 --radius 2e-4":
+        "431d3df4bafc6027ac79203c4763f978c31a377ab8b24bf0e5147fb13acd43b3",
+    "tail --variable pt --alpha 1 --k 0 --m-list 50,100,150,200 "
+    "--mode float --precision 40":
+        "9f2d06de943922419d47ccdfb5f5eccdd5e6cb22a01995f6427a70c13b2b7a6a",
+    "tail --variable diff --alpha 2 --k 1 --m 120 --method gegenbauer "
+    "--geg-alpha 2 --format csv":
+        "f2c16c8b1b07929a10b753b8c95d764efafc342b7565b02be27779650d69de30",
+    "tail --variable pt --alpha 1 --k 0 --m 200 --xi 1/256":
+        "d0a9ceb5a6ba049de239e8b07a7c6f8e3755d11c37ef0731e00073bed61909a2",
+    "tables --table 4 --approx-m 60":
+        "833fd646c318924b3d09abead90869bae8bb6a010e41c00031534ca6db383ed1",
+    "plot-data --figure 2":
+        "f529948d700823beaa92aa00289135e9c9ba67b700a63f10cfc7929b13b4cdbf",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_STDOUT))
+def test_default_output_matches_recorded_digests(command):
+    rc, out, err = run_cli(command.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[command]

@@ -8,6 +8,8 @@ coefficients are then cross-checked against an independent assembly from
 those tables, and float mode against correct rounding of the exact result.
 """
 
+import gc
+import hashlib
 import math
 import sys
 import threading
@@ -245,7 +247,7 @@ def cut_points(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cut_points(), st.integers(0, 4), st.integers(0, 30))
-# symmetric intervals have c0 = 0, where the bank's pass stays in y
+# symmetric intervals have c0 = 0
 @example(((-HALF, HALF), 0), 0, 12)
 @example(((-HALF, HALF), 0), 2, 12)
 @example(((-HALF, HALF), Fraction(1, 5)), 0, 12)
@@ -254,6 +256,19 @@ def cut_points(draw):
 @example(((Fraction(-3), Fraction(3)), 0), 2, 12)
 @example(((Fraction(-3), Fraction(3)), Fraction(-7, 4)), 0, 12)
 @example(((Fraction(-3), Fraction(3)), Fraction(-7, 4)), 2, 12)
+# c0 = -1, c0 = 1 and |c0| > 1, each with xi at an end and inside
+@example(((Fraction(0), HALF), 0), 0, 12)
+@example(((Fraction(0), HALF), 0), 2, 12)
+@example(((Fraction(0), HALF), Fraction(1, 5)), 0, 12)
+@example(((Fraction(0), HALF), Fraction(1, 5)), 2, 12)
+@example(((Fraction(-3), Fraction(0)), 0), 0, 12)
+@example(((Fraction(-3), Fraction(0)), 0), 2, 12)
+@example(((Fraction(-3), Fraction(0)), Fraction(-7, 4)), 0, 12)
+@example(((Fraction(-3), Fraction(0)), Fraction(-7, 4)), 2, 12)
+@example(((Fraction(1, 5), Fraction(3, 2)), Fraction(3, 2)), 0, 12)
+@example(((Fraction(1, 5), Fraction(3, 2)), Fraction(3, 2)), 2, 12)
+@example(((Fraction(1, 5), Fraction(3, 2)), HALF), 0, 12)
+@example(((Fraction(1, 5), Fraction(3, 2)), HALF), 2, 12)
 def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
     interval, xi = case
     assert bank(interval, a, xi, m) == \
@@ -265,14 +280,8 @@ def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
     (PT_INTERVAL, 1, 3),        # f_3 = 2
 ])
 def test_partial_divisor_steps(interval, a, kept):
-    # at xi = 0 the order-3 step divides out only f_3 of 3 + 2a + 1, so the
-    # order-3 scale is (3 + 2a + 1) / f_3 times (2a+1) q^3 Q^2 3!, the
-    # scale when every step divides out the whole factor
-    c0, _ = inversion._map_constants(*interval)
-    zeta = c0
-    whole = ((2 * a + 1) * c0.denominator ** 3 * zeta.denominator ** 2
-             * math.factorial(3))
-    assert inversion._scaled_sums(c0, a, zeta, 3)[1] == kept * whole
+    # at xi = 0 the order-3 step of the g weights divides out only f_3 of
+    # 3 + 2a + 1 and keeps (3 + 2a + 1) / f_3 = kept in its scale
     for m in (3, 4, 30):
         assert bank(interval, a, 0, m) == \
             tail_coeffs_from_tables(build_tables(interval, a, m))
@@ -293,12 +302,71 @@ def test_bank_scale_is_lcm_of_reduced_denominators(interval):
                 assert bank.an == tuple(x * bank.scale for x in bank.coeffs)
 
 
-def test_bank_scale_width():
-    # the scale drops the factor prod (j + 2a + 1): 4,490 bits here, where
-    # carrying it took 6,539
-    c0, _ = inversion._map_constants(*PT_INTERVAL)
-    _, scale = inversion._scaled_sums(c0, 0, c0, 300)
-    assert scale.bit_length() < 5000
+def test_bank_scale_width(monkeypatch):
+    # the widest integers the construction holds are the numerators it
+    # hands to the final reduction, 4,828 bits here (the rows and the
+    # recurrences stay under 3,200); the m^2/2-step pass it replaced kept a
+    # common scale of 4,490 bits alone
+    widths = []
+    reduced = inversion._reduced
+
+    def spy(den, nums):
+        widths.append(max(n.bit_length() for n in nums + [den]))
+        return reduced(den, nums)
+
+    monkeypatch.setattr(inversion, "_reduced", spy)
+    c0, c1 = inversion._map_constants(*PT_INTERVAL)
+    inversion._emit(c0, c1, 0, c0, 300)
+    assert widths and max(widths) < 5000
+
+
+def test_bank_memo_stays_bounded():
+    # 40 distinct orders in one process leave at most the memo's size of
+    # banks alive
+    seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)), 40)
+    for m in range(1, 41):
+        gegenbauer_tail(seq, 1, 0, m, mode=MODE_EXACT)
+    limit = inversion._exact_bank.cache_info().maxsize
+    assert inversion._exact_bank.cache_info().currsize <= limit
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, inversion._Bank)]
+    assert len(alive) <= limit
+
+
+# SHA-256 over the hex digits of scale and then of every an_i, each an_i
+# after a comma, of the banks the m^2/2-step Clenshaw pass built
+RECORDED_BANKS = {
+    ("pt", 0, "0", 100): "b45a5c88e690fa1c977e168a3256668d8a3a268fb0cf555493d2dba9712d9d25",
+    ("pt", 0, "0", 500): "7595bba5d94c23b9fc6a7e2979d10dd0b85356eeffb166993a812c4050451854",
+    ("pt", 0, "-1/64", 100): "24fe56813fcf8393e4114dac4fd8137d3e77f110e4ba0e265985add9dc4249e7",
+    ("pt", 0, "-1/64", 500): "4db534737decec06edab588be28dcbb14737ee265fef13bc88661bb5034a3b41",
+    ("pt", 2, "0", 100): "8de9974ec3af116fb11dc67817cd39a93b65b755d432e425362467c994dd8d92",
+    ("pt", 2, "0", 500): "27a887bf4bdf94e9d72ec2eb80bdcd601e40be80647d3c4aaa555022434cd4b8",
+    ("pt", 2, "-1/64", 100): "0f66372dcff52346a7e979adc9271817c2322396b5b3ec110a482cee5c866dde",
+    ("pt", 2, "-1/64", 500): "f3ccea009d8e66d077a813ce6bd3c1b87ea5e156d8cfcf937876841588c60ff8",
+    ("diff", 0, "0", 100): "207fb20f159c218c21d13d5ae67432cfd4838cee4b0474e79bace7194fba92aa",
+    ("diff", 0, "0", 500): "15a002c386f8f768455e9d5e025ebf3da365db30c032672c7d3956b8c60cc071",
+    ("diff", 0, "-1/20", 100): "11f32a148215e9fd249c4282420f75d3e9d03968026d180976951c5900f6bdb3",
+    ("diff", 0, "-1/20", 500): "a882db7ae729bc7d4a1b76e90b8c2dc9ab3ab89414b458b4cb126eb6a0cd86d7",
+    ("diff", 2, "0", 100): "fb0816369eb1f223abe447269dfcc4f6aff31574f60d7862565a038862e1e4c3",
+    ("diff", 2, "0", 500): "94526cc03b0065de1a73c7c9587996b5bf61e135cdd95e819659db8aa9ef7193",
+    ("diff", 2, "-1/20", 100): "0f2c02f32b7e462b46d35c3d51746c6af56059d27f3374fb4c40266af275e828",
+    ("diff", 2, "-1/20", 500): "f79cea9ac539e4a439f281f5427cef3cf7328eb753d053a3bb9154c793332a6c",
+    ("pt", 0, "0", 1000): "a54826136557ee6b3921e14e0a3209aa6ef8db70644ebec313e9bff0b7723a4b",
+}
+
+
+@pytest.mark.parametrize("variable, a, xi, m", sorted(RECORDED_BANKS))
+def test_bank_reproduces_recorded_high_orders(variable, a, xi, m):
+    # past m ~ 60 the table oracle is too slow; these orders are checked
+    # against the banks recorded from the previous construction instead
+    interval = {"pt": PT_INTERVAL, "diff": DIFF_INTERVAL}[variable]
+    c0, c1 = inversion._map_constants(*interval)
+    built = inversion._emit(c0, c1, a, c0 + c1 * Fraction(xi), m)
+    digest = hashlib.sha256(format(built.scale, "x").encode())
+    for n in built.an:
+        digest.update(b"," + format(n, "x").encode())
+    assert digest.hexdigest() == RECORDED_BANKS[variable, a, xi, m]
 
 
 def test_bank_stays_consistent_under_threads():
