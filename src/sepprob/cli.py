@@ -38,8 +38,25 @@ ALPHA_NAMES = {Fraction(1, 2): "rebit", Fraction(1): "qubit",
                Fraction(2): "quaterbit"}
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, in full.
+
+    str() refuses ints past the interpreter's digit limit (4300 digits
+    unless set otherwise), so a longer n is split at a power of ten into
+    halves that are written the same way.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    low_digits = int(n.bit_length() * 0.30103) // 2
+    high, low = divmod(abs(n), 10 ** low_digits)
+    return (("-" if n < 0 else "") + _int_text(high)
+            + _int_text(low).zfill(low_digits))
+
+
 def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
 
 
 def _dec(v, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:

@@ -40,10 +40,12 @@ built per coefficient; TailEstimate.coeffs reduces them once per bank,
 on first access.  The few most recent banks are kept per (interval, w,
 zeta, order), so further scenarios on the same interval and a repeated
 order cost only the dot product; the A_i do not depend on the moments at
-all.  The dot product is one integer sum of the an_i against the moments
-at their common denominator, reduced once.  Orders are independent of
-each other: there is no resumable state, and they may be asked for in any
-sequence.
+all.  The dot product reads the moments in their scaled form,
+mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
+per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
+the running sum by a small factor and one an_i nums_i per term, then
+one reduction.  Orders are independent of each other: there is no
+resumable state, and they may be asked for in any sequence.
 """
 
 from __future__ import annotations
@@ -391,9 +393,13 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
                     precision: Optional[int] = None) -> TailEstimate:
     """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
 
-    The estimate is always computed exactly.  Float mode reports the exact
-    value correctly rounded to `precision` digits; the coefficients stay
-    exact.
+    The estimate is always computed exactly, as sum_i A_i mu_i with
+    A_i = an_i / scale from the bank and mu_i = nums_i / S_i from the
+    moments' scaled form, where S_i = steps_0 ... steps_i.  By Horner,
+    acc_i = acc_{i-1} steps_i + an_i nums_i, and the value is
+    acc_m / (scale S_m), reduced once; no Fraction of a moment is read.
+    Float mode reports the exact value correctly rounded to `precision`
+    digits; the coefficients stay exact.
     """
     alpha_w = _check_weight(alpha_w)
     if not is_order(m):
@@ -406,12 +412,10 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
     bank = _exact_bank(c0, c1, alpha_w, zeta, m)
-    # one integer sum at the common denominator, reduced once
-    mu = moments.mu[:m + 1]
-    mu_scale = math.lcm(*(x.denominator for x in mu))
-    total = sum(a * (x.numerator * (mu_scale // x.denominator))
-                for a, x in zip(bank.an, mu))
-    value = Fraction(total, bank.scale * mu_scale)
+    acc = 0
+    for a, num, step in zip(bank.an, moments.nums, moments.steps):
+        acc = acc * step + a * num
+    value = Fraction(acc, bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,

@@ -30,10 +30,16 @@ specialized to 2 alpha once per (variable, alpha), leaving each
 coefficient a polynomial in 2k; a small memo keeps the last few alphas,
 so the scenarios of a sweep that share an alpha share that set-up.  A
 sequence then evaluates those polynomials at its 2k by Horner (924
-steps for pt) and steps the recurrence in integers: each order is one
-sum at the lcm of its window's denominators, reduced by one gcd.  c_r
-has only positive coefficients, so every step is defined.  _fast_moment
-still computes the first r orders of every new stretch of a sequence.
+steps for pt) and steps the recurrence in integers over one running
+scale S: the r orders of the window are integers over S, each order is
+one sum of r products, and one gcd of that sum with c_r, a number of a
+few hundred bits, leaves the order's numerator and the small factor
+(at most 34 bits up to order 1000) by which S grows.  No Fraction is
+reduced per order: MomentSequence.mu reduces the moments once, for the
+callers that read them as Fractions, and the tail's dot product reads
+the scaled form.  c_r has only positive coefficients, so every step is
+defined.  _fast_moment computes only the first r orders of a new
+scenario; a longer request continues from the remembered orders.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -49,7 +55,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import DomainError
 from .exactnum import RationalLike, as_rational, check_alpha, horner, \
@@ -100,23 +106,50 @@ class Scenario:
         return DIFF_INTERVAL
 
 
-@dataclass(frozen=True)
 class MomentSequence:
-    """Exact moments mu_0..mu_m of one scenario (mu_0 = 1)."""
+    """Exact moments mu_0..mu_m of one scenario (mu_0 = 1).
 
-    scenario: Scenario
-    mu: Tuple[Fraction, ...]
+    The moments are held as integers over one running scale:
+    mu_n = nums[n] / S_n with S_n = steps[0] steps[1] ... steps[n], so each
+    S_i divides S_m, and the lcm of the reduced denominators of mu_0..mu_n
+    divides S_n.  mu, the reduced Fractions, is built once, on first
+    access.  A sequence built from Fractions keeps them as its mu and
+    derives the scaled form by a running lcm.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.mu or self.mu[0] != 1:
+    def __init__(self, scenario: Scenario, mu: Iterable[Fraction]) -> None:
+        mu = tuple(mu)
+        if not mu or mu[0] != 1:
             raise DomainError("a moment sequence must start with mu_0 = 1")
+        nums: List[int] = []
+        steps: List[int] = []
+        _rescale(mu, nums, steps)
+        self.scenario, self.nums, self.steps = scenario, tuple(nums), \
+            tuple(steps)
+        self.mu = mu
+
+    @classmethod
+    def _scaled(cls, scenario: Scenario, nums: Tuple[int, ...],
+                steps: Tuple[int, ...]) -> MomentSequence:
+        seq = cls.__new__(cls)
+        seq.scenario, seq.nums, seq.steps = scenario, nums, steps
+        return seq
+
+    @functools.cached_property
+    def mu(self) -> Tuple[Fraction, ...]:
+        """mu_0..mu_m as reduced Fractions."""
+        out, scale = [], 1
+        for num, step in zip(self.nums, self.steps):
+            scale *= step
+            out.append(Fraction(num, scale))
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.mu)
+        return len(self.nums)
 
     @property
     def order(self) -> int:
-        return len(self.mu) - 1
+        return len(self.nums) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,54 +307,101 @@ def _recurrence(variable: Variable, alpha: Fraction,
                  for c in _alpha_table(variable, int(2 * alpha)))
 
 
-def _fresh_moments(variable: Variable, alpha: Fraction, k: Fraction,
-                   lo: int, m: int) -> list[Fraction]:
-    """mu_lo..mu_m from nothing but this scenario.
+def _rescale(mu: Iterable[Fraction], nums: List[int],
+             steps: List[int]) -> None:
+    """Append mu to the scaled form nums, steps by a running lcm: each
+    step is the part of the denominator that the scale so far lacks."""
+    scale = math.prod(steps)
+    for x in mu:
+        step = x.denominator // math.gcd(scale, x.denominator)
+        scale *= step
+        nums.append(x.numerator * (scale // x.denominator))
+        steps.append(step)
 
-    The first r orders come from _fast_moment.  Every later order is one
-    step of the recurrence in integers: with a_i / d_i the r orders before
-    it and L the lcm of the d_i,
 
-        mu_n = -sum_i c_i(n-r) a_i (L / d_i) / (c_r(n-r) L),
+def _extend(variable: Variable, alpha: Fraction, k: Fraction,
+            nums: List[int], steps: List[int], m: int) -> None:
+    """Extend the scaled form nums, steps of a scenario to order m, in
+    place.
 
-    so the only reduction of the order is the one gcd that normalizes
-    this Fraction.
+    _fast_moment gives the orders below r that are missing.  Every later
+    order is one step of the recurrence in integers.  The window holds the
+    r orders before it over the running scale S = S_{n-1}, as integers w_i,
+    so mu_n = num / (c_r(n-r) S) with num = -sum_i c_i(n-r) w_i.  With
+    g = gcd(num, c_r(n-r)), a number of a few hundred bits,
+
+        nums[n] = num / g,  steps[n] = c_r(n-r) / g,
+
+    and the window moves to the new scale by that step, a few tens of
+    bits.  A stretch continues from the remembered orders, so no order is
+    computed twice.
     """
     *lower, lead = _recurrence(variable, alpha, k)
     r = len(lower)
-    out = [_fast_moment(variable, alpha, k, n)
-           for n in range(lo, min(lo + r, m + 1))]
-    for n in range(lo + r, m + 1):
-        window = out[-r:]
-        # a list, not a generator: unpacking a generator parks one tuple
-        # per call on the interpreter's free list, up to 128 KB of them
-        scale = math.lcm(*[x.denominator for x in window])
-        num = sum(horner(c, n - r) * x.numerator * (scale // x.denominator)
-                  for c, x in zip(lower, window))
-        out.append(Fraction(-num, horner(lead, n - r) * scale))
-    return out
+    n = len(nums)
+    _rescale((_fast_moment(variable, alpha, k, i)
+              for i in range(n, min(r, m + 1))), nums, steps)
+    n = len(nums)
+    if n > m:
+        return
+    window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
+    for n in range(n, m + 1):
+        num = -sum(horner(c, n - r) * w for c, w in zip(lower, window))
+        den = horner(lead, n - r)
+        g = math.gcd(num, den)
+        num //= g
+        step = den // g
+        nums.append(num)
+        steps.append(step)
+        window = [w * step for w in window[1:]]
+        window.append(num)
 
 
-_SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], list[Fraction]] = {}
+# LRU bound on the memo: the bits of the scaled forms it keeps
+_SEQ_MEMO_BITS = 1 << 26
+_SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction],
+                tuple[MomentSequence, int]] = {}
 _SEQ_LOCK = threading.Lock()
+
+
+def _bits(seq: MomentSequence) -> int:
+    return sum(x.bit_length() for x in itertools.chain(seq.nums, seq.steps))
 
 
 def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
     """mu_0..mu_m for a scenario, memoized per process.
 
     Only computed orders enter the memo.  A longer request extends the
-    remembered prefix by one stretch of _fresh_moments.
+    remembered sequence from its last orders.  The memo keeps the most
+    recently used sequences while their scaled forms hold at most
+    _SEQ_MEMO_BITS bits in all, and always the latest one; each kept
+    sequence builds its mu at most once.
     """
     if not is_order(m):
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
     key = (scenario.variable, scenario.alpha, scenario.k)
     with _SEQ_LOCK:
-        known = list(_SEQ_MEMO.get(key, ()))
-    if len(known) <= m:
-        known += _fresh_moments(scenario.variable, scenario.alpha,
-                                scenario.k, len(known), m)
+        hit = _SEQ_MEMO.pop(key, None)
+        if hit is not None:
+            _SEQ_MEMO[key] = hit            # the most recent goes last
+    seq = hit[0] if hit else None
+    if seq is None or seq.order < m:
+        nums = list(seq.nums) if seq else []
+        steps = list(seq.steps) if seq else []
+        _extend(scenario.variable, scenario.alpha, scenario.k, nums, steps, m)
+        seq = MomentSequence._scaled(scenario, tuple(nums), tuple(steps))
+        bits = _bits(seq)
         with _SEQ_LOCK:
-            if len(_SEQ_MEMO.get(key, ())) < len(known):
-                _SEQ_MEMO[key] = known
-    return MomentSequence(scenario, tuple(known[:m + 1]))
-
+            old = _SEQ_MEMO.pop(key, None)
+            _SEQ_MEMO[key] = (seq, bits) if old is None \
+                or old[0].order < seq.order else old
+            total = sum(b for _, b in _SEQ_MEMO.values())
+            while total > _SEQ_MEMO_BITS and len(_SEQ_MEMO) > 1:
+                total -= _SEQ_MEMO.pop(next(iter(_SEQ_MEMO)))[1]
+    if seq.order == m:
+        return seq
+    prefix = MomentSequence._scaled(scenario, seq.nums[:m + 1],
+                                    seq.steps[:m + 1])
+    if "mu" in seq.__dict__:
+        prefix.mu = seq.mu[:m + 1]
+    return prefix

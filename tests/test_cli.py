@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepprob import closedform, inversion, moments
+from sepprob import cli, closedform, inversion, moments
 from sepprob.cli import main
 from sepprob.moments import Scenario, Variable, moment_sequence, \
     pt_moment
@@ -315,6 +315,30 @@ def test_tail_baseline_and_reconstruction():
     assert rc == 0
     assert "reconstructed 8/33" in out
     assert "confidence unique" in out
+
+
+def test_exact_values_past_the_digit_limit():
+    # value_exact at m = 1000 has about 4,800 digits a side, past the
+    # 4300 that str() allows for an int by default; it prints in full
+    rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                            "--k", "0", "--m", "1000", "--mode", "exact"])
+    assert rc == 0 and err == ""
+    text = dict(ln.split() for ln in body_lines(out))["value_exact"]
+    value = inversion.legendre_tail(
+        moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)),
+                        1000), 0, 1000, mode=inversion.MODE_EXACT).value
+    numbers = (value.numerator, value.denominator, -10 ** 9000 - 7,
+               123 * 10 ** 5000)
+    with pytest.raises(ValueError):
+        str(value.denominator)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expect = [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == f"{expect[0]}/{expect[1]}"
+    assert [cli._int_text(n) for n in numbers] == expect
 
 
 def test_tail_reconstruction_needs_both_flags():

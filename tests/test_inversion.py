@@ -215,7 +215,7 @@ def test_interior_cut_points_match_table_assembly():
              (Variable.DIFF, DIFF_INTERVAL, Fraction(1, 1000)))
     for variable, interval, xi in cases:
         seq = moment_sequence(Scenario(variable, Fraction(1), Fraction(0)), 25)
-        for a in (0, 1, 3):
+        for a in (0, 1, 2, 3):
             t = build_tables(interval, a, 25)
             zeta = t.c0 + t.c1 * xi
             h0 = weight_integral([Fraction(1)], a)
@@ -227,6 +227,62 @@ def test_interior_cut_points_match_table_assembly():
                                for i in range(m + 1))
                 est = gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT)
                 assert est.coeffs == expect
+                assert est.value == sum(A * mu for A, mu in
+                                        zip(expect, seq.mu))
+
+
+def test_dot_product_matches_fraction_sum():
+    # the Horner sum over the running moment scale at high orders, on
+    # prefixes of a longer sequence, against the Fraction sum of A_i mu_i
+    for variable in Variable:
+        s = Scenario(variable, Fraction(3, 2), Fraction(1))
+        seq = moment_sequence(s, 300)
+        for a in (0, 2):
+            for xi in (0, s.interval[0] / 4):
+                for m in (2, 3, 150, 300):
+                    est = gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT)
+                    assert est.value == sum(A * mu for A, mu in
+                                            zip(est.coeffs, seq.mu))
+
+
+def test_fresh_tail_builds_no_fraction_per_order(monkeypatch):
+    # a cold moment_sequence and legendre_tail build as many Fractions at
+    # order 400 as at order 100 (set-up and seeds only), and no mu
+    make = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return make(cls, *args, **kwargs)
+
+    counts = []
+    for m, k in ((100, Fraction(13, 2)), (400, Fraction(15, 2))):
+        s = Scenario(Variable.PT_DET, Fraction(5, 2), k)
+        moment_sequence(s, 1)           # the alpha's table is read
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        seq = moment_sequence(s, m)
+        legendre_tail(seq, 0, m, mode=MODE_EXACT)
+        monkeypatch.undo()
+        counts.append(len(built))
+        assert "mu" not in vars(seq)
+    assert counts[0] == counts[1]
+
+
+def test_sequence_from_fractions_gives_the_same_tail():
+    s = Scenario(Variable.DIFF, Fraction(2), Fraction(3))
+    served = moment_sequence(s, 60)
+    built = MomentSequence(s, served.mu)
+    stand_in = MomentSequence(SimpleNamespace(interval=DIFF_INTERVAL),
+                              served.mu)
+    for a in (0, 2):
+        for xi in (0, Fraction(-1, 50)):
+            for m in (0, 5, 60):
+                value = gegenbauer_tail(served, a, xi, m, mode=MODE_EXACT).value
+                assert gegenbauer_tail(built, a, xi, m,
+                                       mode=MODE_EXACT).value == value
+                assert gegenbauer_tail(stand_in, a, xi, m,
+                                       mode=MODE_EXACT).value == value
 
 
 def bank(interval, a, xi, m):

@@ -1,10 +1,14 @@
 """Unit tests for the determinantal moment families."""
 
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from oracles import diff_moment_oracle, pt_moment_oracle
+from sepprob import moments
 from sepprob.errors import DomainError
 from sepprob.moments import DIFF_INTERVAL, MomentSequence, PT_INTERVAL, \
     Scenario, Variable, diff_moment, moment_sequence, pt_moment
@@ -149,3 +153,127 @@ def test_moment_sequence_dataclass_validation():
         MomentSequence(s, ())
     with pytest.raises(DomainError):
         MomentSequence(s, (Fraction(2),))
+
+
+GRID_ALPHAS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+               Fraction(4))
+GRID_KS = (Fraction(0), HALF, Fraction(1), Fraction(3), Fraction(11, 2),
+           Fraction(8), Fraction(20))
+
+
+def test_scaled_form_on_a_grid():
+    # mu_n = nums[n] / S_n with S_n the running product of the steps: it
+    # reproduces mu and the direct sums, and S_n stays within 64 bits of
+    # the lcm of the reduced denominators of mu_0..mu_n
+    for variable in Variable:
+        for alpha in GRID_ALPHAS:
+            for k in GRID_KS:
+                seq = moment_sequence(Scenario(variable, alpha, k), 200)
+                scale = lcm = 1
+                for n, (num, step, x) in enumerate(zip(seq.nums, seq.steps,
+                                                       seq.mu)):
+                    scale *= step
+                    lcm = math.lcm(lcm, x.denominator)
+                    assert Fraction(num, scale) == x
+                    assert scale % lcm == 0
+                    assert scale // lcm < 1 << 64, (variable, alpha, k, n)
+                for n in (0, 1, 2, 3, 4, 199, 200):
+                    assert seq.mu[n] == moments._fast_moment(variable, alpha,
+                                                             k, n)
+
+
+def test_sequence_from_fractions():
+    # a sequence built from Fractions keeps them and derives the scaled
+    # form by a running lcm
+    s = Scenario(Variable.PT_DET, Fraction(3, 2), Fraction(2))
+    served = moment_sequence(s, 30)
+    built = MomentSequence(s, list(served.mu))
+    assert built.mu == served.mu and len(built) == 31 and built.order == 30
+    scale = 1
+    for num, step, x in zip(built.nums, built.steps, built.mu):
+        scale *= step
+        assert Fraction(num, scale) == x
+    lcm = math.lcm(*(x.denominator for x in served.mu))
+    assert math.prod(built.steps) == lcm
+
+
+def test_memo_extension_continues_the_recurrence(monkeypatch):
+    # the direct sums seed only orders 0..r-1 of a new scenario; a longer
+    # request steps on from the remembered orders
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    direct = moments._fast_moment
+    seeded = []
+
+    def counted(variable, alpha, k, n):
+        seeded.append(n)
+        return direct(variable, alpha, k, n)
+
+    monkeypatch.setattr(moments, "_fast_moment", counted)
+    for variable, r in ((Variable.PT_DET, 3), (Variable.DIFF, 2)):
+        s = Scenario(variable, Fraction(5, 2), Fraction(3, 2))
+        seeded.clear()
+        short = moment_sequence(s, 1)
+        longer = moment_sequence(s, 12)
+        longest = moment_sequence(s, 40)
+        assert seeded == list(range(r))
+        assert longest.mu[:13] == longer.mu and longer.mu[:2] == short.mu
+        assert longest.mu == tuple(direct(variable, s.alpha, s.k, n)
+                                   for n in range(41))
+
+
+def _memo_bits():
+    return sum(bits for _, bits in moments._SEQ_MEMO.values())
+
+
+def test_memo_stays_bounded(monkeypatch):
+    # a long session of distinct scenarios keeps at most the budget of
+    # bits, evicting the least recently used sequence first
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    one = moments._bits(moment_sequence(
+        Scenario(Variable.PT_DET, Fraction(4), Fraction(20)), 60))
+    monkeypatch.setattr(moments, "_SEQ_MEMO_BITS", 3 * one)
+    kept = Scenario(Variable.PT_DET, HALF, Fraction(0))
+    peak = 0
+    for variable in Variable:
+        for alpha in GRID_ALPHAS:
+            for k in GRID_KS:
+                moment_sequence(kept, 60)
+                moment_sequence(Scenario(variable, alpha, k), 60)
+                peak = max(peak, _memo_bits())
+    assert peak <= 3 * one
+    assert (kept.variable, kept.alpha, kept.k) in moments._SEQ_MEMO
+    # a sequence longer than the whole budget is still kept, alone
+    big = moment_sequence(Scenario(Variable.DIFF, HALF, Fraction(1)), 300)
+    assert list(moments._SEQ_MEMO.values()) == [(big, moments._bits(big))]
+
+
+def test_memo_stays_consistent_under_threads(monkeypatch):
+    # more threads than cores extend, read and evict the memo at once
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    scenarios = [Scenario(variable, alpha, Fraction(1))
+                 for variable in Variable for alpha in (HALF, 2)]
+    expect = {s: tuple(moments._fast_moment(s.variable, s.alpha, s.k, n)
+                       for n in range(51)) for s in scenarios}
+    monkeypatch.setattr(moments, "_SEQ_MEMO_BITS",
+                        2 * moments._bits(moment_sequence(scenarios[0], 50)))
+    jobs = [(s, m) for m in (50, 7, 30, 50) for s in scenarios] * 2
+    results = {}
+
+    def work(i, s, m):
+        results[i] = moment_sequence(s, m).mu
+
+    threads = [threading.Thread(target=work, args=(i, s, m))
+               for i, (s, m) in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(len(jobs))] == \
+        [expect[s][:m + 1] for s, m in jobs]
+    assert _memo_bits() <= moments._SEQ_MEMO_BITS or len(moments._SEQ_MEMO) == 1

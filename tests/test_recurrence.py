@@ -364,12 +364,17 @@ def test_specialized_coefficients_match_table_terms(variable):
 @given(st.sampled_from(list(Variable)), st.integers(1, 8), st.integers(0, 16),
        st.integers(0, 60), st.integers(0, 60))
 def test_integer_steps_from_any_stretch_start(variable, a2, k2, lo, m):
-    # a stretch may start anywhere, at the 0/0 orders of integer k < n too
+    # a stretch may start anywhere, at the 0/0 orders of integer k < n too,
+    # and continues from the orders before it
     lo, m = min(lo, m), max(lo, m)
     alpha, k = Fraction(a2, 2), Fraction(k2, 2)
-    assert moments._fresh_moments(variable, alpha, k, lo, m) == \
-        [moments._fast_moment(variable, alpha, k, n)
-         for n in range(lo, m + 1)]
+    nums, steps = [], []
+    moments._extend(variable, alpha, k, nums, steps, lo)
+    assert len(nums) == len(steps) == lo + 1
+    moments._extend(variable, alpha, k, nums, steps, m)
+    assert [Fraction(x, prod(steps[:n + 1]))
+            for n, x in enumerate(nums)] == \
+        [moments._fast_moment(variable, alpha, k, n) for n in range(m + 1)]
 
 
 def test_table_rows_are_whole():
