@@ -12,8 +12,6 @@ A given config always produces identical bytes in exact mode.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -70,10 +68,12 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
           fields: Sequence[str], stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
+        import json
         json.dump({"meta": meta, "rows": rows}, stream, indent=2,
                   sort_keys=True)
         stream.write("\n")
     elif fmt == "csv":
+        import csv
         writer = csv.DictWriter(stream, fieldnames=list(fields))
         writer.writeheader()
         writer.writerows(rows)

@@ -23,7 +23,6 @@ log P_{k+1} / log P_k approaches 16/27.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -31,14 +30,13 @@ import mpmath
 
 from .errors import DomainError, PrecisionError, SingularityError, \
     StructureViolation
-from .exactnum import RationalLike, SqrtPiScaled, as_rational, \
+from .exactnum import RationalLike, Record, SqrtPiScaled, as_rational, \
     check_alpha, gamma_half, horner, pochhammer
 
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class _ClosedForm:
+class _ClosedForm(Record):
     """const * 4^(k+shift) * poly(k) * G(k+u) G(2k+v) / (sqrt(pi) G(3k+w)).
 
     The shape of every complement F(alpha, k) = 1 - P(alpha, k) and of the
@@ -126,8 +124,7 @@ def G(alpha: RationalLike, k: int) -> Fraction:
     return kernel.exact(k, pole=DomainError)
 
 
-@dataclass(frozen=True)
-class StructuralPrediction:
+class StructuralPrediction(Record):
     """Predicted shape of p_alpha.
 
     g1/g2 bound the consecutive linear-factor chain (k+g1)...(k+g2), c2 the
@@ -259,16 +256,14 @@ def _deflate(coeffs: List[Fraction], root: Fraction) -> List[Fraction]:
     return list(reversed(out[:-1]))
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(Record):
     name: str
     expected: object
     actual: object
     ok: bool
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     alpha: Fraction
     prediction: StructuralPrediction
     coeffs: Tuple[Fraction, ...]

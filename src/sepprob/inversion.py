@@ -50,11 +50,9 @@ resumable state, and they may be asked for in any sequence.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -62,7 +60,7 @@ import mpmath
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational, is_order
+from .exactnum import RationalLike, Record, as_rational, is_order
 from .moments import MomentSequence, Scenario, moment_sequence
 
 METHOD_LEGENDRE = "legendre"
@@ -78,8 +76,7 @@ AUTO_EXACT_LIMIT = 500
 DEFAULT_FLOAT_DIGITS = 300
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record, hide=("bank",)):
     """A truncated tail reconstruction sum_i A_i mu_i.
 
     bank holds the exact A_i over their common scale, shared by the
@@ -97,7 +94,7 @@ class TailEstimate:
     mode: str
     precision: Optional[int]
     value: Union[Fraction, mpmath.mpf]
-    bank: _Bank = dataclasses.field(repr=False)
+    bank: _Bank
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -212,8 +209,7 @@ def _sum_at_one(a: int, zeta: Fraction, m: int) -> Fraction:
             ) / _h0(a)
 
 
-@dataclass(frozen=True)
-class _Bank:
+class _Bank(Record):
     """A_0..A_m of one order as integers over one scale: A_i = an[i] / scale,
     where scale is the lcm of the reduced denominators of the A_i."""
 
@@ -388,19 +384,9 @@ def _rounded(x: Fraction, bits: int) -> mpmath.mpf:
         from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
-def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
-                    m: int, mode: str = MODE_AUTO,
-                    precision: Optional[int] = None) -> TailEstimate:
-    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
-
-    The estimate is always computed exactly, as sum_i A_i mu_i with
-    A_i = an_i / scale from the bank and mu_i = nums_i / S_i from the
-    moments' scaled form, where S_i = steps_0 ... steps_i.  By Horner,
-    acc_i = acc_{i-1} steps_i + an_i nums_i, and the value is
-    acc_m / (scale S_m), reduced once; no Fraction of a moment is read.
-    Float mode reports the exact value correctly rounded to `precision`
-    digits; the coefficients stay exact.
-    """
+def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
+          mode: str, precision: Optional[int], method: str) -> TailEstimate:
+    """The tail estimate of gegenbauer_tail, reported under method."""
     alpha_w = _check_weight(alpha_w)
     if not is_order(m):
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
@@ -418,9 +404,24 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     value = Fraction(acc, bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
-    return TailEstimate(scenario=moments.scenario, method=METHOD_GEGENBAUER,
-                        alpha_w=alpha_w, m=m, mode=mode, precision=precision,
-                        value=value, bank=bank)
+    return TailEstimate(moments.scenario, method, alpha_w, m, mode, precision,
+                        value, bank)
+
+
+def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
+                    m: int, mode: str = MODE_AUTO,
+                    precision: Optional[int] = None) -> TailEstimate:
+    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
+
+    The estimate is always computed exactly, as sum_i A_i mu_i with
+    A_i = an_i / scale from the bank and mu_i = nums_i / S_i from the
+    moments' scaled form, where S_i = steps_0 ... steps_i.  By Horner,
+    acc_i = acc_{i-1} steps_i + an_i nums_i, and the value is
+    acc_m / (scale S_m), reduced once; no Fraction of a moment is read.
+    Float mode reports the exact value correctly rounded to `precision`
+    digits; the coefficients stay exact.
+    """
+    return _tail(moments, alpha_w, xi, m, mode, precision, METHOD_GEGENBAUER)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
@@ -431,9 +432,7 @@ def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
     Identical by definition to gegenbauer_tail with alpha_w = 0; exposed on
     its own and reported under its own method name.
     """
-    return dataclasses.replace(
-        gegenbauer_tail(moments, 0, xi, m, mode, precision),
-        method=METHOD_LEGENDRE)
+    return _tail(moments, 0, xi, m, mode, precision, METHOD_LEGENDRE)
 
 
 def _check_orders(orders: List[int]) -> List[int]:

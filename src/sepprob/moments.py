@@ -53,13 +53,12 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .errors import DomainError
-from .exactnum import RationalLike, as_rational, check_alpha, horner, \
-    is_half_integer, is_order
+from .exactnum import RationalLike, Record, as_rational, check_alpha, \
+    horner, is_half_integer, is_order
 
 PT_INTERVAL = (Fraction(-1, 16), Fraction(1, 256))
 DIFF_INTERVAL = (Fraction(-1, 16), Fraction(1, 432))
@@ -83,8 +82,7 @@ def _check_params(alpha: Fraction, k: Fraction, n: int) -> None:
         raise DomainError(f"moment order must be an integer >= 0, got {n!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A moment scenario: variable, Dyson-like parameter alpha and measure
     exponent k.  The support interval is determined by the variable."""
 
@@ -253,6 +251,8 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 
 _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "recurrences.txt")
+# the order r of each variable's recurrence: the table holds c_0..c_r
+_ORDER = {Variable.PT_DET: 3, Variable.DIFF: 2}
 
 
 def _table_rows(variable: Variable):
@@ -334,16 +334,16 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
 
     and the window moves to the new scale by that step, a few tens of
     bits.  A stretch continues from the remembered orders, so no order is
-    computed twice.
+    computed twice, and a request below order r reads no table.
     """
-    *lower, lead = _recurrence(variable, alpha, k)
-    r = len(lower)
+    r = _ORDER[variable]
     n = len(nums)
     _rescale((_fast_moment(variable, alpha, k, i)
               for i in range(n, min(r, m + 1))), nums, steps)
     n = len(nums)
     if n > m:
         return
+    *lower, lead = _recurrence(variable, alpha, k)
     window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
     for n in range(n, m + 1):
         num = -sum(horner(c, n - r) * w for c, w in zip(lower, window))

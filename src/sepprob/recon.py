@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import decimal
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 import mpmath
 
 from .errors import DomainError, NoCandidateError
+from .exactnum import Record
 
 DEFAULT_BOUND = 10 ** 7
 
@@ -32,8 +32,7 @@ class Confidence(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class RationalGuess:
+class RationalGuess(Record):
     value: Fraction
     denominator_bound: int
     residual: mpmath.mpf

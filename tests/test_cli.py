@@ -633,3 +633,55 @@ def test_default_output_matches_recorded_digests(command):
     rc, out, err = run_cli(command.split())
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == RECORDED_STDOUT[command]
+
+
+# SHA-256 of the json and csv stdout of invocations that cover every
+# command, recorded before the CLI imported json and csv on demand
+RECORDED_FORMATTED_STDOUT = {
+    "moments --variable diff --alpha 3/2 --k 2 --m 40 --format csv":
+        "804d4d7087576a7f0f5a7254fa07706bc02197d2cef8cb49df90d6617f21a198",
+    "moments --variable pt --alpha 1/2 --k 1 --m 40 --format json":
+        "6014834c5acc08867093bf77cb2cbb64482f10b557558a8782a3eb72e58734bd",
+    "tail --variable pt --alpha 2 --k 1 --m 150 --bound 200 --radius 1e-5 "
+    "--format json":
+        "93459437fe5d9c9afc3e82991ba6a8fb5cc40f66e1d2a27f6f8cd6f4890ba94a",
+    "tail --variable pt --alpha 1 --k 0 --m-list 20,40,80 --method "
+    "gegenbauer --geg-alpha 1 --format csv":
+        "23d4b6109d04fa0f7b46941ea8efdec5572cc88935bec56bf486f7dd03f46d64",
+    "tail --variable diff --alpha 1/2 --k 0 --m 60 --xi=-1/40 --mode float "
+    "--precision 30 --format json":
+        "7e3a1a87faf803881819a798fb7c905e4191f976d1abe58072454c1173c23bd4",
+    "tables --table 2 --k-max 6 --format csv":
+        "685395dd9d03e7ed21d518feb943d33552254f3e9c43d6bee500ad8816047ece",
+    "tables --table 4 --format json":
+        "0b47d94952371fef2fea2e8be0264e9e1e90c5293269cd8385ce15ca3cbc9730",
+    "fit --alpha 1 --format csv":
+        "23160fd213b70f03211de9de06d503feb091465cb5a99dd6ad542267fdbe3edb",
+    "fit --alpha 3 --format json":
+        "1853b3c9337a561c70b320d23447766af39f369d0948abe7f10fe47297254a33",
+    "asymptote --alpha 2 --k-list 10,100 --precision 60 --format csv":
+        "b8d117510a5bc91479408b96c065494f164f64a61ca595c259930606abad1f30",
+    "plot-data --figure 1 --k-max 5 --format json":
+        "20b13cb654639de8e3c542d50e7af099328b22034dcd163908c03b2d9f56663c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_FORMATTED_STDOUT))
+def test_json_and_csv_output_matches_recorded_digests(command):
+    rc, out, err = run_cli(command.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        RECORDED_FORMATTED_STDOUT[command]
+
+
+def test_import_loads_no_heavy_module():
+    # importing sepprob and its CLI after mpmath adds no dataclasses (nor
+    # the inspect it pulls in) and no csv, in a child isolated with -I
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "tools", "import_check.py")
+    proc = subprocess.run([sys.executable, "-I", script, src],
+                          capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+    assert len(lines) == 1 and lines[0].startswith(f"sepprob from {src}")

@@ -221,6 +221,27 @@ def test_memo_extension_continues_the_recurrence(monkeypatch):
                                    for n in range(41))
 
 
+def test_orders_below_r_read_no_table(monkeypatch):
+    # orders 0..r-1 are the direct sums alone; order r specializes the
+    # table once.  _ORDER is the order of the table's recurrence.
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    for variable in Variable:
+        r = moments._ORDER[variable]
+        assert max(i for i, *_ in moments._table_rows(variable)) == r
+        s = Scenario(variable, Fraction(3), Fraction(0))
+        moments._alpha_table.cache_clear()
+        for n in range(r):
+            moments._SEQ_MEMO.clear()
+            moment_sequence(s, n)           # cold
+        moments._SEQ_MEMO.clear()
+        for n in range(r):
+            moment_sequence(s, n)           # extending the memo
+        assert moments._alpha_table.cache_info().misses == 0
+        assert moment_sequence(s, r).mu[r] == moments._fast_moment(
+            variable, s.alpha, s.k, r)
+        assert moments._alpha_table.cache_info().misses == 1
+
+
 def _memo_bits():
     return sum(bits for _, bits in moments._SEQ_MEMO.values())
 
