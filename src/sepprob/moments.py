@@ -51,6 +51,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import os
 import threading
 from fractions import Fraction
@@ -319,6 +320,37 @@ def _rescale(mu: Iterable[Fraction], nums: List[int],
         steps.append(step)
 
 
+def _pack(coeffs: tuple[tuple[int, ...], ...],
+          xmax: int) -> tuple[int, list[int]]:
+    """c_0..c_r packed for one Horner pass over 0 <= x <= xmax:
+    (W, P) with P_d = bias_d + sum_i c_{i,d} 2^(iW).
+
+    B_i = sum_d |c_{i,d}| xmax^d bounds |c_i(x)| on that range, so with
+    W = 1 + max_i bitlen(B_i) each c_i(x) + 2^(W-1) lies in [1, 2^W).  The
+    bias sum_i 2^(W-1) 2^(iW) rides on the constant term, so horner(P, x)
+    holds c_i(x) + 2^(W-1) in slot i, the bits iW..iW+W-1, with no borrow
+    between slots.
+    """
+    width = 1 + max(horner(tuple(map(abs, c)), xmax).bit_length()
+                    for c in coeffs)
+    packed = [sum(c << i * width for i, c in enumerate(column))
+              for column in itertools.zip_longest(*coeffs, fillvalue=0)]
+    packed[0] += sum(1 << (i + 1) * width - 1 for i in range(len(coeffs)))
+    return width, packed
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """c_0(x)..c_r(x) from value = horner(P, x) of _pack: each slot less
+    the bias; the top slot needs no mask."""
+    mask, half = (1 << width) - 1, 1 << width - 1
+    out = []
+    for _ in range(count - 1):
+        out.append((value & mask) - half)
+        value >>= width
+    out.append(value - half)
+    return out
+
+
 def _extend(variable: Variable, alpha: Fraction, k: Fraction,
             nums: List[int], steps: List[int], m: int) -> None:
     """Extend the scaled form nums, steps of a scenario to order m, in
@@ -333,8 +365,11 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
         nums[n] = num / g,  steps[n] = c_r(n-r) / g,
 
     and the window moves to the new scale by that step, a few tens of
-    bits.  A stretch continues from the remembered orders, so no order is
-    computed twice, and a request below order r reads no table.
+    bits.  c_0(n-r)..c_r(n-r) come from one Horner pass in n - r over the
+    packed coefficients of _pack, whose slot width W bounds every |c_i(x)|
+    up to x = m - r, so each stretch derives W afresh from its own m.  A
+    stretch continues from the remembered orders, so no order is computed
+    twice, and a request below order r reads no table.
     """
     r = _ORDER[variable]
     n = len(nums)
@@ -343,11 +378,11 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     n = len(nums)
     if n > m:
         return
-    *lower, lead = _recurrence(variable, alpha, k)
+    width, packed = _pack(_recurrence(variable, alpha, k), m - r)
     window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
     for n in range(n, m + 1):
-        num = -sum(horner(c, n - r) * w for c, w in zip(lower, window))
-        den = horner(lead, n - r)
+        *lower, den = _unpack(horner(packed, n - r), width, r + 1)
+        num = -sum(map(operator.mul, lower, window))
         g = math.gcd(num, den)
         num //= g
         step = den // g

@@ -18,7 +18,12 @@ than HEAD, so an earlier record can be measured again.
 The output file holds the summary (per workload and end-to-end metric: each
 side's median and quartiles, the pairs the change wins, ties counting for
 neither, and the relative change of the medians) and every run: its
-command, side, seed, and the last JSON line it printed.  The file is
+command, side, seed, the last JSON line it printed and ``wall_solve_s``,
+the median raw wall time of its untraced repetitions, read from the
+``rep ... traced=0 ... wall=X s`` lines of its notes.  ``solve_s`` is that
+wall time scaled by a speed sample of the host; the summary reports
+``wall_solve_s`` beside the metrics as a row marked ``"gated": false``,
+which shows what the scaling did and decides nothing.  The file is
 rewritten after every run, so an interrupted run leaves the pairs it
 finished.  Only the standard library is used.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -40,6 +46,8 @@ SIDES = ("parent", "change")
 PAIRS = 10
 FIRST_SEED = 11
 TRACE_SEED = 1
+# a note line of perfbench/run.py for one untraced repetition
+UNTRACED_REP = re.compile(r"^# rep \d+ traced=0 .*\bwall=(\S+) s\b")
 
 
 def export(rev: str, dest: Path) -> str:
@@ -55,10 +63,18 @@ def export(rev: str, dest: Path) -> str:
     return short
 
 
+def wall_solve_s(lines: list[str]) -> float | None:
+    """The median raw wall time of the untraced repetitions in a run's
+    notes, or None when it has none."""
+    walls = [float(match[1]) for match in map(UNTRACED_REP.match, lines)
+             if match]
+    return statistics.median(walls) if walls else None
+
+
 def bench_run(root: Path, command: list[str], workload: str, seed: int,
-              seconds: float, trace: int) -> tuple[str, dict, str]:
+              seconds: float, trace: int) -> tuple[str, dict, str, list[str]]:
     """One benchmark run in root: (command line, its JSON result, the
-    machine line of its notes)."""
+    machine line of its notes, its output lines)."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -67,7 +83,7 @@ def bench_run(root: Path, command: list[str], workload: str, seed: int,
         raise RuntimeError(f"{' '.join(argv)} in {root} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
     machine = next((ln[2:] for ln in lines if ln.startswith("# python ")), "")
-    return " ".join(argv), json.loads(lines[-1]), machine
+    return " ".join(argv), json.loads(lines[-1]), machine, lines
 
 
 def spread(values: list[float]) -> dict:
@@ -76,8 +92,22 @@ def spread(values: list[float]) -> dict:
             "q3": round(q3, 4)}
 
 
+def compare(parent: list[float], change: list[float], sign: int) -> dict:
+    """One summary row: spreads, the pairs the change wins and the
+    relative change of the medians (sign 1 when lower is better)."""
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    before, after = statistics.median(parent), statistics.median(change)
+    return {
+        "pairs": len(parent), "change_wins": wins,
+        "parent": spread(parent), "change": spread(change),
+        "median_change": round((after - before) / before, 4)
+        if before else 0.0,
+    }
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric, over the untraced pairs completed so far."""
+    """Per workload and metric, over the untraced pairs completed so far,
+    then the reported wall_solve_s row."""
     out: dict = {}
     for run in runs:
         if run["trace"] == 0:
@@ -86,28 +116,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         value = {}
         for run in runs:
             if run["workload"] == workload and run["trace"] == 0:
-                value[run["seed"], run["side"]] = run["result"]["metrics"]
+                value[run["seed"], run["side"]] = run
         seeds = sorted({seed for seed, side in value
                         if (seed, "parent") in value
                         and (seed, "change") in value})
         if len(seeds) < 2:
             continue
         for metric in metrics:
-            name, sign = metric["name"], (1 if metric["better"] == "lower"
-                                          else -1)
-            side = {s: [value[seed, s][name]["value"] for seed in seeds]
-                    for s in SIDES}
-            wins = sum(sign * (c - p) < 0
-                       for p, c in zip(side["parent"], side["change"]))
-            before = statistics.median(side["parent"])
-            after = statistics.median(side["change"])
-            rows[name] = {
-                "pairs": len(seeds), "change_wins": wins,
-                "parent": spread(side["parent"]),
-                "change": spread(side["change"]),
-                "median_change": round((after - before) / before, 4)
-                if before else 0.0,
-            }
+            name = metric["name"]
+            rows[name] = compare(
+                *([value[seed, s]["result"]["metrics"][name]["value"]
+                   for seed in seeds] for s in SIDES),
+                1 if metric["better"] == "lower" else -1)
+        walls = [[value[seed, s].get("wall_solve_s") for seed in seeds]
+                 for s in SIDES]
+        if None not in walls[0] + walls[1]:
+            rows["wall_solve_s"] = {**compare(*walls, 1), "gated": False}
     return out
 
 
@@ -157,12 +181,13 @@ def main(argv=None) -> int:
                          for side in order]
             plan += [(workload, side, TRACE_SEED, 1) for side in SIDES]
         for count, (workload, side, seed, trace) in enumerate(plan, 1):
-            command, result, machine = bench_run(
+            command, result, machine, lines = bench_run(
                 roots[side], spec["command"], workload, seed, seconds, trace)
             doc["machine"] = doc["machine"] or machine
             doc["runs"].append({"workload": workload, "side": side,
                                 "seed": seed, "trace": trace,
-                                "command": command, "result": result})
+                                "command": command, "result": result,
+                                "wall_solve_s": wall_solve_s(lines)})
             doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"[{count}/{len(plan)}] {workload} {side} seed={seed} "
