@@ -34,12 +34,19 @@ steps for pt) and steps the recurrence in integers over one running
 scale S: the r orders of the window are integers over S, each order is
 one sum of r products, and one gcd of that sum with c_r, a number of a
 few hundred bits, leaves the order's numerator and the small factor
-(at most 34 bits up to order 1000) by which S grows.  No Fraction is
-reduced per order: MomentSequence.mu reduces the moments once, for the
-callers that read them as Fractions, and the tail's dot product reads
-the scaled form.  c_r has only positive coefficients, so every step is
-defined.  _fast_moment computes only the first r orders of a new
-scenario; a longer request continues from the remembered orders.
+(at most 34 bits up to order 1000) by which S grows.  The r + 1 values
+c_i(n - r) of an order come from one Horner pass: the coefficients of
+each power of n are packed into one integer, c_i in the bits
+iW..iW+W-1, plus a bias of 2^(W-1) per slot, and shifts and masks read
+the slots back.  W is one bit more than the largest
+sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for 0 <= x <= m - r,
+so it is derived afresh for each requested order m and no slot borrows
+from the next.  No Fraction is reduced per order: MomentSequence.mu
+reduces the moments once, for the callers that read them as Fractions,
+and the tail's dot product reads the scaled form.  c_r has only
+positive coefficients, so every step is defined.  _fast_moment computes
+only the first r orders of a new scenario; a longer request continues
+from the remembered orders.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -322,14 +329,14 @@ def _rescale(mu: Iterable[Fraction], nums: List[int],
 
 def _pack(coeffs: tuple[tuple[int, ...], ...],
           xmax: int) -> tuple[int, list[int]]:
-    """c_0..c_r packed for one Horner pass over 0 <= x <= xmax:
-    (W, P) with P_d = bias_d + sum_i c_{i,d} 2^(iW).
+    """c_0..c_r packed for one Horner pass over 0 <= x <= xmax: (W, P)
+    with P_d = sum_i c_{i,d} 2^(iW), and the bias sum_i 2^(W-1) 2^(iW)
+    added to P_0.
 
-    B_i = sum_d |c_{i,d}| xmax^d bounds |c_i(x)| on that range, so with
-    W = 1 + max_i bitlen(B_i) each c_i(x) + 2^(W-1) lies in [1, 2^W).  The
-    bias sum_i 2^(W-1) 2^(iW) rides on the constant term, so horner(P, x)
-    holds c_i(x) + 2^(W-1) in slot i, the bits iW..iW+W-1, with no borrow
-    between slots.
+    B_i = sum_d |c_{i,d}| xmax^d bounds |c_i(x)| on that range.  The width
+    W = 1 + max_i bitlen(B_i) is those bits and one for the sign, so each
+    c_i(x) + 2^(W-1) lies in [1, 2^W) and horner(P, x) holds it in slot
+    i, the bits iW..iW+W-1, with no borrow between slots.
     """
     width = 1 + max(horner(tuple(map(abs, c)), xmax).bit_length()
                     for c in coeffs)

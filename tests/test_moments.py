@@ -1,5 +1,6 @@
 """Unit tests for the determinantal moment families."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob import moments
 from sepprob.errors import DomainError
+from sepprob.exactnum import horner
 from sepprob.moments import DIFF_INTERVAL, MomentSequence, PT_INTERVAL, \
     Scenario, Variable, diff_moment, moment_sequence, pt_moment
 
@@ -161,14 +163,24 @@ GRID_KS = (Fraction(0), HALF, Fraction(1), Fraction(3), Fraction(11, 2),
            Fraction(8), Fraction(20))
 
 
+def _digest(seq):
+    return hashlib.sha256(
+        (",".join(format(x, "x") for x in seq.nums) + ";"
+         + ",".join(format(x, "x") for x in seq.steps)).encode()).hexdigest()
+
+
 def test_scaled_form_on_a_grid():
     # mu_n = nums[n] / S_n with S_n the running product of the steps: it
     # reproduces mu and the direct sums, and S_n stays within 64 bits of
-    # the lcm of the reduced denominators of mu_0..mu_n
+    # the lcm of the reduced denominators of mu_0..mu_n.  nums and steps
+    # are integer for integer those recorded from the per-order Horner
+    # evaluation of c_0..c_r (before the packed pass).
+    digest = hashlib.sha256()
     for variable in Variable:
         for alpha in GRID_ALPHAS:
             for k in GRID_KS:
                 seq = moment_sequence(Scenario(variable, alpha, k), 200)
+                digest.update(_digest(seq).encode())
                 scale = lcm = 1
                 for n, (num, step, x) in enumerate(zip(seq.nums, seq.steps,
                                                        seq.mu)):
@@ -180,6 +192,110 @@ def test_scaled_form_on_a_grid():
                 for n in (0, 1, 2, 3, 4, 199, 200):
                     assert seq.mu[n] == moments._fast_moment(variable, alpha,
                                                              k, n)
+    assert digest.hexdigest() == \
+        "403982061f0e30f5ed3793a1c100480cd6c9943c9ee1ea2406daf1bdfb324dd4"
+
+
+# nums and steps to order 1000, recorded from the per-order Horner
+# evaluation of c_0..c_r (before the packed pass)
+RECORDED_ORDER_1000 = {
+    ("pt", "1/2", 0): "d2a356e89a2488362eced9eedd5ed79ece0dc59f94da3531fd908381b9333eec",
+    ("pt", "1/2", 3): "1ca2797c201debeee47c52766a35d7ff7cc4f3da2f70e306398232e972e9e699",
+    ("pt", "1", 0): "0be145e305a5d85910f6de4fc2fa6a29a9d09016d724159047b262292e198c3b",
+    ("pt", "1", 3): "c7043d2ce66d1475048eb56e25aadc9c696cc59bf06e7663b98a6f1696939f26",
+    ("pt", "2", 0): "d1269ce366aa8f57b3d7a5fd15971816dc03bbf2a88f647d91f5acbee76d419c",
+    ("pt", "2", 3): "2e1252b2f56e321ec5aeb6ee9c9d351aea19f1706090b68a563fa3bb266fb8c5",
+    ("diff", "1/2", 0): "a380e66b7cc0858bbff23270dcb5f97b017b8b85a3fa56fb65788ca674693e37",
+    ("diff", "1/2", 3): "4d3dba83b3b0f56cb6599b3f06ba98b35e7da3653f6910da8d082efa81290b3a",
+    ("diff", "1", 0): "d3c1ccb972b01e1f5bd97ab2b13eb9ad89db946a9a1dc44c0a2165c7657f4a83",
+    ("diff", "1", 3): "527597a7e41991903a8d4f91cb0c79f80d302384722509e31bc6fe0fa8b6e59c",
+    ("diff", "2", 0): "6e4d7b08c1cbf4f38dd568f3faf375a1a7ed9c454c07a01decbd5fe8ee16b23d",
+    ("diff", "2", 3): "0c4dd8737eeb82e98e535a84c87ff508cdaf9a11458e33934f6276cd6fa0d97e",
+}
+
+
+@pytest.mark.parametrize("variable, alpha, k", sorted(RECORDED_ORDER_1000))
+def test_moments_reproduce_recorded_order_1000(variable, alpha, k):
+    seq = moment_sequence(Scenario(variable, alpha, k), 1000)
+    assert _digest(seq) == RECORDED_ORDER_1000[variable, alpha, k]
+
+
+def _widest(count, degree, bits, xmax, signs):
+    # count polynomials of ascending coefficients with |c_{i,d}| the same
+    # sign each, so |c_i(xmax)| = sum_d |c_{i,d}| xmax^d is the bound; slot
+    # 0 reaches 2^bits - 1 exactly, the largest value a width of bits + 1
+    # holds with its sign, and the others a little less.  Each power
+    # carries a like share of the bound at xmax.
+    out = []
+    for i, sign in zip(range(count), signs):
+        deg = degree - i % 2                    # unequal lengths too
+        share = (1 << bits) // (deg + 1 + i)
+        rest = [share // xmax ** d + d for d in range(1, deg + 1)]
+        c0 = (1 << bits) - 1 - 7 * i - horner([0] + rest, xmax)
+        assert c0 > 0
+        out.append(tuple(sign * c for c in [c0] + rest))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (-1, -1, -1, -1),
+                                   (1, -1, 1, -1), (-1, 1, -1, 1)])
+@pytest.mark.parametrize("count, degree", [(4, 20), (3, 11), (1, 5)])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_packed_pass_at_its_widest(signs, count, degree, mixed):
+    # every unpacked slot equals its own Horner pass at every x of the
+    # range, where the largest |c_i(x)| fills its slot but for the sign
+    # bit; mixed flips each constant term, so that every c_i changes sign
+    # on the range and the bound stays the same
+    xmax, bits = 37, 180
+    coeffs = _widest(count, degree, bits, xmax, signs)
+    assert abs(horner(coeffs[0], xmax)) == (1 << bits) - 1
+    if mixed:
+        coeffs = tuple((-c[0],) + c[1:] for c in coeffs)
+        assert all(horner(c, 0) * horner(c, xmax) < 0 for c in coeffs)
+    width, packed = moments._pack(coeffs, xmax)
+    assert width == bits + 1
+    for x in range(xmax + 1):
+        assert moments._unpack(horner(packed, x), width, count) == \
+            [horner(c, x) for c in coeffs], x
+
+
+def test_packed_pass_on_the_table():
+    # the table's own c_0..c_r at the largest coefficients of the grid,
+    # over the whole range a request to order 1000 steps
+    for variable in Variable:
+        r = moments._ORDER[variable]
+        coeffs = moments._recurrence(variable, Fraction(4), Fraction(20))
+        width, packed = moments._pack(coeffs, 1000 - r)
+        for x in range(1000 - r + 1):
+            assert moments._unpack(horner(packed, x), width, r + 1) == \
+                [horner(c, x) for c in coeffs], (variable, x)
+
+
+def test_memo_extension_derives_the_width_per_stretch(monkeypatch):
+    # 0 -> r -> 40 -> 1000 through the memo equals one direct extension;
+    # each stretch packs for its own highest order, so the width grows
+    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    pack, packed = moments._pack, []
+
+    def spy(coeffs, xmax):
+        width, out = pack(coeffs, xmax)
+        packed.append((xmax, width))
+        return width, out
+
+    for variable in Variable:
+        r = moments._ORDER[variable]
+        s = Scenario(variable, Fraction(4), Fraction(20))
+        monkeypatch.setattr(moments, "_pack", spy)
+        packed.clear()
+        for m in (r, 40, 1000):
+            seq = moment_sequence(s, m)
+        assert [xmax for xmax, _ in packed] == [0, 40 - r, 1000 - r]
+        widths = [width for _, width in packed]
+        assert widths == sorted(set(widths)), widths
+        monkeypatch.setattr(moments, "_pack", pack)
+        nums, steps = [], []
+        moments._extend(variable, s.alpha, s.k, nums, steps, 1000)
+        assert (seq.nums, seq.steps) == (tuple(nums), tuple(steps))
 
 
 def test_sequence_from_fractions():

@@ -72,9 +72,10 @@ def wall_solve_s(lines: list[str]) -> float | None:
 
 
 def bench_run(root: Path, command: list[str], workload: str, seed: int,
-              seconds: float, trace: int) -> tuple[str, dict, str, list[str]]:
+              seconds: float, trace: int) -> tuple[str, dict, str,
+                                                   float | None]:
     """One benchmark run in root: (command line, its JSON result, the
-    machine line of its notes, its output lines)."""
+    machine line of its notes, its wall_solve_s)."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -83,7 +84,8 @@ def bench_run(root: Path, command: list[str], workload: str, seed: int,
         raise RuntimeError(f"{' '.join(argv)} in {root} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
     machine = next((ln[2:] for ln in lines if ln.startswith("# python ")), "")
-    return " ".join(argv), json.loads(lines[-1]), machine, lines
+    return " ".join(argv), json.loads(lines[-1]), machine, \
+        wall_solve_s(lines)
 
 
 def spread(values: list[float]) -> dict:
@@ -181,13 +183,13 @@ def main(argv=None) -> int:
                          for side in order]
             plan += [(workload, side, TRACE_SEED, 1) for side in SIDES]
         for count, (workload, side, seed, trace) in enumerate(plan, 1):
-            command, result, machine, lines = bench_run(
+            command, result, machine, wall = bench_run(
                 roots[side], spec["command"], workload, seed, seconds, trace)
             doc["machine"] = doc["machine"] or machine
             doc["runs"].append({"workload": workload, "side": side,
                                 "seed": seed, "trace": trace,
                                 "command": command, "result": result,
-                                "wall_solve_s": wall_solve_s(lines)})
+                                "wall_solve_s": wall})
             doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"[{count}/{len(plan)}] {workload} {side} seed={seed} "
