@@ -540,7 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="legendre")
     ta.add_argument("--geg-alpha", type=int, default=0,
                     help="weight exponent for --method gegenbauer")
-    ta.add_argument("--xi", default="0", help="tail threshold (rational)")
+    ta.add_argument("--xi", default="0",
+                    help="tail threshold (rational); give a negative one "
+                         "as --xi=-1/20, since a separate -1/20 reads as "
+                         "an option")
     ta.add_argument("--mode", choices=["exact", "float", "auto"],
                     default="auto")
     ta.add_argument("--precision", type=int,

@@ -44,7 +44,10 @@ all.  The dot product reads the moments in their scaled form,
 mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
 per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
 the running sum by a small factor and one an_i nums_i per term, then
-one reduction.  Orders are independent of each other: there is no
+one reduction.  The an_i keep the power of two of z^i (8 bits per
+order for pt, 4 for diff), so each an_i enters that product without
+its trailing zero bits, which a shift puts back: at m = 300 that drops
+2.4k of the 4.2k bits of the top pt coefficient.  Orders are independent of each other: there is no
 resumable state, and they may be asked for in any sequence.
 """
 
@@ -384,9 +387,31 @@ def _rounded(x: Fraction, bits: int) -> mpmath.mpf:
         from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
+def _dot(an: Iterable[int], nums: Iterable[int],
+         steps: Iterable[int]) -> int:
+    """sum_i an_i nums_i (steps_{i+1} ... steps_m), i = 0..m with
+    m + 1 = len(an), by Horner: acc = acc steps_i + an_i nums_i.  The
+    moments may run past order m.
+
+    Each an_i is multiplied without its trailing zero bits, which are
+    shifted back onto the product.  The bank's A_i carry z^i, and the
+    power of two in z, 8 bits per order for pt and 4 for diff, stays in
+    an_i, so at m = 300 the top pt coefficient has 4.2k bits of which
+    2.4k are zeros that the product would otherwise multiply.
+    """
+    acc = 0
+    for a, num, step in zip(an, nums, steps):
+        twos = (a & -a).bit_length() - 1
+        acc = acc * step + ((a >> twos) * num << twos if a else 0)
+    return acc
+
+
 def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
           mode: str, precision: Optional[int], method: str) -> TailEstimate:
-    """The tail estimate of gegenbauer_tail, reported under method."""
+    """The tail estimate of gegenbauer_tail, reported under method: the
+    bank of the order, from the memo, dotted with the moments' scaled form
+    by _dot, which multiplies each bank integer without its trailing zero
+    bits, and one reduction."""
     alpha_w = _check_weight(alpha_w)
     if not is_order(m):
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
@@ -398,10 +423,8 @@ def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
     bank = _exact_bank(c0, c1, alpha_w, zeta, m)
-    acc = 0
-    for a, num, step in zip(bank.an, moments.nums, moments.steps):
-        acc = acc * step + a * num
-    value = Fraction(acc, bank.scale * math.prod(moments.steps[:m + 1]))
+    value = Fraction(_dot(bank.an, moments.nums, moments.steps),
+                     bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
     return TailEstimate(moments.scenario, method, alpha_w, m, mode, precision,

@@ -32,13 +32,16 @@ so the scenarios of a sweep that share an alpha share that set-up.  A
 sequence then evaluates those polynomials at its 2k by Horner (924
 steps for pt) and steps the recurrence in integers over one running
 scale S: the r orders of the window are integers over S, each order is
-one sum of r products, and one gcd of that sum with c_r, a number of a
-few hundred bits, leaves the order's numerator and the small factor
-(at most 34 bits up to order 1000) by which S grows.  The r + 1 values
-c_i(n - r) of an order come from one Horner pass: the coefficients of
-each power of n are packed into one integer, c_i in the bits
-iW..iW+W-1, plus a bias of 2^(W-1) per slot, and shifts and masks read
-the slots back.  W is one bit more than the largest
+one sum of r products, and one division of that sum by c_r, a number of
+a few hundred bits, with one gcd of the small remainder and c_r, leaves
+the order's numerator and the small factor (at most 34 bits up to order
+1000) by which S grows.  The r + 1 values c_i(n - r) of an order are
+read from one integer: the coefficients of each power of n are packed
+into one integer, c_i in the bits iW..iW+W-1, plus a bias of
+2^(W-1) per slot, and the packed polynomial moves from one order to
+the next by forward differences, one addition per degree (20 for pt,
+11 for diff) and no product; shifts and masks read the slots back.
+W is one bit more than the largest
 sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for 0 <= x <= m - r,
 so it is derived afresh for each requested order m and no slot borrows
 from the next.  No Fraction is reduced per order: MomentSequence.mu
@@ -329,7 +332,7 @@ def _rescale(mu: Iterable[Fraction], nums: List[int],
 
 def _pack(coeffs: tuple[tuple[int, ...], ...],
           xmax: int) -> tuple[int, list[int]]:
-    """c_0..c_r packed for one Horner pass over 0 <= x <= xmax: (W, P)
+    """c_0..c_r packed for evaluation at 0 <= x <= xmax: (W, P)
     with P_d = sum_i c_{i,d} 2^(iW), and the bias sum_i 2^(W-1) 2^(iW)
     added to P_0.
 
@@ -358,6 +361,24 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
     return out
 
 
+def _differences(packed: list[int], x: int) -> list[int]:
+    """The forward differences Delta^0..Delta^D at x of the packed
+    polynomial of _pack, D its degree: Delta^0 is horner(packed, x) and
+    Delta^D is constant.  Adding each difference to the one below it,
+    Delta^j += Delta^(j+1), moves the whole table from x to x + 1.
+
+    The values at x..x+D that the table starts from are exact integers
+    even where x + j lies past the range that _pack's width covers; only
+    Delta^0 at an order inside that range is ever unpacked.
+    """
+    values = [horner(packed, x + j) for j in range(len(packed))]
+    table = []
+    while values:
+        table.append(values[0])
+        values = list(map(operator.sub, values[1:], values))
+    return table
+
+
 def _extend(variable: Variable, alpha: Fraction, k: Fraction,
             nums: List[int], steps: List[int], m: int) -> None:
     """Extend the scaled form nums, steps of a scenario to order m, in
@@ -366,17 +387,22 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     _fast_moment gives the orders below r that are missing.  Every later
     order is one step of the recurrence in integers.  The window holds the
     r orders before it over the running scale S = S_{n-1}, as integers w_i,
-    so mu_n = num / (c_r(n-r) S) with num = -sum_i c_i(n-r) w_i.  With
-    g = gcd(num, c_r(n-r)), a number of a few hundred bits,
+    so mu_n = num / (c_r(n-r) S) with num = -sum_i c_i(n-r) w_i.  One
+    division num = q c_r(n-r) + rem, 0 <= rem < c_r(n-r), and
+    g = gcd(rem, c_r(n-r)), which is gcd(num, c_r(n-r)), a number of a
+    few hundred bits, give
 
-        nums[n] = num / g,  steps[n] = c_r(n-r) / g,
+        steps[n] = c_r(n-r) / g,  nums[n] = num / g = q steps[n] + rem / g,
 
-    and the window moves to the new scale by that step, a few tens of
-    bits.  c_0(n-r)..c_r(n-r) come from one Horner pass in n - r over the
-    packed coefficients of _pack, whose slot width W bounds every |c_i(x)|
-    up to x = m - r, so each stretch derives W afresh from its own m.  A
-    stretch continues from the remembered orders, so no order is computed
-    twice, and a request below order r reads no table.
+    so the long num is divided once, and the window moves to the new
+    scale by that step, a few tens of bits.  c_0(n-r)..c_r(n-r) are the
+    slots of one packed value (_pack, whose width W bounds every |c_i(x)|
+    up to x = m - r, so each stretch derives W afresh from its own m).
+    That value steps by forward differences (_differences): per order one
+    map of D additions, D = 20 for pt and 11 for diff, in place of a
+    Horner pass of D products.  A stretch continues from the remembered
+    orders, so no order is computed twice, and a request below order r
+    reads no table.
     """
     r = _ORDER[variable]
     n = len(nums)
@@ -386,13 +412,15 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     if n > m:
         return
     width, packed = _pack(_recurrence(variable, alpha, k), m - r)
+    table = _differences(packed, n - r)
     window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
     for n in range(n, m + 1):
-        *lower, den = _unpack(horner(packed, n - r), width, r + 1)
-        num = -sum(map(operator.mul, lower, window))
-        g = math.gcd(num, den)
-        num //= g
+        *lower, den = _unpack(table[0], width, r + 1)
+        table = [*map(operator.add, table, table[1:]), table[-1]]
+        q, rem = divmod(-sum(map(operator.mul, lower, window)), den)
+        g = math.gcd(rem, den)
         step = den // g
+        num = q * step + rem // g
         nums.append(num)
         steps.append(step)
         window = [w * step for w in window[1:]]

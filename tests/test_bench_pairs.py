@@ -60,3 +60,40 @@ def test_summary_reports_wall_time_beside_the_gated_metrics():
     rows = bench_pairs.summarize(runs, [{"name": "solve_s",
                                          "better": "lower"}])["w"]
     assert "wall_solve_s" not in rows and "solve_s" in rows
+
+
+def _traced(side, layers):
+    return {"workload": "w", "side": side, "seed": 1, "trace": 1,
+            "result": {"metrics": {name: {"value": value}
+                                   for name, value in layers.items()}},
+            "wall_solve_s": None}
+
+
+def test_summary_reports_the_traced_layers_beside_the_gated_metrics():
+    runs = [_run("parent", 11, 0.10, 0.20), _run("change", 11, 0.08, 0.21),
+            _run("change", 12, 0.09, 0.17), _run("parent", 12, 0.11, 0.19),
+            _traced("parent", {"moments.busy_s": 0.08, "inversion.dot_s": 0.04,
+                               "inversion.float_s": 0.0,
+                               "cli.calls": 3}),
+            _traced("change", {"moments.busy_s": 0.06, "inversion.dot_s": 0.03,
+                               "inversion.float_s": 0.0})]
+    layers = [{"name": name, "better": "lower"}
+              for name in ("moments.busy_s", "inversion.dot_s",
+                           "inversion.float_s", "cli.calls", "recon.calls")]
+    rows = bench_pairs.summarize(runs, [{"name": "solve_s",
+                                         "better": "lower"}], layers)["w"]
+    assert list(rows) == ["solve_s", "wall_solve_s", "moments.busy_s",
+                          "inversion.dot_s", "inversion.float_s"]
+    assert rows["moments.busy_s"] == {"parent": 0.08, "change": 0.06,
+                                      "relative_change": -0.25,
+                                      "gated": False}
+    assert rows["inversion.dot_s"]["relative_change"] == -0.25
+    # a layer at zero on the parent has no relative change
+    assert rows["inversion.float_s"]["relative_change"] == 0.0
+    # the traced runs enter no gated row, and a layer that only one side
+    # reports (cli.calls) or neither (recon.calls) is left out
+    assert rows["solve_s"]["pairs"] == 2
+    # before the change's traced run lands, no layer row is written
+    rows = bench_pairs.summarize(runs[:-1], [{"name": "solve_s",
+                                              "better": "lower"}], layers)["w"]
+    assert list(rows) == ["solve_s", "wall_solve_s"]

@@ -449,6 +449,18 @@ def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
         assert not cache.exists()
 
 
+def test_negative_cut_point_forms_print_the_same_bytes():
+    # a separate -1/20 would read as an option, so the flag's help and
+    # README give the joined form; a decimal also parses as a number
+    base = ["tail", "--variable", "diff", "--alpha", "1", "--k", "0",
+            "--m", "20"]
+    joined = run_cli(base + ["--xi=-1/20"])
+    decimal = run_cli(base + ["--xi", "-0.05"])
+    assert joined[0] == 0 and joined[2] == ""
+    assert "xi=-1/20" in joined[1]
+    assert joined == decimal
+
+
 def test_tail_diff_approaches_reported_limit():
     rc, out, _ = run_cli(["tail", "--variable", "diff", "--alpha", "2",
                           "--k", "1", "--m", "150"])

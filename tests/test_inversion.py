@@ -425,6 +425,64 @@ def test_bank_reproduces_recorded_high_orders(variable, a, xi, m):
     assert digest.hexdigest() == RECORDED_BANKS[variable, a, xi, m]
 
 
+def _plain_dot(an, nums, steps):
+    acc = 0
+    for a, num, step in zip(an, nums, steps):
+        acc = acc * step + a * num
+    return acc
+
+
+@st.composite
+def dot_terms(draw):
+    # bank-like integers with zeros, signs, odd values and long runs of
+    # trailing zero bits, against moment-like numerators and small steps
+    count = draw(st.integers(0, 12))
+    values = st.one_of(st.just(0), st.sampled_from([1, -1, 3, -5]),
+                       st.integers(-(1 << 600), 1 << 600))
+    shifts = st.sampled_from([0, 0, 1, 7, 64, 2400, 5000])
+    an = [draw(values) << draw(shifts) for _ in range(count)]
+    nums = draw(st.lists(st.integers(-(1 << 900), 1 << 900),
+                         min_size=count, max_size=count + 2))
+    steps = draw(st.lists(st.integers(1, 1 << 40), min_size=len(nums),
+                          max_size=len(nums)))
+    return an, nums, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_terms())
+@example(([], [], []))
+@example(([0, 0, 0], [5, -7, 9], [1, 3, 1]))
+@example(([1 << 5000, -(3 << 4999), 7, -(1 << 2408)],
+          [-1, (1 << 300) + 1, 1 << 900, -5], [1, 2, 1 << 40, 3]))
+def test_dot_skips_zero_bits_exactly(terms):
+    assert inversion._dot(*terms) == _plain_dot(*terms)
+
+
+# SHA-256 of the hex numerator and denominator, joined by "/", of exact
+# tails at order 1000, recorded before the dot product skipped the bank's
+# zero bits.  z, the bank's integer map, is 256 for pt and 432 for diff;
+# at xi = -1/20 it is 2160, whose odd part is 135.
+RECORDED_TAILS_1000 = {
+    ("pt", "1", "0", 0, "0"): "1d3ef42e48055effe8283483d1b589e4ff482c2a06b50a25241b4d891fca8461",
+    ("pt", "1/2", "3", 2, "0"): "8d7c96b315c98de9e2c683ba3ec0065891f6af63cd16124f2f48e082797b5119",
+    ("diff", "1", "0", 0, "0"): "cdb5b472635dc7ee4d24ff15a3a1698a3a10cf1afc4e60ebc56e686a8d72dfbe",
+    ("diff", "2", "3", 2, "0"): "90e5b4982eaa03948a84400d8b105fbe82a8c593f960f7809a1593e28b635b5d",
+    ("diff", "1", "0", 0, "-1/20"): "3ffc0ed489a217009f7d22b38a314246b7f203d768f2d8a7f81365a2fdff2fa5",
+    ("diff", "1/2", "3", 2, "-1/20"): "830f6fee4d7c4bded7fbfcb7efd81e75d0787cdf2128bab729e39cf8ac814517",
+}
+
+
+@pytest.mark.parametrize("variable, alpha, k, a, xi",
+                         sorted(RECORDED_TAILS_1000))
+def test_tails_reproduce_recorded_order_1000(variable, alpha, k, a, xi):
+    seq = moment_sequence(Scenario(variable, Fraction(alpha), Fraction(k)),
+                          1000)
+    value = gegenbauer_tail(seq, a, Fraction(xi), 1000, mode=MODE_EXACT).value
+    digest = hashlib.sha256(
+        f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()
+    assert digest == RECORDED_TAILS_1000[variable, alpha, k, a, xi]
+
+
 def test_bank_stays_consistent_under_threads():
     # more threads than cores move one fresh bank up and down at once
     seq = moment_sequence(Scenario(Variable.DIFF, Fraction(1), Fraction(0)), 24)

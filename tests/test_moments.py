@@ -7,6 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob import moments
@@ -296,6 +297,78 @@ def test_memo_extension_derives_the_width_per_stretch(monkeypatch):
         nums, steps = [], []
         moments._extend(variable, s.alpha, s.k, nums, steps, 1000)
         assert (seq.nums, seq.steps) == (tuple(nums), tuple(steps))
+
+
+def _extend_by_horner(variable, alpha, k, nums, steps, m):
+    # the per-order loop that the difference table and the one division
+    # replace: each c_i(n - r) by its own Horner pass, then one gcd of the
+    # whole sum with c_r and two divisions by it
+    r = moments._ORDER[variable]
+    moments._rescale((moments._fast_moment(variable, alpha, k, i)
+                      for i in range(len(nums), min(r, m + 1))), nums, steps)
+    n = len(nums)
+    if n > m:
+        return
+    coeffs = moments._recurrence(variable, alpha, k)
+    window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
+    for n in range(n, m + 1):
+        *lower, den = (horner(c, n - r) for c in coeffs)
+        num = -sum(c * w for c, w in zip(lower, window))
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        steps.append(den // g)
+        window = [w * steps[-1] for w in window[1:]] + [nums[-1]]
+
+
+@st.composite
+def stretches(draw):
+    variable = draw(st.sampled_from(list(Variable)))
+    alpha = Fraction(draw(st.integers(1, 8)), 2)
+    k = Fraction(draw(st.integers(0, 40)), 2)
+    m = draw(st.integers(0, 90))
+    return variable, alpha, k, draw(st.integers(0, m)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(stretches())
+# stretches of fewer orders than the degree, whose difference tables
+# start from values past the range of the slot width
+@example((Variable.PT_DET, Fraction(4), Fraction(20), 89, 90))
+@example((Variable.PT_DET, Fraction(1, 2), Fraction(0), 3, 7))
+@example((Variable.PT_DET, Fraction(1), Fraction(0), 0, 3))
+@example((Variable.DIFF, Fraction(4), Fraction(20), 80, 90))
+@example((Variable.DIFF, Fraction(1), Fraction(0), 2, 2))
+@example((Variable.DIFF, Fraction(5, 2), Fraction(11, 2), 0, 1))
+def test_difference_table_stepping_matches_horner(case):
+    # 0 -> lo -> m in two stretches gives the integers of the per-order
+    # Horner loop, and so does 0 -> m in one
+    variable, alpha, k, lo, m = case
+    expect_nums, expect_steps = [], []
+    _extend_by_horner(variable, alpha, k, expect_nums, expect_steps, m)
+    nums, steps = [], []
+    moments._extend(variable, alpha, k, nums, steps, lo)
+    assert (nums, steps) == (expect_nums[:lo + 1], expect_steps[:lo + 1])
+    moments._extend(variable, alpha, k, nums, steps, m)
+    assert (nums, steps) == (expect_nums, expect_steps)
+    nums, steps = [], []
+    moments._extend(variable, alpha, k, nums, steps, m)
+    assert (nums, steps) == (expect_nums, expect_steps)
+
+
+def test_differences_step_the_packed_polynomial():
+    # the table at x steps to the values at x, x + 1, ... exactly, even
+    # where its start values lie past the range of the slot width
+    coeffs = moments._recurrence(Variable.PT_DET, Fraction(4), Fraction(20))
+    width, packed = moments._pack(coeffs, 5)
+    for x in (0, 3, 5):
+        table = moments._differences(packed, x)
+        assert len(table) == len(packed) == 21
+        for y in range(x, x + 30):
+            assert table[0] == horner(packed, y)
+            if y <= 5:
+                assert moments._unpack(table[0], width, 4) == \
+                    [horner(c, y) for c in coeffs]
+            table = [a + b for a, b in zip(table, table[1:])] + table[-1:]
 
 
 def test_sequence_from_fractions():

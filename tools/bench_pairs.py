@@ -23,7 +23,10 @@ the median raw wall time of its untraced repetitions, read from the
 ``rep ... traced=0 ... wall=X s`` lines of its notes.  ``solve_s`` is that
 wall time scaled by a speed sample of the host; the summary reports
 ``wall_solve_s`` beside the metrics as a row marked ``"gated": false``,
-which shows what the scaling did and decides nothing.  The file is
+which shows what the scaling did and decides nothing.  Each per-layer
+metric of ``BENCHMARK.json`` that both sides' traced runs report gets a
+row of the same kind, with each side's value and the relative change,
+so the layers show beside the end-to-end metrics.  The file is
 rewritten after every run, so an interrupted run leaves the pairs it
 finished.  Only the standard library is used.
 """
@@ -39,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,9 +111,30 @@ def compare(parent: list[float], change: list[float], sign: int) -> dict:
     }
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+def layer_rows(runs: list[dict], workload: str,
+               layers: Sequence[dict]) -> dict:
+    """One row per per-layer metric that both sides' traced runs of the
+    workload report: each side's value and the relative change, marked
+    "gated": false, since one traced run per side decides nothing."""
+    traced = {run["side"]: run["result"]["metrics"] for run in runs
+              if run["workload"] == workload and run["trace"] == 1}
+    rows = {}
+    for layer in layers:
+        name = layer["name"]
+        if all(name in traced.get(side, {}) for side in SIDES):
+            before, after = (traced[side][name]["value"] for side in SIDES)
+            rows[name] = {
+                "parent": before, "change": after,
+                "relative_change": round((after - before) / before, 4)
+                if before else 0.0,
+                "gated": False}
+    return rows
+
+
+def summarize(runs: list[dict], metrics: list[dict],
+              layers: Sequence[dict] = ()) -> dict:
     """Per workload and metric, over the untraced pairs completed so far,
-    then the reported wall_solve_s row."""
+    then the reported wall_solve_s row and the traced per-layer rows."""
     out: dict = {}
     for run in runs:
         if run["trace"] == 0:
@@ -134,6 +159,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                  for s in SIDES]
         if None not in walls[0] + walls[1]:
             rows["wall_solve_s"] = {**compare(*walls, 1), "gated": False}
+        rows.update(layer_rows(runs, workload, layers))
     return out
 
 
@@ -190,7 +216,8 @@ def main(argv=None) -> int:
                                 "seed": seed, "trace": trace,
                                 "command": command, "result": result,
                                 "wall_solve_s": wall})
-            doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
+            doc["summary"] = summarize(doc["runs"], spec["end_to_end"],
+                                       spec["per_layer"])
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"[{count}/{len(plan)}] {workload} {side} seed={seed} "
                   f"trace={trace} correct={result['correct']}",
