@@ -44,11 +44,10 @@ all.  The dot product reads the moments in their scaled form,
 mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
 per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
 the running sum by a small factor and one an_i nums_i per term, then
-one reduction.  The an_i keep the power of two of z^i (8 bits per
-order for pt, 4 for diff), so each an_i enters that product without
-its trailing zero bits, which a shift puts back: at m = 300 that drops
-2.4k of the 4.2k bits of the top pt coefficient.  Orders are independent of each other: there is no
-resumable state, and they may be asked for in any sequence.
+one reduction.  The an_i keep the power of two of z^i, so each enters
+its product without its trailing zero bits, which a shift puts back
+(_dot).  Orders are independent of each other: there is no resumable
+state, and they may be asked for in any sequence.
 """
 
 from __future__ import annotations
@@ -409,9 +408,8 @@ def _dot(an: Iterable[int], nums: Iterable[int],
 def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
           mode: str, precision: Optional[int], method: str) -> TailEstimate:
     """The tail estimate of gegenbauer_tail, reported under method: the
-    bank of the order, from the memo, dotted with the moments' scaled form
-    by _dot, which multiplies each bank integer without its trailing zero
-    bits, and one reduction."""
+    order's bank dotted with the moments' scaled form by _dot, which
+    skips each bank integer's trailing zero bits, then one reduction."""
     alpha_w = _check_weight(alpha_w)
     if not is_order(m):
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")

@@ -36,20 +36,19 @@ one sum of r products, and one division of that sum by c_r, a number of
 a few hundred bits, with one gcd of the small remainder and c_r, leaves
 the order's numerator and the small factor (at most 34 bits up to order
 1000) by which S grows.  The r + 1 values c_i(n - r) of an order are
-read from one integer: the coefficients of each power of n are packed
-into one integer, c_i in the bits iW..iW+W-1, plus a bias of
-2^(W-1) per slot, and the packed polynomial moves from one order to
-the next by forward differences, one addition per degree (20 for pt,
-11 for diff) and no product; shifts and masks read the slots back.
-W is one bit more than the largest
-sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for 0 <= x <= m - r,
-so it is derived afresh for each requested order m and no slot borrows
-from the next.  No Fraction is reduced per order: MomentSequence.mu
-reduces the moments once, for the callers that read them as Fractions,
-and the tail's dot product reads the scaled form.  c_r has only
-positive coefficients, so every step is defined.  _fast_moment computes
-only the first r orders of a new scenario; a longer request continues
-from the remembered orders.
+the slots of one integer: the coefficients of each power of n are
+packed, c_i in the bits iW..iW+W-1, plus a bias of 2^(W-1) per slot.
+That packed polynomial moves from one order to the next by forward
+differences, one addition per degree (20 for pt, 11 for diff) and no
+product, and shifts and masks read the slots back.  W is one bit more
+than the largest sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for
+0 <= x <= m - r, so it is derived afresh for each requested order m
+and no slot borrows from the next.  No Fraction is reduced per order:
+MomentSequence.mu reduces the moments once, for the callers that read
+them as Fractions, and the tail's dot product reads the scaled form.
+c_r has only positive coefficients, so every step is defined.
+_fast_moment computes only the first r orders of a new scenario; a
+longer request continues from the remembered orders.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.

@@ -74,22 +74,27 @@ def test_summary_reports_the_traced_layers_beside_the_gated_metrics():
             _run("change", 12, 0.09, 0.17), _run("parent", 12, 0.11, 0.19),
             _traced("parent", {"moments.busy_s": 0.08, "inversion.dot_s": 0.04,
                                "inversion.float_s": 0.0,
-                               "cli.calls": 3}),
+                               "trace.overhead_s": -0.002, "cli.calls": 3}),
             _traced("change", {"moments.busy_s": 0.06, "inversion.dot_s": 0.03,
-                               "inversion.float_s": 0.0})]
+                               "inversion.float_s": 0.0,
+                               "trace.overhead_s": 0.001})]
     layers = [{"name": name, "better": "lower"}
               for name in ("moments.busy_s", "inversion.dot_s",
-                           "inversion.float_s", "cli.calls", "recon.calls")]
+                           "inversion.float_s", "trace.overhead_s",
+                           "cli.calls", "recon.calls")]
     rows = bench_pairs.summarize(runs, [{"name": "solve_s",
                                          "better": "lower"}], layers)["w"]
     assert list(rows) == ["solve_s", "wall_solve_s", "moments.busy_s",
-                          "inversion.dot_s", "inversion.float_s"]
+                          "inversion.dot_s", "inversion.float_s",
+                          "trace.overhead_s"]
     assert rows["moments.busy_s"] == {"parent": 0.08, "change": 0.06,
                                       "relative_change": -0.25,
                                       "gated": False}
     assert rows["inversion.dot_s"]["relative_change"] == -0.25
     # a layer at zero on the parent has no relative change
     assert rows["inversion.float_s"]["relative_change"] == 0.0
+    # a rise from a negative parent value reads as a rise
+    assert rows["trace.overhead_s"]["relative_change"] == 1.5
     # the traced runs enter no gated row, and a layer that only one side
     # reports (cli.calls) or neither (recon.calls) is left out
     assert rows["solve_s"]["pairs"] == 2

@@ -114,8 +114,10 @@ def compare(parent: list[float], change: list[float], sign: int) -> dict:
 def layer_rows(runs: list[dict], workload: str,
                layers: Sequence[dict]) -> dict:
     """One row per per-layer metric that both sides' traced runs of the
-    workload report: each side's value and the relative change, marked
-    "gated": false, since one traced run per side decides nothing."""
+    workload report: each side's value and the change relative to the
+    parent's magnitude (trace.overhead_s, a difference of two timings,
+    can be negative), marked "gated": false, since one traced run per
+    side decides nothing."""
     traced = {run["side"]: run["result"]["metrics"] for run in runs
               if run["workload"] == workload and run["trace"] == 1}
     rows = {}
@@ -125,7 +127,7 @@ def layer_rows(runs: list[dict], workload: str,
             before, after = (traced[side][name]["value"] for side in SIDES)
             rows[name] = {
                 "parent": before, "change": after,
-                "relative_change": round((after - before) / before, 4)
+                "relative_change": round((after - before) / abs(before), 4)
                 if before else 0.0,
                 "gated": False}
     return rows
