@@ -232,6 +232,8 @@ def cmd_tail(args) -> int:
     # everything the tails would reject is rejected before the cache is used
     if args.method == "gegenbauer":
         inversion._check_weight(args.geg_alpha)
+    elif args.geg_alpha != 0:
+        raise SepprobError("--geg-alpha applies to --method gegenbauer only")
     xi = inversion._check_xi(scenario.interval, args.xi)
     inversion._resolve_mode(args.mode, orders[-1], args.precision)
     seq = _sequence_with_cache(scenario, orders[-1], args.cache)
@@ -409,6 +411,8 @@ def cmd_fit(args) -> int:
 
 def _fit_from_approximants(args, alpha: Fraction) -> int:
     pred = closedform.structural_prediction(alpha)
+    # an alpha without a closed form is refused before any pipeline work
+    expected = closedform.extract_p(alpha)
     ks = list(range(pred.degree + 2))
     meta = {"command": "fit", "alpha": str(alpha), "pipeline": "approximants",
             "m": str(args.m), "bound": str(args.bound),
@@ -428,8 +432,7 @@ def _fit_from_approximants(args, alpha: Fraction) -> int:
     coeffs = closedform.extract_p_from_values(alpha, values)
     checks = closedform.structure_checks(pred, coeffs)
     meta["polynomial"] = _poly_str(coeffs)
-    meta["matches_extract_p"] = str(
-        coeffs == closedform.extract_p(alpha)).lower()
+    meta["matches_extract_p"] = str(coeffs == expected).lower()
     meta["structure_checks"] = ",".join(
         f"{c.name}:{'pass' if c.ok else 'FAIL'}" for c in checks)
     _emit(args.format, meta, sample_rows,

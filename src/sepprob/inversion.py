@@ -37,9 +37,9 @@ The bank is content-scaled: all A_i are written over one denominator,
 and one gcd of it with every numerator leaves integers an_i over the lcm
 of the reduced denominators (4.1k bits at m = 500).  No Fraction is
 built per coefficient; TailEstimate.coeffs reduces them once per bank,
-on first access.  The few most recent banks are kept per (interval, w,
-zeta, order), so further scenarios on the same interval and a repeated
-order cost only the dot product; the A_i do not depend on the moments at
+on first access.  The latest bank is kept, keyed by (interval, w, zeta,
+order), so further scenarios on the same interval at the same order
+cost only the dot product; the A_i do not depend on the moments at
 all.  The dot product reads the moments in their scaled form,
 mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
 per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
@@ -82,11 +82,11 @@ class TailEstimate(Record, hide=("bank",)):
     """A truncated tail reconstruction sum_i A_i mu_i.
 
     bank holds the exact A_i over their common scale, shared by the
-    estimates of the same interval, weight, cut point and order while the
-    bank memo keeps it; coeffs are those A_i as reduced Fractions in every
-    mode, built once per bank on first access.  In float mode value is the exact one rounded to
-    precision digits; in exact mode it is a Fraction and precision is
-    None.
+    estimates of the same interval, weight, cut point and order made
+    while it is the latest bank; coeffs are those A_i as reduced
+    Fractions in every mode, built once per bank on first access.  In
+    float mode value is the exact one rounded to precision digits; in
+    exact mode it is a Fraction and precision is None.
     """
 
     scenario: Scenario
@@ -345,11 +345,11 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     return _reduced(den, nums)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _exact_bank(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
                 m: int) -> _Bank:
-    """A_0..A_m over their common scale, kept for the few most recent
-    (interval, w, zeta, order)."""
+    """A_0..A_m over their common scale, kept for the latest (interval,
+    w, zeta, order): the scenarios of a sweep share one bank in turn."""
     return _emit(c0, c1, alpha_w, zeta, m)
 
 

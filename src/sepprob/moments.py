@@ -47,8 +47,9 @@ and no slot borrows from the next.  No Fraction is reduced per order:
 MomentSequence.mu reduces the moments once, for the callers that read
 them as Fractions, and the tail's dot product reads the scaled form.
 c_r has only positive coefficients, so every step is defined.
-_fast_moment computes only the first r orders of a new scenario; a
-longer request continues from the remembered orders.
+_fast_moment computes only the first r orders of a new scenario.  The
+memo keeps the latest sequence alone: a longer request for it continues
+from its remembered orders, and any other scenario replaces it.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -426,47 +427,37 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
         window.append(num)
 
 
-# LRU bound on the memo: the bits of the scaled forms it keeps
-_SEQ_MEMO_BITS = 1 << 26
-_SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction],
-                tuple[MomentSequence, int]] = {}
+# the latest sequence computed, the only one kept
+_SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], MomentSequence] = {}
 _SEQ_LOCK = threading.Lock()
-
-
-def _bits(seq: MomentSequence) -> int:
-    return sum(x.bit_length() for x in itertools.chain(seq.nums, seq.steps))
 
 
 def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
     """mu_0..mu_m for a scenario, memoized per process.
 
-    Only computed orders enter the memo.  A longer request extends the
-    remembered sequence from its last orders.  The memo keeps the most
-    recently used sequences while their scaled forms hold at most
-    _SEQ_MEMO_BITS bits in all, and always the latest one; each kept
-    sequence builds its mu at most once.
+    The memo keeps one sequence, the latest computed.  A repeat or a
+    prefix of it is read from the memo, and a longer request extends it
+    from its last orders; any other scenario replaces it.  The commands
+    and sweeps use each scenario's moments once, right away, so the one
+    entry serves every repeat they make.  When two threads race on one
+    scenario, the longer sequence stays.  The kept sequence builds its
+    mu at most once, and a prefix shares it.
     """
     if not is_order(m):
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
     key = (scenario.variable, scenario.alpha, scenario.k)
     with _SEQ_LOCK:
-        hit = _SEQ_MEMO.pop(key, None)
-        if hit is not None:
-            _SEQ_MEMO[key] = hit            # the most recent goes last
-    seq = hit[0] if hit else None
+        seq = _SEQ_MEMO.get(key)
     if seq is None or seq.order < m:
         nums = list(seq.nums) if seq else []
         steps = list(seq.steps) if seq else []
         _extend(scenario.variable, scenario.alpha, scenario.k, nums, steps, m)
         seq = MomentSequence._scaled(scenario, tuple(nums), tuple(steps))
-        bits = _bits(seq)
         with _SEQ_LOCK:
-            old = _SEQ_MEMO.pop(key, None)
-            _SEQ_MEMO[key] = (seq, bits) if old is None \
-                or old[0].order < seq.order else old
-            total = sum(b for _, b in _SEQ_MEMO.values())
-            while total > _SEQ_MEMO_BITS and len(_SEQ_MEMO) > 1:
-                total -= _SEQ_MEMO.pop(next(iter(_SEQ_MEMO)))[1]
+            old = _SEQ_MEMO.get(key)
+            if old is None or old.order < seq.order:
+                _SEQ_MEMO.clear()
+                _SEQ_MEMO[key] = seq
     if seq.order == m:
         return seq
     prefix = MomentSequence._scaled(scenario, seq.nums[:m + 1],

@@ -62,8 +62,8 @@ def test_summary_reports_wall_time_beside_the_gated_metrics():
     assert "wall_solve_s" not in rows and "solve_s" in rows
 
 
-def _traced(side, layers):
-    return {"workload": "w", "side": side, "seed": 1, "trace": 1,
+def _traced(side, layers, seed=1):
+    return {"workload": "w", "side": side, "seed": seed, "trace": 1,
             "result": {"metrics": {name: {"value": value}
                                    for name, value in layers.items()}},
             "wall_solve_s": None}
@@ -87,7 +87,8 @@ def test_summary_reports_the_traced_layers_beside_the_gated_metrics():
     assert list(rows) == ["solve_s", "wall_solve_s", "moments.busy_s",
                           "inversion.dot_s", "inversion.float_s",
                           "trace.overhead_s"]
-    assert rows["moments.busy_s"] == {"parent": 0.08, "change": 0.06,
+    assert rows["moments.busy_s"] == {"pairs": 1, "change_wins": 1,
+                                      "parent": 0.08, "change": 0.06,
                                       "relative_change": -0.25,
                                       "gated": False}
     assert rows["inversion.dot_s"]["relative_change"] == -0.25
@@ -102,3 +103,56 @@ def test_summary_reports_the_traced_layers_beside_the_gated_metrics():
     rows = bench_pairs.summarize(runs[:-1], [{"name": "solve_s",
                                               "better": "lower"}], layers)["w"]
     assert list(rows) == ["solve_s", "wall_solve_s"]
+
+
+def test_traced_layers_are_medians_over_the_traced_pairs():
+    # the host drifted during traced pair 1: read alone, it puts the
+    # change 80% slower on a layer that pairs 2 and 3 put 25% faster
+    untraced = [_run("parent", 11, 0.10, 0.20), _run("change", 11, 0.08, 0.21),
+                _run("change", 12, 0.09, 0.17), _run("parent", 12, 0.11, 0.19)]
+    traced = [
+        _traced("parent", {"moments.busy_s": 0.05, "recon.unique_ratio": 0.5}),
+        _traced("change", {"moments.busy_s": 0.09, "recon.unique_ratio": 1.0}),
+        _traced("change", {"moments.busy_s": 0.06, "recon.unique_ratio": 0.5},
+                seed=2),
+        _traced("parent", {"moments.busy_s": 0.08, "recon.unique_ratio": 0.5},
+                seed=2),
+        _traced("parent", {"moments.busy_s": 0.08, "recon.unique_ratio": 0.5},
+                seed=3),
+        _traced("change", {"moments.busy_s": 0.06,
+                           "recon.unique_ratio": 0.25}, seed=3)]
+    metrics = [{"name": "solve_s", "better": "lower"}]
+    layers = [{"name": "moments.busy_s", "better": "lower"},
+              {"name": "recon.unique_ratio", "better": "higher"}]
+    alone = bench_pairs.summarize(untraced + traced[:2], metrics, layers)["w"]
+    assert alone["moments.busy_s"]["relative_change"] == 0.8
+    assert alone["moments.busy_s"]["change_wins"] == 0
+    # pair 2's parent run has not landed yet: its change run is left out
+    rows = bench_pairs.summarize(untraced + traced[:3], metrics, layers)["w"]
+    assert rows["moments.busy_s"]["pairs"] == 1
+    rows = bench_pairs.summarize(untraced + traced, metrics, layers)["w"]
+    assert rows["moments.busy_s"] == {"pairs": 3, "change_wins": 2,
+                                      "parent": 0.08, "change": 0.06,
+                                      "relative_change": -0.25,
+                                      "gated": False}
+    # where higher is better, the change wins the pair it raises
+    assert rows["recon.unique_ratio"] == {"pairs": 3, "change_wins": 1,
+                                          "parent": 0.5, "change": 0.5,
+                                          "relative_change": 0.0,
+                                          "gated": False}
+    assert rows["solve_s"]["pairs"] == 2
+
+
+def test_run_plan_alternates_untraced_and_traced_pairs():
+    plan = bench_pairs.run_plan(["a", "b"])
+    pairs = bench_pairs.PAIRS + bench_pairs.TRACE_PAIRS
+    assert len(plan) == 2 * 2 * pairs
+    assert [run[0] for run in plan] == ["a"] * 2 * pairs + ["b"] * 2 * pairs
+    traced = [run[1:] for run in plan[:2 * pairs] if run[3] == 1]
+    first = bench_pairs.TRACE_SEED
+    assert traced == [("parent", first, 1), ("change", first, 1),
+                      ("change", first + 1, 1), ("parent", first + 1, 1),
+                      ("parent", first + 2, 1), ("change", first + 2, 1)]
+    untraced = [run[1:3] for run in plan[:2 * pairs] if run[3] == 0]
+    assert untraced[:4] == [("parent", 11), ("change", 11),
+                            ("change", 12), ("parent", 12)]

@@ -442,11 +442,22 @@ def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
                   ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"],
                   ["--m", "5", "--xi", "1"],
                   ["--m", "5", "--method", "gegenbauer", "--geg-alpha", "-1"],
-                  ["--m", "5", "--mode", "float", "--precision", "0"]):
+                  ["--m", "5", "--mode", "float", "--precision", "0"],
+                  ["--m", "5", "--geg-alpha", "3"]):
         rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                               "--k", "0", "--cache", str(cache)] + extra)
         assert rc == 1 and out == ""
         assert not cache.exists()
+
+
+def test_weight_applies_to_gegenbauer_only():
+    # a weight under the default Legendre method would print the w = 0
+    # estimate under alpha_w=0; the zero default still passes
+    base = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0", "--m", "5"]
+    rc, out, err = run_cli(base + ["--geg-alpha", "3"])
+    assert (rc, out) == (1, "")
+    assert err == "SepprobError: --geg-alpha applies to --method gegenbauer only\n"
+    assert run_cli(base + ["--geg-alpha", "0"]) == run_cli(base)
 
 
 def test_negative_cut_point_forms_print_the_same_bytes():
@@ -616,6 +627,65 @@ def test_full_pipeline_fit_from_approximants():
     confidences = [r["confidence"] for r in doc["rows"]]
     assert confidences == ["unique", "unique", "ambiguous", "unique"]
     assert all(r["matches_closed_form"] == "true" for r in doc["rows"])
+
+
+def test_fit_from_approximants_refuses_an_open_alpha_first(monkeypatch):
+    # an alpha without a closed form exits with the closed forms' one
+    # line before any tail is computed
+    calls = []
+    monkeypatch.setattr(cli, "_pipeline_tail",
+                        lambda *args: calls.append(args))
+    for alpha in ("3", "5/2"):
+        rc, out, err = run_cli(["fit", "--alpha", alpha,
+                                "--from-approximants"])
+        assert (rc, out, calls) == (1, "", [])
+        assert err == (f"DomainError: no closed form for alpha={alpha}; "
+                       "supported: 1/2, 1, 2\n")
+
+
+def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
+    # from cold memos, each served command computes every order of a
+    # scenario and every coefficient bank once: the memos' one moment
+    # sequence and one bank serve every repeat these commands make, so a
+    # command that went back to an older scenario or bank would fail here
+    full, short = tmp_path / "full.moments", tmp_path / "short.moments"
+    scenario = ["--variable", "pt", "--alpha", "1", "--k", "0"]
+    for cache, m in ((full, "30"), (short, "20")):
+        assert run_cli(["moments", *scenario, "--m", m,
+                        "--cache", str(cache)])[0] == 0
+    extend, emit = moments._extend, inversion._emit
+    orders, banks = [], []
+
+    def counted_extend(variable, alpha, k, nums, steps, m):
+        orders.extend((variable, alpha, k, n)
+                      for n in range(len(nums), m + 1))
+        extend(variable, alpha, k, nums, steps, m)
+
+    def counted_emit(*key):
+        banks.append(key)
+        return emit(*key)
+
+    monkeypatch.setattr(moments, "_extend", counted_extend)
+    monkeypatch.setattr(inversion, "_emit", counted_emit)
+    # argv, then the scenarios and banks the command computes
+    served = [
+        (["tail", *scenario, "--m", "30", "--cache", str(full)], 1, 1),
+        (["tail", *scenario, "--m-list", "10,20,30"], 1, 3),
+        (["moments", *scenario, "--m", "40", "--cache", str(short)], 1, 0),
+        (["tables", "--table", "4", "--approx-m", "20"], 21, 1),
+        (["plot-data", "--figure", "2", "--m", "20"], 15, 1),
+        (["fit", "--alpha", "1", "--from-approximants"], 4, 1),
+    ]
+    for argv, scenarios, bank_count in served:
+        monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+        inversion._exact_bank.cache_clear()
+        orders.clear()
+        banks.clear()
+        rc, _, err = run_cli(argv)
+        assert (rc, err) == (0, ""), argv
+        assert len(set(orders)) == len(orders), argv
+        assert len({order[:3] for order in orders}) == scenarios, argv
+        assert len(set(banks)) == len(banks) == bank_count, argv
 
 
 # SHA-256 of the default stdout of fast invocations, recorded from the

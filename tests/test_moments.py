@@ -431,41 +431,53 @@ def test_orders_below_r_read_no_table(monkeypatch):
         assert moments._alpha_table.cache_info().misses == 1
 
 
-def _memo_bits():
-    return sum(bits for _, bits in moments._SEQ_MEMO.values())
-
-
 def test_memo_stays_bounded(monkeypatch):
-    # a long session of distinct scenarios keeps at most the budget of
-    # bits, evicting the least recently used sequence first
+    # the memo keeps the latest sequence alone: a long session of distinct
+    # scenarios holds one entry, going back to A replaces B, and a repeat
+    # or a prefix of the kept sequence computes nothing
     monkeypatch.setattr(moments, "_SEQ_MEMO", {})
-    one = moments._bits(moment_sequence(
-        Scenario(Variable.PT_DET, Fraction(4), Fraction(20)), 60))
-    monkeypatch.setattr(moments, "_SEQ_MEMO_BITS", 3 * one)
-    kept = Scenario(Variable.PT_DET, HALF, Fraction(0))
-    peak = 0
     for variable in Variable:
         for alpha in GRID_ALPHAS:
             for k in GRID_KS:
-                moment_sequence(kept, 60)
-                moment_sequence(Scenario(variable, alpha, k), 60)
-                peak = max(peak, _memo_bits())
-    assert peak <= 3 * one
-    assert (kept.variable, kept.alpha, kept.k) in moments._SEQ_MEMO
-    # a sequence longer than the whole budget is still kept, alone
-    big = moment_sequence(Scenario(Variable.DIFF, HALF, Fraction(1)), 300)
-    assert list(moments._SEQ_MEMO.values()) == [(big, moments._bits(big))]
+                moment_sequence(Scenario(variable, alpha, k), 30)
+                assert list(moments._SEQ_MEMO) == [(variable, alpha, k)]
+    a = Scenario(Variable.PT_DET, HALF, Fraction(0))
+    b = Scenario(Variable.DIFF, Fraction(2), Fraction(3))
+    for s in (a, b, a):
+        moment_sequence(s, 60)
+    key = (a.variable, a.alpha, a.k)
+    assert list(moments._SEQ_MEMO) == [key]
+    kept = moments._SEQ_MEMO[key]
+    extend, direct = moments._extend, moments._fast_moment
+    stretches, seeded = [], []
+
+    def counted_extend(variable, alpha, k, nums, steps, m):
+        stretches.append((len(nums), m))
+        extend(variable, alpha, k, nums, steps, m)
+
+    def counted_direct(variable, alpha, k, n):
+        seeded.append(n)
+        return direct(variable, alpha, k, n)
+
+    monkeypatch.setattr(moments, "_extend", counted_extend)
+    monkeypatch.setattr(moments, "_fast_moment", counted_direct)
+    assert moment_sequence(a, 60) is kept
+    prefix = moment_sequence(a, 20)
+    assert (prefix.nums, prefix.steps) == (kept.nums[:21], kept.steps[:21])
+    assert stretches == []
+    longer = moment_sequence(a, 90)
+    assert stretches == [(61, 90)] and seeded == []
+    assert list(moments._SEQ_MEMO.values()) == [longer]
+    assert longer.nums[:61] == kept.nums and longer.steps[:61] == kept.steps
 
 
 def test_memo_stays_consistent_under_threads(monkeypatch):
-    # more threads than cores extend, read and evict the memo at once
+    # more threads than cores extend, read and replace the memo at once
     monkeypatch.setattr(moments, "_SEQ_MEMO", {})
     scenarios = [Scenario(variable, alpha, Fraction(1))
                  for variable in Variable for alpha in (HALF, 2)]
     expect = {s: tuple(moments._fast_moment(s.variable, s.alpha, s.k, n)
                        for n in range(51)) for s in scenarios}
-    monkeypatch.setattr(moments, "_SEQ_MEMO_BITS",
-                        2 * moments._bits(moment_sequence(scenarios[0], 50)))
     jobs = [(s, m) for m in (50, 7, 30, 50) for s in scenarios] * 2
     results = {}
 
@@ -486,4 +498,4 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert [results[i] for i in range(len(jobs))] == \
         [expect[s][:m + 1] for s, m in jobs]
-    assert _memo_bits() <= moments._SEQ_MEMO_BITS or len(moments._SEQ_MEMO) == 1
+    assert len(moments._SEQ_MEMO) <= 1

@@ -11,9 +11,10 @@ so each side runs the benchmark of its own committed files.  For every
 workload of ``BENCHMARK.json`` the script runs PAIRS pairs of
 ``perfbench/run.py --trace 0``, for BENCHMARK.json's run length, at seeds
 FIRST_SEED upwards; odd pairs run the parent first and even pairs the
-change first.  Then it runs one ``--trace 1`` repetition per side at
-TRACE_SEED.  Runs go one at a time.  ``--change`` names a commit other
-than HEAD, so an earlier record can be measured again.
+change first.  Then it runs TRACE_PAIRS pairs of ``--trace 1`` at seeds
+TRACE_SEED upwards, alternated the same way.  Runs go one at a time.
+``--change`` names a commit other than HEAD, so an earlier record can be
+measured again.
 
 The output file holds the summary (per workload and end-to-end metric: each
 side's median and quartiles, the pairs the change wins, ties counting for
@@ -25,10 +26,13 @@ wall time scaled by a speed sample of the host; the summary reports
 ``wall_solve_s`` beside the metrics as a row marked ``"gated": false``,
 which shows what the scaling did and decides nothing.  Each per-layer
 metric of ``BENCHMARK.json`` that both sides' traced runs report gets a
-row of the same kind, with each side's value and the relative change,
-so the layers show beside the end-to-end metrics.  The file is
-rewritten after every run, so an interrupted run leaves the pairs it
-finished.  Only the standard library is used.
+row of the same kind, with each side's median over the traced pairs,
+the pairs the change wins and the relative change of the medians, so
+the layers show beside the end-to-end metrics.  The layer times are raw
+seconds, so one traced run per side would read the host's drift between
+the two as a change.  The file is rewritten after every run, so an
+interrupted run leaves the pairs it finished.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 FIRST_SEED = 11
+TRACE_PAIRS = 3
 TRACE_SEED = 1
 # a note line of perfbench/run.py for one untraced repetition
 UNTRACED_REP = re.compile(r"^# rep \d+ traced=0 .*\bwall=(\S+) s\b")
@@ -98,13 +103,18 @@ def spread(values: list[float]) -> dict:
             "q3": round(q3, 4)}
 
 
+def wins(parent: list[float], change: list[float], sign: int) -> int:
+    """The pairs the change wins, ties counting for neither (sign 1 when
+    lower is better)."""
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
 def compare(parent: list[float], change: list[float], sign: int) -> dict:
     """One summary row: spreads, the pairs the change wins and the
     relative change of the medians (sign 1 when lower is better)."""
-    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     before, after = statistics.median(parent), statistics.median(change)
     return {
-        "pairs": len(parent), "change_wins": wins,
+        "pairs": len(parent), "change_wins": wins(parent, change, sign),
         "parent": spread(parent), "change": spread(change),
         "median_change": round((after - before) / before, 4)
         if before else 0.0,
@@ -114,18 +124,29 @@ def compare(parent: list[float], change: list[float], sign: int) -> dict:
 def layer_rows(runs: list[dict], workload: str,
                layers: Sequence[dict]) -> dict:
     """One row per per-layer metric that both sides' traced runs of the
-    workload report: each side's value and the change relative to the
-    parent's magnitude (trace.overhead_s, a difference of two timings,
-    can be negative), marked "gated": false, since one traced run per
-    side decides nothing."""
-    traced = {run["side"]: run["result"]["metrics"] for run in runs
+    workload report, over the traced pairs completed so far: each side's
+    median, the pairs the change wins and the change of the medians
+    relative to the parent's magnitude (trace.overhead_s, a difference
+    of two timings, can be negative), marked "gated": false, since a few
+    traced runs of raw seconds decide nothing."""
+    traced = {(run["seed"], run["side"]): run["result"]["metrics"]
+              for run in runs
               if run["workload"] == workload and run["trace"] == 1}
+    seeds = sorted(seed for seed, side in traced
+                   if side == SIDES[0] and (seed, SIDES[1]) in traced)
     rows = {}
     for layer in layers:
         name = layer["name"]
-        if all(name in traced.get(side, {}) for side in SIDES):
-            before, after = (traced[side][name]["value"] for side in SIDES)
+        if seeds and all(name in traced[seed, side]
+                         for seed in seeds for side in SIDES):
+            parent, change = ([traced[seed, side][name]["value"]
+                               for seed in seeds] for side in SIDES)
+            before = statistics.median(parent)
+            after = statistics.median(change)
             rows[name] = {
+                "pairs": len(seeds),
+                "change_wins": wins(parent, change,
+                                    1 if layer["better"] == "lower" else -1),
                 "parent": before, "change": after,
                 "relative_change": round((after - before) / abs(before), 4)
                 if before else 0.0,
@@ -165,6 +186,21 @@ def summarize(runs: list[dict], metrics: list[dict],
     return out
 
 
+def run_plan(workloads: Sequence[str]) -> list[tuple[str, str, int, int]]:
+    """(workload, side, seed, trace) of every run in order: per workload,
+    PAIRS untraced pairs, then TRACE_PAIRS traced ones; in either kind,
+    odd pairs run the parent first and even pairs the change first."""
+    plan = []
+    for workload in workloads:
+        for trace, seed, count in ((0, FIRST_SEED, PAIRS),
+                                   (1, TRACE_SEED, TRACE_PAIRS)):
+            for i in range(count):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                plan += [(workload, side, seed + i, trace)
+                         for side in order]
+    return plan
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -196,20 +232,17 @@ def main(argv=None) -> int:
                 f"{PAIRS} alternating parent/change pairs per workload "
                 f"with --trace 0 (seeds {FIRST_SEED}-"
                 f"{FIRST_SEED + PAIRS - 1}; odd pairs run the "
-                f"parent first, even pairs the change first), then one "
-                f"--trace 1 run per side and workload (seed "
-                f"{TRACE_SEED}), {seconds:g}-s runs.  Each entry of "
-                f"runs is the last JSON line of the command, run from the "
-                f"root of a fresh git archive export of the side's commit."),
+                f"parent first, even pairs the change first), then "
+                f"{TRACE_PAIRS} alternating pairs per workload with "
+                f"--trace 1 (seeds {TRACE_SEED}-"
+                f"{TRACE_SEED + TRACE_PAIRS - 1}), whose per-layer rows "
+                f"give each side's median and the pairs the change wins, "
+                f"{seconds:g}-s runs.  Each entry of runs is the last "
+                f"JSON line of the command, run from the root of a fresh "
+                f"git archive export of the side's commit."),
             "summary": {}, "runs": [],
         }
-        plan = []
-        for workload in workloads:
-            for i in range(PAIRS):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                plan += [(workload, side, FIRST_SEED + i, 0)
-                         for side in order]
-            plan += [(workload, side, TRACE_SEED, 1) for side in SIDES]
+        plan = run_plan(workloads)
         for count, (workload, side, seed, trace) in enumerate(plan, 1):
             command, result, machine, wall = bench_run(
                 roots[side], spec["command"], workload, seed, seconds, trace)
