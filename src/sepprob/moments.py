@@ -288,8 +288,9 @@ def _alpha_table(variable: Variable,
 
     Each row's runs of equal u hold the coefficients of (2 alpha)^u; the
     runs are summed by Horner in a2, coefficient by coefficient of 2k.
-    One reading serves every k at this alpha, and the few most recent
-    alphas are kept.
+    One reading serves every k at this alpha.  Four alphas are kept:
+    tables --approx-m and plot-data --figure 2 step through three alphas
+    for each k.
     """
     out: list[list[tuple[int, ...]]] = []
     for i, _, top, row in _table_rows(variable):

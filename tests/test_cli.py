@@ -444,20 +444,10 @@ def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
                   ["--m", "5", "--method", "gegenbauer", "--geg-alpha", "-1"],
                   ["--m", "5", "--mode", "float", "--precision", "0"],
                   ["--m", "5", "--geg-alpha", "3"]):
-        rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
-                              "--k", "0", "--cache", str(cache)] + extra)
-        assert rc == 1 and out == ""
+        rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                                "--k", "0", "--cache", str(cache)] + extra)
+        assert rc == 1 and out == "" and err.count("\n") == 1
         assert not cache.exists()
-
-
-def test_weight_applies_to_gegenbauer_only():
-    # a weight under the default Legendre method would print the w = 0
-    # estimate under alpha_w=0; the zero default still passes
-    base = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0", "--m", "5"]
-    rc, out, err = run_cli(base + ["--geg-alpha", "3"])
-    assert (rc, out) == (1, "")
-    assert err == "SepprobError: --geg-alpha applies to --method gegenbauer only\n"
-    assert run_cli(base + ["--geg-alpha", "0"]) == run_cli(base)
 
 
 def test_negative_cut_point_forms_print_the_same_bytes():
