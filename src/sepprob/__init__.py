@@ -37,7 +37,6 @@ from .exactnum import (
 )
 from .inversion import (
     TailEstimate,
-    convergence_profile,
     gegenbauer_tail,
     legendre_tail,
 )

@@ -21,8 +21,8 @@ import mpmath
 
 from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheIOError, \
-    SepprobError, StructureViolation
-from .exactnum import as_rational
+    DomainError, SepprobError, StructureViolation
+from .exactnum import as_rational, is_order
 from .moments import Scenario, Variable, moment_sequence
 from .reported import DIFF_TAILS, TABLE_IV
 
@@ -213,6 +213,14 @@ def _int_list(text: str, flag: str, what: str) -> List[int]:
     return values
 
 
+def _check_orders(orders: List[int]) -> List[int]:
+    if not all(map(is_order, orders)):
+        raise DomainError("truncation orders must be integers >= 0")
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise DomainError("truncation orders must be strictly increasing")
+    return orders
+
+
 def cmd_tail(args) -> int:
     scenario = _scenario_of(args)
     if (args.m is None) == (args.m_list is None):
@@ -224,7 +232,7 @@ def cmd_tail(args) -> int:
             raise SepprobError(
                 "reconstruction needs both --bound and --radius")
     else:
-        orders = inversion._check_orders(
+        orders = _check_orders(
             _int_list(args.m_list, "--m-list", "truncation orders"))
         if reconstruct:
             raise SepprobError(

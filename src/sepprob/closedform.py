@@ -288,13 +288,24 @@ def structure_checks(pred: StructuralPrediction,
     """The individual prediction-vs-polynomial comparisons.
 
     Split out from verify_structure so a polynomial fitted from pipeline
-    approximants can be screened the same way.
+    approximants can be screened the same way.  A check whose coefficient
+    the polynomial lacks reports actual None and fails; the zero
+    polynomial raises DomainError.
     """
     coeffs = tuple(as_rational(c) for c in coeffs)
     deg = len(coeffs) - 1
-    while deg > 0 and coeffs[deg] == 0:
+    while deg >= 0 and coeffs[deg] == 0:
         deg -= 1
+    if deg < 0:
+        raise DomainError("the zero polynomial has no structure to check")
     coeffs = coeffs[:deg + 1]
+
+    def below_top(poly, drop: int) -> Optional[Fraction]:
+        """The coefficient drop degrees below the top of poly, over the
+        top one; None when poly has no such coefficient."""
+        top = len(poly) - 1
+        return poly[top - drop] / poly[top] if top >= drop else None
+
     checks = [
         StructureCheck("degree", pred.degree, deg, deg == pred.degree),
         StructureCheck("leading_coeff", pred.leading_coeff, coeffs[deg],
@@ -304,7 +315,7 @@ def structure_checks(pred: StructuralPrediction,
         chain = list(range(pred.g1, pred.g2 + 1))
         divisible = all(horner(coeffs, -i) == 0 for i in chain)
         checks.append(StructureCheck("factor_chain", True, divisible, divisible))
-        monic2 = coeffs[deg - 1] / coeffs[deg]
+        monic2 = below_top(coeffs, 1)
         checks.append(StructureCheck("monic_second", pred.c2, monic2,
                                      monic2 == pred.c2))
         if divisible:
@@ -314,7 +325,7 @@ def structure_checks(pred: StructuralPrediction,
             rdeg = len(reduced) - 1
             checks.append(StructureCheck("reduced_degree", pred.reduced_degree,
                                          rdeg, rdeg == pred.reduced_degree))
-            red2 = reduced[rdeg - 1] / reduced[rdeg]
+            red2 = below_top(reduced, 1)
             expect = pred.c2 - pred.c2_prime
             checks.append(StructureCheck("reduced_second", expect, red2,
                                          red2 == expect))
@@ -324,7 +335,7 @@ def structure_checks(pred: StructuralPrediction,
             checks.append(StructureCheck("reduced_second",
                                          pred.c2 - pred.c2_prime, None, False))
         if pred.c3 is not None:
-            monic3 = coeffs[deg - 2] / coeffs[deg]
+            monic3 = below_top(coeffs, 2)
             checks.append(StructureCheck("monic_third", pred.c3, monic3,
                                          monic3 == pred.c3))
     return tuple(checks)

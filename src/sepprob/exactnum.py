@@ -64,8 +64,8 @@ def horner(coeffs, x):
 
 def pochhammer(a: RationalLike, n: int) -> Fraction:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"pochhammer needs n >= 0, got {n}")
+    if not is_order(n):
+        raise DomainError(f"pochhammer needs an integer n >= 0, got {n!r}")
     a = as_rational(a)
     # with a = p/q: (a)_n = p (p+q) ... (p+(n-1)q) / q^n
     p, q = a.numerator, a.denominator
@@ -127,11 +127,12 @@ class Record:
 class SqrtPiScaled(Record):
     """A rational multiple of an integer power of sqrt(pi).
 
-    Represents coeff * pi^(sqrtpi_exponent / 2).  Products and quotients add
-    and subtract exponents; sums are only defined between equal exponents.
-    Conversion to a plain rational is allowed exactly when the exponent is 0,
-    which is how formulas assert (rather than assume) that their sqrt(pi)
-    factors cancel.
+    Represents coeff * pi^(sqrtpi_exponent / 2).  It stands on the left of
+    * and /: products and quotients by another SqrtPiScaled add and
+    subtract exponents, and a rational factor or divisor keeps the
+    exponent.  Conversion to a plain rational is allowed exactly when the
+    exponent is 0, which is how formulas assert (rather than assume) that
+    their sqrt(pi) factors cancel.
     """
 
     coeff: Fraction
@@ -143,8 +144,6 @@ class SqrtPiScaled(Record):
                                 self.sqrtpi_exponent + other.sqrtpi_exponent)
         return SqrtPiScaled(self.coeff * as_rational(other), self.sqrtpi_exponent)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other: "SqrtPiScaled | RationalLike") -> "SqrtPiScaled":
         if isinstance(other, SqrtPiScaled):
             if other.coeff == 0:
@@ -152,25 +151,6 @@ class SqrtPiScaled(Record):
             return SqrtPiScaled(self.coeff / other.coeff,
                                 self.sqrtpi_exponent - other.sqrtpi_exponent)
         return SqrtPiScaled(self.coeff / as_rational(other), self.sqrtpi_exponent)
-
-    def __rtruediv__(self, other: RationalLike) -> "SqrtPiScaled":
-        return SqrtPiScaled(as_rational(other), 0) / self
-
-    def __add__(self, other: "SqrtPiScaled") -> "SqrtPiScaled":
-        if not isinstance(other, SqrtPiScaled):
-            return NotImplemented
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.sqrtpi_exponent != other.sqrtpi_exponent:
-            raise DomainError(
-                "cannot add sqrt(pi) grades "
-                f"{self.sqrtpi_exponent} and {other.sqrtpi_exponent}")
-        return SqrtPiScaled(self.coeff + other.coeff, self.sqrtpi_exponent)
-
-    def __neg__(self) -> "SqrtPiScaled":
-        return SqrtPiScaled(-self.coeff, self.sqrtpi_exponent)
 
     def to_rational(self) -> Fraction:
         """Exact rational value; requires the sqrt(pi) exponent to be 0."""

@@ -47,7 +47,9 @@ the running sum by a small factor and one an_i nums_i per term, then
 one reduction.  The an_i keep the power of two of z^i, so each enters
 its product without its trailing zero bits, which a shift puts back
 (_dot).  Orders are independent of each other: there is no resumable
-state, and they may be asked for in any sequence.
+state, and they may be asked for in any sequence.  The public API is the
+two tail functions; a convergence profile is a loop of one of them over
+one moment_sequence at the highest order, as tail --m-list runs it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from .errors import DomainError
 from .exactnum import RationalLike, Record, as_rational, is_order
-from .moments import MomentSequence, Scenario, moment_sequence
+from .moments import MomentSequence, Scenario
 
 METHOD_LEGENDRE = "legendre"
 METHOD_GEGENBAUER = "gegenbauer"
@@ -455,31 +457,3 @@ def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
     """
     return _tail(moments, 0, xi, m, mode, precision, METHOD_LEGENDRE)
 
-
-def _check_orders(orders: List[int]) -> List[int]:
-    if not all(map(is_order, orders)):
-        raise DomainError("truncation orders must be integers >= 0")
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise DomainError("truncation orders must be strictly increasing")
-    return orders
-
-
-def convergence_profile(scenario: Scenario, method: str, xi: RationalLike,
-                        m_list: Iterable[int], mode: str = MODE_AUTO,
-                        precision: Optional[int] = None,
-                        alpha_w: int = 0) -> List[Tuple[int, Union[Fraction, mpmath.mpf]]]:
-    """Tail estimates at increasing truncation orders.
-
-    The orders share one moment sequence, computed to the highest of them;
-    each order builds its own coefficient bank, in O(m) steps.
-    """
-    orders = _check_orders(list(m_list))
-    if method == METHOD_LEGENDRE:
-        alpha_w = 0
-    elif method != METHOD_GEGENBAUER:
-        raise DomainError(f"unknown method {method!r}")
-    if not orders:
-        return []
-    moments = moment_sequence(scenario, orders[-1])
-    return [(m, gegenbauer_tail(moments, alpha_w, xi, m, mode,
-                                precision).value) for m in orders]

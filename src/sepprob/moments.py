@@ -44,8 +44,9 @@ product, and shifts and masks read the slots back.  W is one bit more
 than the largest sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for
 0 <= x <= m - r, so it is derived afresh for each requested order m
 and no slot borrows from the next.  No Fraction is reduced per order:
-MomentSequence.mu reduces the moments once, for the callers that read
-them as Fractions, and the tail's dot product reads the scaled form.
+a MomentSequence is built from the scaled form alone, MomentSequence.mu
+reduces the moments once, for the callers that read them as Fractions,
+and the tail's dot product reads the scaled form.
 c_r has only positive coefficients, so every step is defined.
 _fast_moment computes only the first r orders of a new scenario.  The
 memo keeps the latest sequence alone: a longer request for it continues
@@ -103,7 +104,12 @@ class Scenario(Record):
 
     def __post_init__(self) -> None:
         if not isinstance(self.variable, Variable):
-            object.__setattr__(self, "variable", Variable(self.variable))
+            try:
+                variable = Variable(self.variable)
+            except ValueError:
+                raise DomainError(f"variable must be pt or diff, "
+                                  f"got {self.variable!r}") from None
+            object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "alpha", as_rational(self.alpha))
         object.__setattr__(self, "k", as_rational(self.k))
         _check_params(self.alpha, self.k, 0)
@@ -121,28 +127,19 @@ class MomentSequence:
     The moments are held as integers over one running scale:
     mu_n = nums[n] / S_n with S_n = steps[0] steps[1] ... steps[n], so each
     S_i divides S_m, and the lcm of the reduced denominators of mu_0..mu_n
-    divides S_n.  mu, the reduced Fractions, is built once, on first
-    access.  A sequence built from Fractions keeps them as its mu and
-    derives the scaled form by a running lcm.
+    divides S_n.  The constructor takes that scaled form; mu, the reduced
+    Fractions, is built from it once, on first access.
     """
 
-    def __init__(self, scenario: Scenario, mu: Iterable[Fraction]) -> None:
-        mu = tuple(mu)
-        if not mu or mu[0] != 1:
+    def __init__(self, scenario: Scenario, nums: Tuple[int, ...],
+                 steps: Tuple[int, ...]) -> None:
+        if len(nums) != len(steps):
+            raise DomainError(f"a moment sequence needs one step per "
+                              f"numerator, got {len(nums)} numerators and "
+                              f"{len(steps)} steps")
+        if not nums or not nums[0] == steps[0] != 0:
             raise DomainError("a moment sequence must start with mu_0 = 1")
-        nums: List[int] = []
-        steps: List[int] = []
-        _rescale(mu, nums, steps)
-        self.scenario, self.nums, self.steps = scenario, tuple(nums), \
-            tuple(steps)
-        self.mu = mu
-
-    @classmethod
-    def _scaled(cls, scenario: Scenario, nums: Tuple[int, ...],
-                steps: Tuple[int, ...]) -> MomentSequence:
-        seq = cls.__new__(cls)
-        seq.scenario, seq.nums, seq.steps = scenario, nums, steps
-        return seq
+        self.scenario, self.nums, self.steps = scenario, nums, steps
 
     @functools.cached_property
     def mu(self) -> Tuple[Fraction, ...]:
@@ -453,7 +450,7 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
         nums = list(seq.nums) if seq else []
         steps = list(seq.steps) if seq else []
         _extend(scenario.variable, scenario.alpha, scenario.k, nums, steps, m)
-        seq = MomentSequence._scaled(scenario, tuple(nums), tuple(steps))
+        seq = MomentSequence(scenario, tuple(nums), tuple(steps))
         with _SEQ_LOCK:
             old = _SEQ_MEMO.get(key)
             if old is None or old.order < seq.order:
@@ -461,8 +458,7 @@ def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
                 _SEQ_MEMO[key] = seq
     if seq.order == m:
         return seq
-    prefix = MomentSequence._scaled(scenario, seq.nums[:m + 1],
-                                    seq.steps[:m + 1])
+    prefix = MomentSequence(scenario, seq.nums[:m + 1], seq.steps[:m + 1])
     if "mu" in seq.__dict__:
         prefix.mu = seq.mu[:m + 1]
     return prefix

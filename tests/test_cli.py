@@ -438,7 +438,8 @@ def test_unparseable_lists_are_reported():
 
 def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
     cache = tmp_path / "c.moments"
-    for extra in (["--m-list", "50,10"], ["--m", "5", "--radius", "1e-3"],
+    for extra in (["--m-list", "50,10"], ["--m-list", "5,5"],
+                  ["--m-list", "5,-1"], ["--m", "5", "--radius", "1e-3"],
                   ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"],
                   ["--m", "5", "--xi", "1"],
                   ["--m", "5", "--method", "gegenbauer", "--geg-alpha", "-1"],

@@ -160,11 +160,25 @@ def test_structure_checks_trim_trailing_zeros():
 
 
 def test_structure_checks_flag_mismatches():
-    pred = structural_prediction(1)
-    wrong = structure_checks(pred, (6400, 3584, 1024))
+    one, two = structural_prediction(1), structural_prediction(2)
+    wrong = structure_checks(one, (6400, 3584, 1024))
     by_name = {c.name: c for c in wrong}
     assert not by_name["leading_coeff"].ok
     assert not by_name["monic_second"].ok
+    # a check whose coefficient the polynomial lacks fails with actual
+    # None; no index wraps around to another coefficient
+    for pred, coeffs, missing in (
+            (one, (5,), {"monic_second", "reduced_second", "monic_third"}),
+            (one, (1, 2), {"monic_third"}),
+            (two, (42, 13, 1), {"reduced_second"})):
+        by_name = {c.name: c for c in structure_checks(pred, coeffs)}
+        assert {n for n, c in by_name.items() if c.actual is None} == missing
+        assert not any(by_name[n].ok for n in missing)
+        assert not by_name["degree"].ok
+    assert by_name["factor_chain"].ok and by_name["reduced_degree"].actual == 0
+    for zero in ((0,), (), (0, 0)):
+        with pytest.raises(DomainError):
+            structure_checks(one, zero)
 
 
 def test_extract_p_from_values_witness():

@@ -40,8 +40,11 @@ def test_pochhammer_values():
 
 
 def test_pochhammer_rejects_negative_length():
+    for bad in (-1, True, False, 2.5, Fraction(2)):
+        with pytest.raises(DomainError):
+            pochhammer(1, bad)
     with pytest.raises(DomainError):
-        pochhammer(1, -1)
+        pochhammer(Fraction(1, 2), True)
 
 
 def test_gamma_half_integer_arguments():
@@ -81,17 +84,10 @@ def test_sqrtpi_products_and_quotients():
     assert (a * b) == SqrtPiScaled(Fraction(3, 2), 2)
     assert (a / b) == SqrtPiScaled(Fraction(3, 8), 0)
     assert (a / b).to_rational() == Fraction(3, 8)
-    assert (2 * a) == SqrtPiScaled(Fraction(3, 2), 1)
-    assert (1 / b) == SqrtPiScaled(Fraction(1, 2), -1)
-    assert (-a) == SqrtPiScaled(Fraction(-3, 4), 1)
-
-
-def test_sqrtpi_addition_needs_matching_grade():
-    a = SqrtPiScaled(Fraction(1), 1)
-    assert (a + SqrtPiScaled(Fraction(2), 1)) == SqrtPiScaled(Fraction(3), 1)
-    with pytest.raises(DomainError):
-        a + SqrtPiScaled(Fraction(1), 0)
-    assert (SqrtPiScaled(Fraction(0), 0) + a) == a
+    assert (a * 2) == SqrtPiScaled(Fraction(3, 2), 1)
+    assert (a / "3/4") == SqrtPiScaled(Fraction(1), 1)
+    with pytest.raises(ZeroDivisionError):
+        a / SqrtPiScaled(Fraction(0), 1)
 
 
 def test_sqrtpi_to_rational_requires_cancellation():

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sepprob.inversion as inversion
+import sepprob.moments as moments
 from oracles import build_tables, tail_coeffs_from_tables
 from sepprob.errors import DomainError
 from sepprob.exactnum import gamma_half
 from sepprob.inversion import METHOD_GEGENBAUER, METHOD_LEGENDRE, \
-    MODE_AUTO, MODE_EXACT, MODE_FLOAT, convergence_profile, \
-    gegenbauer_tail, legendre_tail
+    MODE_AUTO, MODE_EXACT, MODE_FLOAT, gegenbauer_tail, legendre_tail
 from sepprob.moments import DIFF_INTERVAL, PT_INTERVAL, MomentSequence, \
     Scenario, Variable, moment_sequence
 
@@ -270,11 +270,18 @@ def test_fresh_tail_builds_no_fraction_per_order(monkeypatch):
 
 
 def test_sequence_from_fractions_gives_the_same_tail():
+    # the Fractions over a scale with a spare factor 3 per order, and a
+    # stand-in scenario that carries only the interval
     s = Scenario(Variable.DIFF, Fraction(2), Fraction(3))
     served = moment_sequence(s, 60)
-    built = MomentSequence(s, served.mu)
+    nums, steps = [], []
+    moments._rescale(served.mu, nums, steps)
+    nums = tuple(num * 3 ** (n + 1) for n, num in enumerate(nums))
+    steps = tuple(3 * step for step in steps)
+    built = MomentSequence(s, nums, steps)
+    assert built.mu == served.mu and built.steps != served.steps
     stand_in = MomentSequence(SimpleNamespace(interval=DIFF_INTERVAL),
-                              served.mu)
+                              nums, steps)
     for a in (0, 2):
         for xi in (0, Fraction(-1, 50)):
             for m in (0, 5, 60):
@@ -289,7 +296,7 @@ def bank(interval, a, xi, m):
     """gegenbauer_tail's A_0..A_m on any interval.  They do not depend on
     the moments, so a stand-in sequence carries the interval."""
     seq = MomentSequence(SimpleNamespace(interval=interval),
-                         (Fraction(1),) * (m + 1))
+                         (1,) * (m + 1), (1,) * (m + 1))
     return gegenbauer_tail(seq, a, xi, m, mode=MODE_EXACT).coeffs
 
 
@@ -545,9 +552,6 @@ def test_precision_must_be_a_positive_int():
         for bad in (-3, 0, 2.5, True, "40"):
             with pytest.raises(DomainError):
                 legendre_tail(seq, 0, 5, mode=mode, precision=bad)
-    with pytest.raises(DomainError):
-        convergence_profile(seq.scenario, METHOD_LEGENDRE, 0, [5],
-                            mode=MODE_FLOAT, precision=0)
     assert legendre_tail(seq, 0, 5, mode=MODE_FLOAT, precision=1).precision == 1
 
 
@@ -577,24 +581,3 @@ def test_tail_validation_errors():
     with pytest.raises(DomainError):
         gegenbauer_tail(seq, 0, 0, 3, mode="symbolic")
 
-
-def test_convergence_profile_matches_single_calls():
-    scenario = Scenario(Variable.DIFF, Fraction(2), Fraction(1))
-    profile = convergence_profile(scenario, METHOD_LEGENDRE, 0, [5, 12, 20])
-    seq = moment_sequence(scenario, 20)
-    for m, value in profile:
-        assert value == legendre_tail(seq, 0, m).value
-    assert [m for m, _ in profile] == [5, 12, 20]
-
-
-def test_convergence_profile_validation():
-    scenario = Scenario(Variable.PT_DET, Fraction(1), Fraction(0))
-    assert convergence_profile(scenario, METHOD_LEGENDRE, 0, []) == []
-    with pytest.raises(DomainError):
-        convergence_profile(scenario, METHOD_LEGENDRE, 0, [5, 5])
-    with pytest.raises(DomainError):
-        convergence_profile(scenario, METHOD_LEGENDRE, 0, [5, -1])
-    with pytest.raises(DomainError):
-        convergence_profile(scenario, METHOD_LEGENDRE, 0, [True])
-    with pytest.raises(DomainError):
-        convergence_profile(scenario, "jacobi", 0, [5, 10])

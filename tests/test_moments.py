@@ -126,6 +126,9 @@ def test_scenario_coercion_and_interval():
     assert Scenario(Variable.DIFF, Fraction(1), Fraction(0)).interval == DIFF_INTERVAL
     with pytest.raises(DomainError):
         Scenario(Variable.PT_DET, Fraction(1, 3), Fraction(0))
+    for bad in ("xx", "PT", None):
+        with pytest.raises(DomainError, match="pt or diff"):
+            Scenario(bad, 1, 0)
 
 
 def test_moment_sequence_shape_and_memo_extension():
@@ -153,9 +156,16 @@ def test_moment_sequence_validation():
 def test_moment_sequence_dataclass_validation():
     s = Scenario(Variable.PT_DET, Fraction(1), Fraction(0))
     with pytest.raises(DomainError):
-        MomentSequence(s, ())
+        MomentSequence(s, (), ())
     with pytest.raises(DomainError):
-        MomentSequence(s, (Fraction(2),))
+        MomentSequence(s, (2,), (1,))
+    with pytest.raises(DomainError):
+        MomentSequence(s, (0,), (0,))
+    with pytest.raises(DomainError):
+        MomentSequence(s, (1, 1), (1,))
+    with pytest.raises(DomainError):
+        MomentSequence(s, (1,), (1, 3))
+    assert MomentSequence(s, (3, 1), (3, 5)).mu == (1, Fraction(1, 15))
 
 
 GRID_ALPHAS = (HALF, Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2),
@@ -372,11 +382,13 @@ def test_differences_step_the_packed_polynomial():
 
 
 def test_sequence_from_fractions():
-    # a sequence built from Fractions keeps them and derives the scaled
-    # form by a running lcm
+    # _rescale, which seeds the orders below r, derives the scaled form
+    # of Fractions by a running lcm
     s = Scenario(Variable.PT_DET, Fraction(3, 2), Fraction(2))
     served = moment_sequence(s, 30)
-    built = MomentSequence(s, list(served.mu))
+    nums, steps = [], []
+    moments._rescale(served.mu, nums, steps)
+    built = MomentSequence(s, tuple(nums), tuple(steps))
     assert built.mu == served.mu and len(built) == 31 and built.order == 30
     scale = 1
     for num, step, x in zip(built.nums, built.steps, built.mu):
