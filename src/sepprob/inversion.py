@@ -456,4 +456,3 @@ def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
     its own and reported under its own method name.
     """
     return _tail(moments, 0, xi, m, mode, precision, METHOD_LEGENDRE)
-

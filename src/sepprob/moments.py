@@ -107,7 +107,7 @@ class Scenario(Record):
             try:
                 variable = Variable(self.variable)
             except ValueError:
-                raise DomainError(f"variable must be pt or diff, "
+                raise DomainError("variable must be pt or diff, "
                                   f"got {self.variable!r}") from None
             object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "alpha", as_rational(self.alpha))
@@ -134,10 +134,10 @@ class MomentSequence:
     def __init__(self, scenario: Scenario, nums: Tuple[int, ...],
                  steps: Tuple[int, ...]) -> None:
         if len(nums) != len(steps):
-            raise DomainError(f"a moment sequence needs one step per "
+            raise DomainError("a moment sequence needs one step per "
                               f"numerator, got {len(nums)} numerators and "
                               f"{len(steps)} steps")
-        if not nums or not nums[0] == steps[0] != 0:
+        if not nums or nums[0] != steps[0] or steps[0] == 0:
             raise DomainError("a moment sequence must start with mu_0 = 1")
         self.scenario, self.nums, self.steps = scenario, nums, steps
 
