@@ -29,9 +29,7 @@ from .errors import (
     StructureViolation,
 )
 from .exactnum import (
-    SqrtPiScaled,
     as_rational,
-    gamma_half,
     is_half_integer,
     pochhammer,
 )

@@ -238,23 +238,17 @@ def cmd_tail(args) -> int:
             raise SepprobError(
                 "reconstruction applies to a single estimate; use --m")
     # everything the tails would reject is rejected before the cache is used
-    if args.method == "gegenbauer":
-        inversion._check_weight(args.geg_alpha)
-    elif args.geg_alpha != 0:
-        raise SepprobError("--geg-alpha applies to --method gegenbauer only")
+    inversion._check_weight(args.geg_alpha)
     xi = inversion._check_xi(scenario.interval, args.xi)
     inversion._resolve_mode(args.mode, orders[-1], args.precision)
     seq = _sequence_with_cache(scenario, orders[-1], args.cache)
-    ests = [inversion.legendre_tail(seq, xi, m, mode=args.mode,
-                                    precision=args.precision)
-            if args.method == "legendre" else
-            inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
+    ests = [inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
                                       mode=args.mode, precision=args.precision)
             for m in orders]
     meta = {"command": "tail", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
-            "method": ests[0].method, "alpha_w": str(ests[0].alpha_w),
-            "xi": str(xi)}
+            "method": "gegenbauer" if args.geg_alpha else "legendre",
+            "alpha_w": str(args.geg_alpha), "xi": str(xi)}
     if args.m_list is None:
         meta.update(m=str(args.m), mode=ests[0].mode)
     else:
@@ -547,10 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     ta.add_argument("--m-list",
                     help="comma-separated increasing truncation orders; "
                          "prints the whole convergence profile instead")
-    ta.add_argument("--method", choices=["legendre", "gegenbauer"],
-                    default="legendre")
     ta.add_argument("--geg-alpha", type=int, default=0,
-                    help="weight exponent for --method gegenbauer")
+                    help="Gegenbauer weight exponent w of (1 - t^2)^w; "
+                         "0 (the default) is the Legendre expansion")
     ta.add_argument("--xi", default="0",
                     help="tail threshold (rational); give a negative one "
                          "as --xi=-1/20, since a separate -1/20 reads as "

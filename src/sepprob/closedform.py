@@ -5,8 +5,8 @@ alpha: 1/2 (real), 1 (complex), 2 (quaternionic).  Each complementary
 probability F(alpha, k) = 1 - P(alpha, k) is a ratio of gamma values at
 integer and half-integer points times a polynomial in the induced-measure
 index k, so P is an exact rational for every integer k and the sqrt(pi)
-factors must cancel identically (this module asserts that rather than
-assuming it).
+factors must cancel identically (this module checks that from the gamma
+arguments rather than assuming it).
 
 Beyond plain evaluation the module exposes the scaffolding common to all
 three formulas: the gamma kernel G(alpha, k), the polynomial p_alpha with
@@ -30,10 +30,18 @@ import mpmath
 
 from .errors import DomainError, PrecisionError, SingularityError, \
     StructureViolation
-from .exactnum import RationalLike, Record, SqrtPiScaled, as_rational, \
-    check_alpha, gamma_half, horner, pochhammer
+from .exactnum import RationalLike, Record, as_rational, check_alpha, \
+    horner, pochhammer
 
 HALF = Fraction(1, 2)
+
+
+def _gamma_rational(x: Fraction) -> Fraction:
+    """Gamma(x) at a positive half-integer x without its sqrt(pi): the
+    rational part, pi^(-1/2) Gamma(x) when x is half-odd."""
+    # Gamma(x) = (b)_(x-b) Gamma(b) with b = 1 or 1/2, Gamma(1/2) = sqrt(pi)
+    base = Fraction(1, x.denominator)
+    return pochhammer(base, int(x - base))
 
 
 class _ClosedForm(Record):
@@ -43,7 +51,10 @@ class _ClosedForm(Record):
     kernel G(alpha, k).  `exact` evaluates it as a rational and `log` its
     logarithm at the ambient mpmath precision.  A k that puts a gamma
     argument at or below 0 raises `pole`: SingularityError unless the
-    caller names another error.
+    caller names another error.  Gamma at a half-odd point carries one
+    sqrt(pi), so the value is rational for every integer k exactly when
+    one more of u, v than of w is half-odd; construction refuses any
+    other u, v, w with DomainError.
     """
 
     const: Fraction
@@ -53,6 +64,13 @@ class _ClosedForm(Record):
     v: Fraction
     w: Fraction
 
+    def __post_init__(self) -> None:
+        half_odd = [x.denominator == 2 for x in (self.u, self.v, self.w)]
+        if half_odd[0] + half_odd[1] != half_odd[2] + 1:
+            raise DomainError(
+                f"sqrt(pi) does not cancel for u={self.u}, v={self.v}, "
+                f"w={self.w}")
+
     def _gamma_args(self, k: int, pole=SingularityError):
         args = (k + self.u, 2 * k + self.v, 3 * k + self.w)
         for arg in args:
@@ -61,11 +79,9 @@ class _ClosedForm(Record):
         return args
 
     def exact(self, k: int, pole=SingularityError) -> Fraction:
-        gu, gv, gw = (gamma_half(a) for a in self._gamma_args(k, pole))
-        rat = (self.const * Fraction(4) ** (k + self.shift)
-               * horner(self.poly, k))
-        sqrt_pi = SqrtPiScaled(Fraction(1), 1)
-        return (gu * gv * rat / (gw * sqrt_pi)).to_rational()
+        gu, gv, gw = map(_gamma_rational, self._gamma_args(k, pole))
+        return (self.const * Fraction(4) ** (k + self.shift)
+                * horner(self.poly, k) * gu * gv / gw)
 
     def log(self, k: int) -> mpmath.mpf:
         au, av, aw = (mpmath.mpf(a.numerator) / a.denominator

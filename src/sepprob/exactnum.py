@@ -2,13 +2,11 @@
 
 Everything here is built on Python's fractions.Fraction, the exact value
 type used throughout the package.  The module provides rational coercion,
-rising factorials, gamma at positive half-integer arguments carried
-symbolically as (rational) * pi^(e/2), Horner evaluation of polynomials,
-and the argument rules more than one layer applies (the Dyson-like
-parameter alpha, orders of moments and truncations).
-Rising factorials, and gamma through them, are one integer product over
-one power of the denominator, reduced once.  Record is the small frozen
-record base of the package's result and parameter classes.
+rising factorials, Horner evaluation of polynomials, and the argument
+rules more than one layer applies (the Dyson-like parameter alpha,
+orders of moments and truncations).  A rising factorial is one integer
+product over one power of the denominator, reduced once.  Record is the
+small frozen record base of the package's result and parameter classes.
 """
 
 from __future__ import annotations
@@ -24,10 +22,11 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce ints, "p/q" / decimal strings and Fractions to Fraction."""
+    """Coerce ints, "p/q" / decimal strings and Fractions to Fraction;
+    bool is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
@@ -122,53 +121,3 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class SqrtPiScaled(Record):
-    """A rational multiple of an integer power of sqrt(pi).
-
-    Represents coeff * pi^(sqrtpi_exponent / 2).  It stands on the left of
-    * and /: products and quotients by another SqrtPiScaled add and
-    subtract exponents, and a rational factor or divisor keeps the
-    exponent.  Conversion to a plain rational is allowed exactly when the
-    exponent is 0, which is how formulas assert (rather than assume) that
-    their sqrt(pi) factors cancel.
-    """
-
-    coeff: Fraction
-    sqrtpi_exponent: int = 0
-
-    def __mul__(self, other: "SqrtPiScaled | RationalLike") -> "SqrtPiScaled":
-        if isinstance(other, SqrtPiScaled):
-            return SqrtPiScaled(self.coeff * other.coeff,
-                                self.sqrtpi_exponent + other.sqrtpi_exponent)
-        return SqrtPiScaled(self.coeff * as_rational(other), self.sqrtpi_exponent)
-
-    def __truediv__(self, other: "SqrtPiScaled | RationalLike") -> "SqrtPiScaled":
-        if isinstance(other, SqrtPiScaled):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by zero SqrtPiScaled")
-            return SqrtPiScaled(self.coeff / other.coeff,
-                                self.sqrtpi_exponent - other.sqrtpi_exponent)
-        return SqrtPiScaled(self.coeff / as_rational(other), self.sqrtpi_exponent)
-
-    def to_rational(self) -> Fraction:
-        """Exact rational value; requires the sqrt(pi) exponent to be 0."""
-        if self.coeff != 0 and self.sqrtpi_exponent != 0:
-            raise DomainError(
-                f"sqrt(pi) exponent {self.sqrtpi_exponent} did not cancel")
-        return self.coeff
-
-
-def gamma_half(x: RationalLike) -> SqrtPiScaled:
-    """Exact Gamma(x) for positive integer or half-odd-integer x.
-
-    Gamma(1/2) = sqrt(pi), so half-odd arguments carry exponent 1 and
-    integer arguments exponent 0.
-    """
-    x = as_rational(x)
-    if x <= 0 or not is_half_integer(x):
-        raise DomainError(f"gamma_half needs a positive half-integer, got {x}")
-    # Gamma(x) = (b)_(x-b) Gamma(b) with b = 1 or 1/2, Gamma(1/2) = pi^(1/2)
-    base = Fraction(1, x.denominator)
-    return SqrtPiScaled(pochhammer(base, int(x - base)), x.denominator - 1)

@@ -47,9 +47,10 @@ the running sum by a small factor and one an_i nums_i per term, then
 one reduction.  The an_i keep the power of two of z^i, so each enters
 its product without its trailing zero bits, which a shift puts back
 (_dot).  Orders are independent of each other: there is no resumable
-state, and they may be asked for in any sequence.  The public API is the
-two tail functions; a convergence profile is a loop of one of them over
-one moment_sequence at the highest order, as tail --m-list runs it.
+state, and they may be asked for in any sequence.  The public API is
+gegenbauer_tail and legendre_tail, its w = 0 case under the paper's
+name; a convergence profile is a loop of one of them over one
+moment_sequence at the highest order, as tail --m-list runs it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 from .errors import DomainError
 from .exactnum import RationalLike, Record, as_rational, is_order
 from .moments import MomentSequence, Scenario
-
-METHOD_LEGENDRE = "legendre"
-METHOD_GEGENBAUER = "gegenbauer"
 
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
@@ -92,7 +90,6 @@ class TailEstimate(Record, hide=("bank",)):
     """
 
     scenario: Scenario
-    method: str
     alpha_w: int
     m: int
     mode: str
@@ -407,11 +404,20 @@ def _dot(an: Iterable[int], nums: Iterable[int],
     return acc
 
 
-def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
-          mode: str, precision: Optional[int], method: str) -> TailEstimate:
-    """The tail estimate of gegenbauer_tail, reported under method: the
-    order's bank dotted with the moments' scaled form by _dot, which
-    skips each bank integer's trailing zero bits, then one reduction."""
+def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
+                    m: int, mode: str = MODE_AUTO,
+                    precision: Optional[int] = None) -> TailEstimate:
+    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
+
+    The estimate is always computed exactly, as sum_i A_i mu_i with
+    A_i = an_i / scale from the bank and mu_i = nums_i / S_i from the
+    moments' scaled form, where S_i = steps_0 ... steps_i.  By Horner,
+    acc_i = acc_{i-1} steps_i + an_i nums_i, and the value is
+    acc_m / (scale S_m), reduced once; no Fraction of a moment is read
+    (_dot skips each bank integer's trailing zero bits).  Float mode
+    reports the exact value correctly rounded to `precision` digits; the
+    coefficients stay exact.
+    """
     alpha_w = _check_weight(alpha_w)
     if not is_order(m):
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
@@ -427,32 +433,13 @@ def _tail(moments: MomentSequence, alpha_w: int, xi: RationalLike, m: int,
                      bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))
-    return TailEstimate(moments.scenario, method, alpha_w, m, mode, precision,
+    return TailEstimate(moments.scenario, alpha_w, m, mode, precision,
                         value, bank)
-
-
-def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
-                    m: int, mode: str = MODE_AUTO,
-                    precision: Optional[int] = None) -> TailEstimate:
-    """Truncated tail estimate Pr{X > xi} from mu_0..mu_m.
-
-    The estimate is always computed exactly, as sum_i A_i mu_i with
-    A_i = an_i / scale from the bank and mu_i = nums_i / S_i from the
-    moments' scaled form, where S_i = steps_0 ... steps_i.  By Horner,
-    acc_i = acc_{i-1} steps_i + an_i nums_i, and the value is
-    acc_m / (scale S_m), reduced once; no Fraction of a moment is read.
-    Float mode reports the exact value correctly rounded to `precision`
-    digits; the coefficients stay exact.
-    """
-    return _tail(moments, alpha_w, xi, m, mode, precision, METHOD_GEGENBAUER)
 
 
 def legendre_tail(moments: MomentSequence, xi: RationalLike, m: int,
                   mode: str = MODE_AUTO,
                   precision: Optional[int] = None) -> TailEstimate:
-    """The flat-weight (w = 0) tail estimate, the primary instrument here.
-
-    Identical by definition to gegenbauer_tail with alpha_w = 0; exposed on
-    its own and reported under its own method name.
-    """
-    return _tail(moments, 0, xi, m, mode, precision, METHOD_LEGENDRE)
+    """The flat-weight (w = 0) tail estimate, the paper's Legendre
+    expansion: the record gegenbauer_tail returns with alpha_w = 0."""
+    return gegenbauer_tail(moments, 0, xi, m, mode, precision)

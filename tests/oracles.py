@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from sepprob.errors import DomainError
-from sepprob.exactnum import as_rational, gamma_half
+from sepprob.exactnum import as_rational, pochhammer
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -199,8 +199,9 @@ def tail_coeffs_from_tables(tables) -> Tuple[Fraction, ...]:
     """
     a = tables.alpha_w
     zeta = tables.zeta
-    h0 = (gamma_half(HALF) * gamma_half(a + 1)
-          / gamma_half(a + Fraction(3, 2))).to_rational()
+    # Gamma(1/2) Gamma(a+1) / Gamma(a+3/2), with Gamma(a+3/2) =
+    # (1/2)_(a+1) Gamma(1/2)
+    h0 = math.factorial(a) / pochhammer(HALF, a + 1)
     q0 = sum(Fraction(math.comb(a, r) * (-1) ** r, 2 * r + 1)
              * (1 - zeta ** (2 * r + 1)) for r in range(a + 1))
     q1 = (1 - zeta * zeta) ** (a + 1) / (2 * (a + 1))

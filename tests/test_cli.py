@@ -367,8 +367,8 @@ def test_tail_rejects_bad_precision():
 
 def test_tail_gegenbauer_weight():
     rc, out, _ = run_cli(["tail", "--variable", "pt", "--alpha", "1",
-                          "--k", "0", "--m", "30", "--method", "gegenbauer",
-                          "--geg-alpha", "2", "--format", "json"])
+                          "--k", "0", "--m", "30", "--geg-alpha", "2",
+                          "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["meta"]["method"] == "gegenbauer"
@@ -377,6 +377,20 @@ def test_tail_gegenbauer_weight():
     expect = inversion.gegenbauer_tail(seq, 2, 0, 30).value
     exact_row = [r for r in doc["rows"] if r["field"] == "value_exact"][0]
     assert exact_row["value"] == f"{expect.numerator}/{expect.denominator}"
+
+
+def test_tail_method_label_follows_the_weight():
+    base = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
+            "--m", "5"]
+    for weight, label in (("0", "legendre"), ("2", "gegenbauer")):
+        rc, out, err = run_cli(base + ["--geg-alpha", weight])
+        assert (rc, err) == (0, "")
+        assert f" method={label} alpha_w={weight} " in out.splitlines()[0]
+    # the flag that used to choose the label is gone
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(base + ["--method", "gegenbauer"])
+    assert exc.value.code == 2
 
 
 def test_tail_profile():
@@ -442,9 +456,8 @@ def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
                   ["--m-list", "5,-1"], ["--m", "5", "--radius", "1e-3"],
                   ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"],
                   ["--m", "5", "--xi", "1"],
-                  ["--m", "5", "--method", "gegenbauer", "--geg-alpha", "-1"],
-                  ["--m", "5", "--mode", "float", "--precision", "0"],
-                  ["--m", "5", "--geg-alpha", "3"]):
+                  ["--m", "5", "--geg-alpha", "-1"],
+                  ["--m", "5", "--mode", "float", "--precision", "0"]):
         rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                                 "--k", "0", "--cache", str(cache)] + extra)
         assert rc == 1 and out == "" and err.count("\n") == 1
@@ -689,8 +702,8 @@ RECORDED_STDOUT = {
     "tail --variable pt --alpha 1 --k 0 --m-list 50,100,150,200 "
     "--mode float --precision 40":
         "9f2d06de943922419d47ccdfb5f5eccdd5e6cb22a01995f6427a70c13b2b7a6a",
-    "tail --variable diff --alpha 2 --k 1 --m 120 --method gegenbauer "
-    "--geg-alpha 2 --format csv":
+    "tail --variable diff --alpha 2 --k 1 --m 120 --geg-alpha 2 "
+    "--format csv":
         "f2c16c8b1b07929a10b753b8c95d764efafc342b7565b02be27779650d69de30",
     "tail --variable pt --alpha 1 --k 0 --m 200 --xi 1/256":
         "d0a9ceb5a6ba049de239e8b07a7c6f8e3755d11c37ef0731e00073bed61909a2",
@@ -718,8 +731,8 @@ RECORDED_FORMATTED_STDOUT = {
     "tail --variable pt --alpha 2 --k 1 --m 150 --bound 200 --radius 1e-5 "
     "--format json":
         "93459437fe5d9c9afc3e82991ba6a8fb5cc40f66e1d2a27f6f8cd6f4890ba94a",
-    "tail --variable pt --alpha 1 --k 0 --m-list 20,40,80 --method "
-    "gegenbauer --geg-alpha 1 --format csv":
+    "tail --variable pt --alpha 1 --k 0 --m-list 20,40,80 --geg-alpha 1 "
+    "--format csv":
         "23d4b6109d04fa0f7b46941ea8efdec5572cc88935bec56bf486f7dd03f46d64",
     "tail --variable diff --alpha 1/2 --k 0 --m 60 --xi=-1/40 --mode float "
     "--precision 30 --format json":

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from sepprob import closedform
+from sepprob.closedform import _ClosedForm, _gamma_rational
 from sepprob.errors import DomainError
-from sepprob.exactnum import SqrtPiScaled, as_rational, gamma_half, \
-    is_half_integer, pochhammer
+from sepprob.exactnum import as_rational, is_half_integer, pochhammer
+from sepprob.moments import Scenario, pt_moment
 
 
 def test_as_rational_accepts_ints_strings_fractions():
@@ -20,6 +22,15 @@ def test_as_rational_accepts_ints_strings_fractions():
 def test_as_rational_rejects_floats():
     with pytest.raises(DomainError):
         as_rational(0.5)
+
+
+def test_rational_arguments_refuse_bools():
+    for call in (lambda: as_rational(False),
+                 lambda: Scenario("pt", True, False),
+                 lambda: pt_moment(True, False, 1),
+                 lambda: closedform.sep_prob(True, 0)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_is_half_integer():
@@ -48,57 +59,48 @@ def test_pochhammer_rejects_negative_length():
 
 
 def test_gamma_half_integer_arguments():
-    assert gamma_half(1).to_rational() == 1
-    assert gamma_half(2).to_rational() == 1
-    assert gamma_half(5).to_rational() == 24
+    # the closed forms' gamma values, without their sqrt(pi)
+    assert _gamma_rational(Fraction(1)) == 1
+    assert _gamma_rational(Fraction(2)) == 1
+    assert _gamma_rational(Fraction(5)) == 24
 
 
 def test_gamma_half_half_odd_arguments():
-    assert gamma_half(Fraction(1, 2)) == SqrtPiScaled(Fraction(1), 1)
-    assert gamma_half(Fraction(3, 2)) == SqrtPiScaled(Fraction(1, 2), 1)
-    assert gamma_half(Fraction(7, 2)) == SqrtPiScaled(Fraction(15, 8), 1)
+    assert _gamma_rational(Fraction(1, 2)) == 1
+    assert _gamma_rational(Fraction(3, 2)) == Fraction(1, 2)
+    assert _gamma_rational(Fraction(7, 2)) == Fraction(15, 8)
 
 
 def test_gamma_half_matches_float_gamma():
     for x in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(4),
               Fraction(11, 2), Fraction(9)):
-        g = gamma_half(x)
-        approx = float(g.coeff) * math.pi ** (g.sqrtpi_exponent / 2)
+        approx = (float(_gamma_rational(x))
+                  * math.pi ** ((x.denominator - 1) / 2))
         assert math.isclose(approx, math.gamma(float(x)), rel_tol=1e-12)
 
 
 def test_gamma_half_recurrence():
     for x in (Fraction(1, 2), Fraction(5, 2), Fraction(3), Fraction(9, 2)):
-        assert gamma_half(x + 1) == gamma_half(x) * x
-
-
-def test_gamma_half_rejects_bad_arguments():
-    for bad in (0, -1, Fraction(-1, 2), Fraction(1, 3)):
-        with pytest.raises(DomainError):
-            gamma_half(bad)
-
-
-def test_sqrtpi_products_and_quotients():
-    a = SqrtPiScaled(Fraction(3, 4), 1)
-    b = SqrtPiScaled(Fraction(2), 1)
-    assert (a * b) == SqrtPiScaled(Fraction(3, 2), 2)
-    assert (a / b) == SqrtPiScaled(Fraction(3, 8), 0)
-    assert (a / b).to_rational() == Fraction(3, 8)
-    assert (a * 2) == SqrtPiScaled(Fraction(3, 2), 1)
-    assert (a / "3/4") == SqrtPiScaled(Fraction(1), 1)
-    with pytest.raises(ZeroDivisionError):
-        a / SqrtPiScaled(Fraction(0), 1)
+        assert _gamma_rational(x + 1) == _gamma_rational(x) * x
 
 
 def test_sqrtpi_to_rational_requires_cancellation():
-    with pytest.raises(DomainError):
-        SqrtPiScaled(Fraction(1), 1).to_rational()
-    assert SqrtPiScaled(Fraction(0), 3).to_rational() == 0
+    # a closed form is rational only when one more of u, v than of w is
+    # half-odd, so that the sqrt(pi) of its denominator cancels
+    for u, v, w in ((1, 1, 1), ("1/2", "1/2", 1), ("1/2", 1, "1/2"),
+                    ("1/2", "3/2", 1), (1, 1, "1/2")):
+        with pytest.raises(DomainError):
+            _ClosedForm(Fraction(1), 0, (1,), *map(Fraction, (u, v, w)))
+    for u, v, w in (("1/2", 1, 1), (1, "3/2", 2), ("1/2", "1/2", "5/2")):
+        form = _ClosedForm(Fraction(1), 0, (1,), *map(Fraction, (u, v, w)))
+        assert form.exact(0) == (_gamma_rational(form.u)
+                                 * _gamma_rational(form.v)
+                                 / _gamma_rational(form.w))
 
 
 def test_pochhammer_gamma_consistency():
     # (a)_n = Gamma(a+n) / Gamma(a) on both parities
     for a in (Fraction(1, 2), Fraction(3), Fraction(5, 2)):
         for n in (0, 1, 4):
-            ratio = gamma_half(a + n) / gamma_half(a)
-            assert ratio.to_rational() == pochhammer(a, n)
+            ratio = _gamma_rational(a + n) / _gamma_rational(a)
+            assert ratio == pochhammer(a, n)

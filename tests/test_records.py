@@ -11,7 +11,6 @@ from sepprob import closedform
 from sepprob.closedform import StructuralPrediction, StructureCheck, \
     StructureReport, _ClosedForm, structural_prediction, verify_structure
 from sepprob.errors import DomainError
-from sepprob.exactnum import SqrtPiScaled, gamma_half
 from sepprob.inversion import TailEstimate, _Bank, gegenbauer_tail, \
     legendre_tail
 from sepprob.moments import Scenario, Variable, moment_sequence
@@ -19,10 +18,9 @@ from sepprob.recon import RationalGuess, reconstruct
 
 # each record class with its fields in order
 FIELDS = {
-    SqrtPiScaled: ("coeff", "sqrtpi_exponent"),
     Scenario: ("variable", "alpha", "k"),
-    TailEstimate: ("scenario", "method", "alpha_w", "m", "mode", "precision",
-                   "value", "bank"),
+    TailEstimate: ("scenario", "alpha_w", "m", "mode", "precision", "value",
+                   "bank"),
     _Bank: ("an", "scale"),
     RationalGuess: ("value", "denominator_bound", "residual", "confidence"),
     _ClosedForm: ("const", "shift", "poly", "u", "v", "w"),
@@ -41,7 +39,6 @@ def samples():
     est = legendre_tail(moment_sequence(Scenario("pt", 1, 0), 20), 0, 20)
     report = verify_structure(1)
     return {
-        SqrtPiScaled: gamma_half(Fraction(5, 2)),
         Scenario: Scenario("diff", 2, 1),
         TailEstimate: est,
         _Bank: est.bank,
@@ -100,13 +97,12 @@ def test_inequality_and_foreign_types():
     s = Scenario("pt", 1, 0)
     assert s != Scenario("pt", 1, 1)
     assert s != (Variable.PT_DET, Fraction(1), Fraction(0))
-    assert SqrtPiScaled(Fraction(1), 0) != Fraction(1)
-    assert SqrtPiScaled(Fraction(1), 0) != SqrtPiScaled(Fraction(1), 2)
+    check = StructureCheck("degree", 2, 2, True)
+    assert check != ("degree", 2, 2, True)
+    assert check != StructureCheck("degree", 2, 2, False)
 
 
 def test_defaults():
-    assert SqrtPiScaled(Fraction(3)).sqrtpi_exponent == 0
-    assert SqrtPiScaled(Fraction(3)) == SqrtPiScaled(Fraction(3), 0)
     pred = StructuralPrediction(Fraction(1, 2), 1, Fraction(32))
     assert (pred.g1, pred.g2, pred.c2, pred.c2_prime, pred.c3,
             pred.reduced_degree, pred.half_integer_pochhammer) == (None,) * 7
@@ -136,10 +132,6 @@ def test_repr_text():
     assert repr(Scenario("pt", "1/2", 0)) == (
         "Scenario(variable=<Variable.PT_DET: 'pt'>, alpha=Fraction(1, 2), "
         "k=Fraction(0, 1))")
-    assert repr(SqrtPiScaled(Fraction(3, 2), 1)) == \
-        "SqrtPiScaled(coeff=Fraction(3, 2), sqrtpi_exponent=1)"
-    assert repr(SqrtPiScaled(Fraction(1))) == \
-        "SqrtPiScaled(coeff=Fraction(1, 1), sqrtpi_exponent=0)"
     assert repr(reconstruct("0.333333", "1e-4", 50)) == (
         "RationalGuess(value=Fraction(1, 3), denominator_bound=50, "
         "residual=mpf('3.3333333333333333e-7'), "
@@ -147,25 +139,24 @@ def test_repr_text():
     exact = legendre_tail(moment_sequence(Scenario("pt", 1, 0), 3), 0, 3)
     assert repr(exact) == (
         "TailEstimate(scenario=Scenario(variable=<Variable.PT_DET: 'pt'>, "
-        "alpha=Fraction(1, 1), k=Fraction(0, 1)), method='legendre', "
-        "alpha_w=0, m=3, mode='exact', precision=None, "
+        "alpha=Fraction(1, 1), k=Fraction(0, 1)), alpha_w=0, m=3, "
+        "mode='exact', precision=None, "
         "value=Fraction(32042760600977519, 82389269008405359))")
     rounded = gegenbauer_tail(moment_sequence(Scenario("diff", 2, 1), 4), 1,
                               "-1/100", 4, mode="float", precision=20)
     assert repr(rounded) == (
         "TailEstimate(scenario=Scenario(variable=<Variable.DIFF: 'diff'>, "
-        "alpha=Fraction(2, 1), k=Fraction(1, 1)), method='gegenbauer', "
-        "alpha_w=1, m=4, mode='float', precision=20, "
+        "alpha=Fraction(2, 1), k=Fraction(1, 1)), alpha_w=1, m=4, "
+        "mode='float', precision=20, "
         "value=mpf('1.2050754522613627'))")
     assert "bank" not in repr(exact) and "an=" not in repr(rounded)
 
 
 def test_tail_method_names():
+    # legendre_tail names the w = 0 Gegenbauer tail: both build one record
     seq = moment_sequence(Scenario("pt", 1, 0), 30)
     flat = legendre_tail(seq, 0, 30)
     weighted = gegenbauer_tail(seq, 0, 0, 30)
-    assert (flat.method, weighted.method) == ("legendre", "gegenbauer")
-    assert flat.value == weighted.value and flat.bank is weighted.bank
-    assert flat != weighted
-    assert gegenbauer_tail(seq, 2, 0, 30, mode="float").method == \
-        "gegenbauer"
+    assert flat == weighted and hash(flat) == hash(weighted)
+    assert repr(flat) == repr(weighted) and flat.bank is weighted.bank
+    assert "method" not in TailEstimate._fields
