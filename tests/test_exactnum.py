@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepprob import closedform
-from sepprob.closedform import _ClosedForm, _gamma_rational
+from sepprob.closedform import _ClosedForm, _gamma_rational, sep_prob
 from sepprob.errors import DomainError
 from sepprob.exactnum import as_rational, is_half_integer, pochhammer
 from sepprob.moments import Scenario, pt_moment
@@ -28,7 +27,7 @@ def test_rational_arguments_refuse_bools():
     for call in (lambda: as_rational(False),
                  lambda: Scenario("pt", True, False),
                  lambda: pt_moment(True, False, 1),
-                 lambda: closedform.sep_prob(True, 0)):
+                 lambda: sep_prob(True, 0)):
         with pytest.raises(DomainError):
             call()
 

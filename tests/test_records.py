@@ -159,4 +159,3 @@ def test_tail_method_names():
     weighted = gegenbauer_tail(seq, 0, 0, 30)
     assert flat == weighted and hash(flat) == hash(weighted)
     assert repr(flat) == repr(weighted) and flat.bank is weighted.bank
-    assert "method" not in TailEstimate._fields
