@@ -237,7 +237,11 @@ def cmd_tail(args) -> int:
         if reconstruct:
             raise SepprobError(
                 "reconstruction applies to a single estimate; use --m")
-    # everything the tails would reject is rejected before the cache is used
+    # everything the tails and the reconstruction would reject is rejected
+    # before the cache is used
+    if reconstruct:
+        recon._check_bound(args.bound)
+        recon._check_radius(args.radius)
     inversion._check_weight(args.geg_alpha)
     xi = inversion._check_xi(scenario.interval, args.xi)
     inversion._resolve_mode(args.mode, orders[-1], args.precision)
@@ -299,7 +303,13 @@ def _factored(v: Fraction) -> str:
     return f"{side(v.numerator)}/{side(v.denominator)}"
 
 
+def _check_k_max(k_max: Optional[int]) -> None:
+    if k_max is not None and k_max < 0:
+        raise DomainError(f"--k-max must be an integer >= 0, got {k_max}")
+
+
 def cmd_tables(args) -> int:
+    _check_k_max(args.k_max)
     if args.table == "all" and args.format != "text":
         raise SepprobError(
             "--table all emits several tables and supports text only; "
@@ -413,8 +423,11 @@ def cmd_fit(args) -> int:
 
 def _fit_from_approximants(args, alpha: Fraction) -> int:
     pred = closedform.structural_prediction(alpha)
-    # an alpha without a closed form is refused before any pipeline work
+    # an alpha without a closed form and a bad bound or radius are
+    # refused before any pipeline work
     expected = closedform.extract_p(alpha)
+    recon._check_bound(args.bound)
+    recon._check_radius(args.radius)
     ks = list(range(pred.degree + 2))
     meta = {"command": "fit", "alpha": str(alpha), "pipeline": "approximants",
             "m": str(args.m), "bound": str(args.bound),
@@ -476,6 +489,7 @@ def cmd_asymptote(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    _check_k_max(args.k_max)
     if args.figure == 1:
         k_max = args.k_max if args.k_max is not None else 20
         meta = {"command": "plot-data", "figure": "1"}

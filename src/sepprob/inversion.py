@@ -44,10 +44,12 @@ all.  The dot product reads the moments in their scaled form,
 mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
 per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
 the running sum by a small factor and one an_i nums_i per term, then
-one reduction.  The an_i keep the power of two of z^i, so each enters
-its product without its trailing zero bits, which a shift puts back
-(_dot).  Orders are independent of each other: there is no resumable
-state, and they may be asked for in any sequence.  The public API is
+one reduction.  The an_i keep the power of two of z^i; the bank stores
+each an_i split once, when it is built, into its odd part and that
+power, so each enters its product without its trailing zero bits,
+which a shift puts back (_dot), and no scenario splits it again.
+Orders are independent of each other: there is no resumable state, and
+they may be asked for in any sequence.  The public API is
 gegenbauer_tail and legendre_tail, its w = 0 case under the paper's
 name; a convergence profile is a loop of one of them over one
 moment_sequence at the highest order, as tail --m-list runs it.
@@ -211,16 +213,31 @@ def _sum_at_one(a: int, zeta: Fraction, m: int) -> Fraction:
 
 
 class _Bank(Record):
-    """A_0..A_m of one order as integers over one scale: A_i = an[i] / scale,
-    where scale is the lcm of the reduced denominators of the A_i."""
+    """A_0..A_m of one order as integers over one scale, each split into
+    its odd part and its power of two: A_i = odd[i] 2^twos[i] / scale,
+    where scale is the lcm of the reduced denominators of the A_i.  A zero
+    A_i is stored as odd 0, twos 0."""
 
-    an: Tuple[int, ...]
+    odd: Tuple[int, ...]
+    twos: Tuple[int, ...]
     scale: int
 
     @functools.cached_property
     def coeffs(self) -> Tuple[Fraction, ...]:
         """The A_i as reduced Fractions, built on first access."""
-        return tuple(Fraction(n, self.scale) for n in self.an)
+        return tuple(Fraction(o << t, self.scale)
+                     for o, t in zip(self.odd, self.twos))
+
+
+def _split(an: Iterable[int], scale: int) -> _Bank:
+    """The bank an_i / scale, each an_i split once into its odd part and
+    the number of its trailing zero bits."""
+    odd, twos = [], []
+    for a in an:
+        t = (a & -a).bit_length() - 1 if a else 0
+        odd.append(a >> t)
+        twos.append(t)
+    return _Bank(tuple(odd), tuple(twos), scale)
 
 
 def _reduced(den: int, nums: List[int]) -> _Bank:
@@ -241,8 +258,8 @@ def _reduced(den: int, nums: List[int]) -> _Bank:
     g = math.gcd(g0, *(r for _, r in nums))
     if g < g0:
         up = g0 // g
-        return _Bank(tuple(q * up + r // g for q, r in nums), den // g)
-    return _Bank(tuple(q for q, _ in nums), den // g0)
+        return _split((q * up + r // g for q, r in nums), den // g)
+    return _split((q for q, _ in nums), den // g0)
 
 
 def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
@@ -290,7 +307,7 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     """
     if m == 0:
         head = _q0(a, zeta) / _h0(a)
-        return _Bank((head.numerator,), head.denominator)
+        return _split((head.numerator,), head.denominator)
     lo, hi, xi = (-1 - c0) / c1, (1 - c0) / c1, (zeta - c0) / c1
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
@@ -385,22 +402,22 @@ def _rounded(x: Fraction, bits: int) -> mpmath.mpf:
         from_rational(x.numerator, x.denominator, bits, round_nearest))
 
 
-def _dot(an: Iterable[int], nums: Iterable[int],
-         steps: Iterable[int]) -> int:
+def _dot(bank: _Bank, nums: Iterable[int], steps: Iterable[int]) -> int:
     """sum_i an_i nums_i (steps_{i+1} ... steps_m), i = 0..m with
-    m + 1 = len(an), by Horner: acc = acc steps_i + an_i nums_i.  The
-    moments may run past order m.
+    m + 1 = len(bank.odd) and an_i = odd_i 2^twos_i, by Horner:
+    acc = acc steps_i + (odd_i nums_i << twos_i).  The moments may run
+    past order m.
 
-    Each an_i is multiplied without its trailing zero bits, which are
-    shifted back onto the product.  The bank's A_i carry z^i, and the
-    power of two in z, 8 bits per order for pt and 4 for diff, stays in
-    an_i, so at m = 300 the top pt coefficient has 4.2k bits of which
-    2.4k are zeros that the product would otherwise multiply.
+    Each product takes the bank integer without its trailing zero bits,
+    split off once when the bank is built, and a shift puts them back.
+    The bank's A_i carry z^i, and the power of two in z, 8 bits per order
+    for pt and 4 for diff, stays in an_i, so at m = 300 the top pt
+    coefficient has 4.2k bits of which 2.4k are zeros that the product
+    would otherwise multiply.
     """
     acc = 0
-    for a, num, step in zip(an, nums, steps):
-        twos = (a & -a).bit_length() - 1
-        acc = acc * step + ((a >> twos) * num << twos if a else 0)
+    for odd, twos, num, step in zip(bank.odd, bank.twos, nums, steps):
+        acc = acc * step + (odd * num << twos)
     return acc
 
 
@@ -429,7 +446,7 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
     zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
     bank = _exact_bank(c0, c1, alpha_w, zeta, m)
-    value = Fraction(_dot(bank.an, moments.nums, moments.steps),
+    value = Fraction(_dot(bank, moments.nums, moments.steps),
                      bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:
         value = _rounded(value, dps_to_prec(precision))

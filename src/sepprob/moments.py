@@ -26,11 +26,12 @@ telescoping proves it: tests/test_recurrence.py checks the certificate's
 telescoping identity and its boundary terms exactly.  The identity holds
 for generic alpha and k, and each mu_n is a rational function of both, so
 the recurrence holds at the 0/0 orders as well.  The table is read and
-specialized to 2 alpha once per (variable, alpha), leaving each
-coefficient a polynomial in 2k; a small memo keeps the last few alphas,
-so the scenarios of a sweep that share an alpha share that set-up.  A
-sequence then evaluates those polynomials at its 2k by Horner (924
-steps for pt) and steps the recurrence in integers over one running
+parsed once per process and variable and kept as integers; it is
+specialized to 2 alpha, by Horner, once per (variable, alpha), leaving
+each coefficient a polynomial in 2k.  A small memo keeps the last few
+alphas, so the scenarios of a sweep that share an alpha share that
+set-up.  A sequence then evaluates those polynomials at its 2k by Horner
+(924 steps for pt) and steps the recurrence in integers over one running
 scale S: the r orders of the window are integers over S, each order is
 one sum of r products, and one division of that sum by c_r, a number of
 a few hundred bits, with one gcd of the small remainder and c_r, leaves
@@ -38,12 +39,15 @@ the order's numerator and the small factor (at most 34 bits up to order
 1000) by which S grows.  The r + 1 values c_i(n - r) of an order are
 the slots of one integer: the coefficients of each power of n are
 packed, c_i in the bits iW..iW+W-1, plus a bias of 2^(W-1) per slot.
-That packed polynomial moves from one order to the next by forward
-differences, one addition per degree (20 for pt, 11 for diff) and no
-product, and shifts and masks read the slots back.  W is one bit more
-than the largest sum_d |c_{i,d}| (m - r)^d, which bounds |c_i(x)| for
-0 <= x <= m - r, so it is derived afresh for each requested order m
-and no slot borrows from the next.  No Fraction is reduced per order:
+The forward differences of that packed polynomial, 21 for pt and 12
+for diff, are the (r + 1) W-bit fields of one integer, whose lowest field
+is the packed value: one shift and one addition move the whole table to
+the next order, with no product, and shifts and masks read the slots
+back.  W is one bit more than the largest sum_d |c_{i,d}| (m - r)^d,
+which bounds |c_i(x)| for 0 <= x <= m - r, so it is derived afresh for
+each requested order m and no slot borrows from the next; the bias
+keeps the packed value in [1, 2^((r+1) W)), so the shift that moves the
+table never borrows from it either.  No Fraction is reduced per order:
 a MomentSequence is built from the scaled form alone, MomentSequence.mu
 reduces the moments once, for the callers that read them as Fractions,
 and the tail's dot product reads the scaled form.
@@ -267,8 +271,7 @@ def _table_rows(variable: Variable):
     """(i, d, top, row) for each line of the variable's table: row holds
     the decimal coefficients of n^d in c_i, those of (2 alpha)^u (2k)^v of
     total degree at most top, in the order u = 0..top and for each u
-    v = 0..top-u.  The table is read one line at a time, so that nothing of
-    it stays in memory."""
+    v = 0..top-u."""
     prefix = variable.value + " "
     with open(_TABLE, encoding="ascii") as fh:
         for line in fh:
@@ -277,33 +280,38 @@ def _table_rows(variable: Variable):
                 yield int(i), int(d), int(top), row
 
 
+@functools.lru_cache(maxsize=2)
+def _int_table(variable: Variable) -> tuple[tuple[tuple[tuple[int, ...],
+                                                       ...], ...], ...]:
+    """The variable's table as integers, read from the file once per
+    process: for each c_i, each power of n and each power v of 2k, the
+    coefficients of (2 alpha)^u, ascending in u.  Both variables' tables
+    stay resident, about 0.4 MiB for pt."""
+    out: list[list[tuple[tuple[int, ...], ...]]] = []
+    for i, _, top, row in _table_rows(variable):
+        if i == len(out):
+            out.append([])
+        # the run of u starts at sum_{t<u} (top - t + 1); v is its offset
+        starts = tuple(itertools.accumulate(range(top + 1, 1, -1), initial=0))
+        values = tuple(map(int, row))
+        out[i].append(tuple(tuple(values[s + v] for s in starts[:top - v + 1])
+                            for v in range(top + 1)))
+    return tuple(map(tuple, out))
+
+
 @functools.lru_cache(maxsize=4)
 def _alpha_table(variable: Variable,
                  a2: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The variable's table at 2 alpha = a2: for each c_i and each power
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    Each row's runs of equal u hold the coefficients of (2 alpha)^u; the
-    runs are summed by Horner in a2, coefficient by coefficient of 2k.
-    One reading serves every k at this alpha.  Four alphas are kept:
-    tables --approx-m and plot-data --figure 2 step through three alphas
-    for each k.
+    Each coefficient is a polynomial in a2 of _int_table, summed by
+    Horner, so a new alpha reads no file.  One pass serves every k at
+    this alpha.  Four alphas are kept: tables --approx-m and plot-data
+    --figure 2 step through three alphas for each k.
     """
-    out: list[list[tuple[int, ...]]] = []
-    for i, _, top, row in _table_rows(variable):
-        if i == len(out):
-            out.append([])
-        runs, start = [], 0
-        for u in range(top + 1):
-            end = start + top - u + 1
-            runs.append(map(int, row[start:end]))
-            start = end
-        poly: list[int] = []
-        for run in reversed(runs):
-            poly = [c + a2 * x for c, x in
-                    itertools.zip_longest(run, poly, fillvalue=0)]
-        out[i].append(tuple(poly))
-    return tuple(map(tuple, out))
+    return tuple(tuple(tuple(horner(col, a2) for col in poly) for poly in c)
+                 for c in _int_table(variable))
 
 
 def _recurrence(variable: Variable, alpha: Fraction,
@@ -347,32 +355,24 @@ def _pack(coeffs: tuple[tuple[int, ...], ...],
     return width, packed
 
 
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    """c_0(x)..c_r(x) from value = horner(P, x) of _pack: each slot less
-    the bias; the top slot needs no mask."""
-    mask, half = (1 << width) - 1, 1 << width - 1
-    out = []
-    for _ in range(count - 1):
-        out.append((value & mask) - half)
-        value >>= width
-    out.append(value - half)
-    return out
-
-
-def _differences(packed: list[int], x: int) -> list[int]:
+def _differences(packed: list[int], x: int, shift: int) -> int:
     """The forward differences Delta^0..Delta^D at x of the packed
-    polynomial of _pack, D its degree: Delta^0 is horner(packed, x) and
-    Delta^D is constant.  Adding each difference to the one below it,
-    Delta^j += Delta^(j+1), moves the whole table from x to x + 1.
+    polynomial of _pack, D its degree, as one integer
+    T = sum_j Delta^j 2^(j shift).
 
-    The values at x..x+D that the table starts from are exact integers
-    even where x + j lies past the range that _pack's width covers; only
-    Delta^0 at an order inside that range is ever unpacked.
+    While Delta^0 lies in [0, 2^shift), T & (2^shift - 1) reads it, and
+    T += T >> shift moves the whole table from x to x + 1 (Delta^j +=
+    Delta^(j+1) for every j at once): the floor shift drops Delta^0
+    alone, whatever the signs of the higher differences, since
+    T = Delta^0 + 2^shift (T >> shift).  With shift = (r + 1) W, _pack's
+    bias keeps Delta^0 there at every x of its range.  The values at
+    x..x+D that the table starts from are exact integers even where
+    x + j lies past that range.
     """
     values = [horner(packed, x + j) for j in range(len(packed))]
-    table = []
-    while values:
-        table.append(values[0])
+    table = 0
+    for j in range(len(packed)):
+        table += values[0] << j * shift
         values = list(map(operator.sub, values[1:], values))
     return table
 
@@ -396,11 +396,13 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     scale by that step, a few tens of bits.  c_0(n-r)..c_r(n-r) are the
     slots of one packed value (_pack, whose width W bounds every |c_i(x)|
     up to x = m - r, so each stretch derives W afresh from its own m).
-    That value steps by forward differences (_differences): per order one
-    map of D additions, D = 20 for pt and 11 for diff, in place of a
-    Horner pass of D products.  A stretch continues from the remembered
-    orders, so no order is computed twice, and a request below order r
-    reads no table.
+    That value is the lowest (r + 1) W bits of one integer holding its
+    whole forward-difference table (_differences): per order one mask
+    reads it and one shift and one addition move the table on, in place
+    of D additions, D = 20 for pt and 11 for diff, or a Horner pass of
+    D products.  Shifts and masks read the slots in the loop.  A stretch
+    continues from the remembered orders, so no order is computed twice,
+    and a request below order r reads no table.
     """
     r = _ORDER[variable]
     n = len(nums)
@@ -410,18 +412,28 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     if n > m:
         return
     width, packed = _pack(_recurrence(variable, alpha, k), m - r)
-    table = _differences(packed, n - r)
+    shift = (r + 1) * width
+    table = _differences(packed, n - r, shift)
+    mask, slot, half = (1 << shift) - 1, (1 << width) - 1, 1 << width - 1
     window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
+    kept = range(r - 1)
     for n in range(n, m + 1):
-        *lower, den = _unpack(table[0], width, r + 1)
-        table = [*map(operator.add, table, table[1:]), table[-1]]
-        q, rem = divmod(-sum(map(operator.mul, lower, window)), den)
+        value = table & mask
+        table += table >> shift
+        num = 0
+        for w in window:
+            num -= ((value & slot) - half) * w
+            value >>= width
+        den = value - half
+        q, rem = divmod(num, den)
         g = math.gcd(rem, den)
         step = den // g
         num = q * step + rem // g
         nums.append(num)
         steps.append(step)
-        window = [w * step for w in window[1:]]
+        del window[0]
+        for i in kept:
+            window[i] *= step
         window.append(num)
 
 

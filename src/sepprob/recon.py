@@ -39,8 +39,10 @@ class RationalGuess(Record):
     confidence: Confidence
 
 
-def _exact_value(x: ApproxLike) -> Tuple[Fraction, Optional[Fraction]]:
-    """Exact rational reading of x plus the default error radius, if any.
+def _exact_value(x: ApproxLike, what: str = "approximant"
+                 ) -> Tuple[Fraction, Optional[Fraction]]:
+    """Exact rational reading of x plus the default error radius, if any;
+    what names x in the errors.
 
     Decimal renderings (str, Decimal, float via its shortest repr) carry a
     last reported digit, and the default radius is ten units of it.  Exact
@@ -48,14 +50,14 @@ def _exact_value(x: ApproxLike) -> Tuple[Fraction, Optional[Fraction]]:
     default and the caller must state a radius.
     """
     if isinstance(x, bool):
-        raise DomainError(f"not a numeric approximant: {x!r}")
+        raise DomainError(f"not a numeric {what}: {x!r}")
     if isinstance(x, Fraction):
         return x, None
     if isinstance(x, int):
         return Fraction(x), None
     if isinstance(x, mpmath.mpf):
         if not mpmath.isfinite(x):
-            raise DomainError(f"approximant must be finite, got {x}")
+            raise DomainError(f"{what} must be finite, got {x}")
         sign, man, exp, _ = x._mpf_
         val = Fraction(man) * Fraction(2) ** exp
         return (-val if sign else val), None
@@ -65,13 +67,29 @@ def _exact_value(x: ApproxLike) -> Tuple[Fraction, Optional[Fraction]]:
         try:
             x = decimal.Decimal(x)
         except decimal.InvalidOperation as exc:
-            raise DomainError(f"unparseable decimal string: {x!r}") from exc
+            raise DomainError(f"unparseable {what}: {x!r}") from exc
     if isinstance(x, decimal.Decimal):
         if not x.is_finite():
-            raise DomainError(f"approximant must be finite, got {x}")
+            raise DomainError(f"{what} must be finite, got {x}")
         exponent = x.as_tuple().exponent
         return Fraction(x), Fraction(10) ** (exponent + 1)
-    raise DomainError(f"not a numeric approximant: {x!r}")
+    raise DomainError(f"not a numeric {what}: {x!r}")
+
+
+def _check_bound(bound: int) -> int:
+    """A denominator bound: an int >= 1, bool refused."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise DomainError(
+            f"denominator bound must be an integer >= 1, got {bound!r}")
+    return bound
+
+
+def _check_radius(radius: ApproxLike) -> Fraction:
+    """A stated error radius as an exact positive rational."""
+    eps = _exact_value(radius, "error radius")[0]
+    if eps <= 0:
+        raise DomainError(f"error radius must be positive, got {eps}")
+    return eps
 
 
 def _best_within(x: Fraction, bound: int) -> Fraction:
@@ -102,21 +120,14 @@ def reconstruct(x: ApproxLike, error_radius: Optional[ApproxLike] = None,
     window.  The result is Unique exactly when no other rational under the
     bound lies within the window, by the Farey neighbor criterion.
     """
-    if isinstance(denominator_bound, bool) or \
-            not isinstance(denominator_bound, int) or denominator_bound < 1:
+    _check_bound(denominator_bound)
+    xf, eps = _exact_value(x)
+    if error_radius is not None:
+        eps = _check_radius(error_radius)
+    elif eps is None:
         raise DomainError(
-            f"denominator bound must be an integer >= 1, got {denominator_bound!r}")
-    xf, default_radius = _exact_value(x)
-    if error_radius is None:
-        if default_radius is None:
-            raise DomainError(
-                "input carries no decimal rendering; an explicit error "
-                "radius is required")
-        eps = default_radius
-    else:
-        eps = _exact_value(error_radius)[0]
-    if eps <= 0:
-        raise DomainError(f"error radius must be positive, got {eps}")
+            "input carries no decimal rendering; an explicit error "
+            "radius is required")
     cand = _best_within(xf, denominator_bound)
     dist = abs(xf - cand)
     if dist > eps:

@@ -188,8 +188,9 @@ def test_cache_record_must_be_the_computed_text(tmp_path):
 
 
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
-    # the load's check and the orders past the cache share one reading of
-    # the recurrence table, and a second k at the same alpha reads none
+    # from cold memos, the load's check and the orders past the cache share
+    # one reading of the recurrence table; a second k or a second alpha of
+    # the variable reads none, and the other variable reads its own once
     cache = tmp_path / "c.moments"
     argv = ["moments", "--variable", "pt", "--alpha", "7/2", "--k", "9/2",
             "--cache", str(cache)]
@@ -197,6 +198,7 @@ def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     assert rc == 0
     monkeypatch.setattr(moments, "_SEQ_MEMO", {})
     moments._alpha_table.cache_clear()
+    moments._int_table.cache_clear()
     rows = moments._table_rows
     reads = []
 
@@ -211,10 +213,16 @@ def test_cache_extension_specializes_once(tmp_path, monkeypatch):
     mu = [pt_moment(Fraction(7, 2), Fraction(9, 2), n) for n in range(60)]
     records = [f"{n} {x.numerator}/{x.denominator}" for n, x in enumerate(mu)]
     assert body_lines(out) == cache.read_text().splitlines()[1:] == records
-    rc, _, err = run_cli(["moments", "--variable", "pt", "--alpha", "7/2",
-                          "--k", "11/2", "--m", "59"])
-    assert rc == 0 and err == ""
-    assert reads == [Variable.PT_DET]
+    for variable, alpha, k in (("pt", "7/2", "11/2"), ("pt", "5/2", "9/2"),
+                               ("diff", "7/2", "9/2"), ("diff", "1", "0")):
+        rc, out, err = run_cli(["moments", "--variable", variable,
+                                "--alpha", alpha, "--k", k, "--m", "20"])
+        assert rc == 0 and err == ""
+        mu = moments._fast_moment(Variable(variable), Fraction(alpha),
+                                  Fraction(k), 20)
+        assert body_lines(out)[-1] == f"20 {mu.numerator}/{mu.denominator}"
+    assert reads == [Variable.PT_DET, Variable.DIFF]
+    assert moments._alpha_table.cache_info().misses == 4
 
 
 def test_cache_hit_does_not_write(tmp_path):
@@ -457,11 +465,17 @@ def test_rejected_tail_flags_leave_the_cache_alone(tmp_path):
                   ["--m-list", "5,10", "--bound", "40", "--radius", "1e-3"],
                   ["--m", "5", "--xi", "1"],
                   ["--m", "5", "--geg-alpha", "-1"],
-                  ["--m", "5", "--mode", "float", "--precision", "0"]):
+                  ["--m", "5", "--mode", "float", "--precision", "0"],
+                  ["--m", "8", "--bound", "0", "--radius", "1e-3"],
+                  ["--m", "8", "--bound", "40", "--radius", "abc"],
+                  ["--m", "8", "--bound", "40", "--radius", "nan"],
+                  ["--m", "8", "--bound", "40", "--radius", "-1"]):
         rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
                                 "--k", "0", "--cache", str(cache)] + extra)
         assert rc == 1 and out == "" and err.count("\n") == 1
         assert not cache.exists()
+        if extra[-2:-1] == ["--radius"] and extra[-1] != "1e-3":
+            assert err.startswith("DomainError: ") and "error radius" in err
 
 
 def test_negative_cut_point_forms_print_the_same_bytes():
@@ -645,6 +659,32 @@ def test_fit_from_approximants_refuses_an_open_alpha_first(monkeypatch):
         assert (rc, out, calls) == (1, "", [])
         assert err == (f"DomainError: no closed form for alpha={alpha}; "
                        "supported: 1/2, 1, 2\n")
+
+
+def test_fit_from_approximants_checks_bound_and_radius_first(monkeypatch):
+    # a bad bound or radius exits with one line naming it before any tail
+    # is computed
+    calls = []
+    monkeypatch.setattr(cli, "_pipeline_tail",
+                        lambda *args: calls.append(args))
+    for extra, message in (
+            (["--bound", "0"], "denominator bound must be an integer >= 1, "
+                               "got 0"),
+            (["--radius", "abc"], "unparseable error radius: 'abc'"),
+            (["--radius", "nan"], "error radius must be finite, got NaN"),
+            (["--radius", "-1"], "error radius must be positive, got -1")):
+        rc, out, err = run_cli(["fit", "--alpha", "1", "--from-approximants"]
+                               + extra)
+        assert (rc, out, calls) == (1, "", [])
+        assert err == f"DomainError: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["tables", "--table", "1"],
+                                  ["plot-data", "--figure", "2"]])
+def test_negative_k_max_is_refused(argv):
+    rc, out, err = run_cli(argv + ["--k-max", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "DomainError: --k-max must be an integer >= 0, got -1\n"
 
 
 def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):

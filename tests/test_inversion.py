@@ -347,10 +347,16 @@ def test_partial_divisor_steps(interval, a, kept):
             tail_coeffs_from_tables(build_tables(interval, a, m))
 
 
+def _integers(bank):
+    # the bank's integers an_i, put together from their odd parts and shifts
+    return tuple(o << t for o, t in zip(bank.odd, bank.twos))
+
+
 @pytest.mark.parametrize("interval", [PT_INTERVAL, DIFF_INTERVAL])
 def test_bank_scale_is_lcm_of_reduced_denominators(interval):
     # the bank keeps the A_i as integers an_i over one scale, the lcm of
-    # their reduced denominators, whatever the weight, cut point and order
+    # their reduced denominators, whatever the weight, cut point and order;
+    # each an_i is stored as an odd part and a shift, a zero as 0 and 0
     c0, c1 = inversion._map_constants(*interval)
     for a in (0, 1, 3):
         for zeta in (c0, c0 + c1 * Fraction(-1, 64), Fraction(-1),
@@ -359,7 +365,10 @@ def test_bank_scale_is_lcm_of_reduced_denominators(interval):
                 bank = inversion._exact_bank(c0, c1, a, zeta, m)
                 assert bank.scale == math.lcm(
                     *(x.denominator for x in bank.coeffs))
-                assert bank.an == tuple(x * bank.scale for x in bank.coeffs)
+                assert _integers(bank) == tuple(x * bank.scale
+                                                for x in bank.coeffs)
+                assert all(o % 2 or not o and not t
+                           for o, t in zip(bank.odd, bank.twos))
 
 
 def test_bank_scale_width(monkeypatch):
@@ -424,7 +433,7 @@ def test_bank_reproduces_recorded_high_orders(variable, a, xi, m):
     c0, c1 = inversion._map_constants(*interval)
     built = inversion._emit(c0, c1, a, c0 + c1 * Fraction(xi), m)
     digest = hashlib.sha256(format(built.scale, "x").encode())
-    for n in built.an:
+    for n in _integers(built):
         digest.update(b"," + format(n, "x").encode())
     assert digest.hexdigest() == RECORDED_BANKS[variable, a, xi, m]
 
@@ -459,7 +468,11 @@ def dot_terms(draw):
 @example(([1 << 5000, -(3 << 4999), 7, -(1 << 2408)],
           [-1, (1 << 300) + 1, 1 << 900, -5], [1, 2, 1 << 40, 3]))
 def test_dot_skips_zero_bits_exactly(terms):
-    assert inversion._dot(*terms) == _plain_dot(*terms)
+    # _dot reads the bank split once into odd parts and shifts
+    an, nums, steps = terms
+    bank = inversion._split(an, 1)
+    assert _integers(bank) == tuple(an)
+    assert inversion._dot(bank, nums, steps) == _plain_dot(an, nums, steps)
 
 
 # SHA-256 of the hex numerator and denominator, joined by "/", of exact

@@ -231,6 +231,17 @@ def test_moments_reproduce_recorded_order_1000(variable, alpha, k):
     assert _digest(seq) == RECORDED_ORDER_1000[variable, alpha, k]
 
 
+def _unpack(value, width, count):
+    # the slots of a packed value, each less the bias of _pack; the top
+    # slot needs no mask
+    mask, half = (1 << width) - 1, 1 << width - 1
+    out = []
+    for _ in range(count - 1):
+        out.append((value & mask) - half)
+        value >>= width
+    return out + [value - half]
+
+
 def _widest(count, degree, bits, xmax, signs):
     # count polynomials of ascending coefficients with |c_{i,d}| the same
     # sign each, so |c_i(xmax)| = sum_d |c_{i,d}| xmax^d is the bound; slot
@@ -266,7 +277,7 @@ def test_packed_pass_at_its_widest(signs, count, degree, mixed):
     width, packed = moments._pack(coeffs, xmax)
     assert width == bits + 1
     for x in range(xmax + 1):
-        assert moments._unpack(horner(packed, x), width, count) == \
+        assert _unpack(horner(packed, x), width, count) == \
             [horner(c, x) for c in coeffs], x
 
 
@@ -278,7 +289,7 @@ def test_packed_pass_on_the_table():
         coeffs = moments._recurrence(variable, Fraction(4), Fraction(20))
         width, packed = moments._pack(coeffs, 1000 - r)
         for x in range(1000 - r + 1):
-            assert moments._unpack(horner(packed, x), width, r + 1) == \
+            assert _unpack(horner(packed, x), width, r + 1) == \
                 [horner(c, x) for c in coeffs], (variable, x)
 
 
@@ -365,20 +376,59 @@ def test_difference_table_stepping_matches_horner(case):
     assert (nums, steps) == (expect_nums, expect_steps)
 
 
+def _rooted(roots):
+    # the ascending integer coefficients of prod_t (x - t)
+    poly = [1]
+    for t in roots:
+        poly = [b - t * a for a, b in zip(poly + [0], [0] + poly)]
+    return tuple(poly)
+
+
+# packed polynomials and the top x of their slot range: both variables'
+# c_0..c_r at the largest coefficients of the grid up to order 200, and a
+# top slot with roots inside the range, whose higher differences take
+# both signs
+DIFFERENCE_CASES = {
+    "pt": (moments._recurrence(Variable.PT_DET, Fraction(4), Fraction(20)),
+           200 - moments._ORDER[Variable.PT_DET]),
+    "diff": (moments._recurrence(Variable.DIFF, Fraction(4), Fraction(20)),
+             200 - moments._ORDER[Variable.DIFF]),
+    "signs": (((9, -4, 1), (-6, 0, 0, 2), _rooted((3, 11, 19, 27, 35))), 37),
+}
+
+
 def test_differences_step_the_packed_polynomial():
-    # the table at x steps to the values at x, x + 1, ... exactly, even
-    # where its start values lie past the range of the slot width
-    coeffs = moments._recurrence(Variable.PT_DET, Fraction(4), Fraction(20))
-    width, packed = moments._pack(coeffs, 5)
-    for x in (0, 3, 5):
-        table = moments._differences(packed, x)
-        assert len(table) == len(packed) == 21
-        for y in range(x, x + 30):
-            assert table[0] == horner(packed, y)
-            if y <= 5:
-                assert moments._unpack(table[0], width, 4) == \
-                    [horner(c, y) for c in coeffs]
-            table = [a + b for a, b in zip(table, table[1:])] + table[-1:]
+    # the one integer T = sum_j Delta^j 2^(jB), B = (r + 1) W, started at
+    # x0 holds horner(packed, y) in its low B bits at every y from x0 to
+    # the top of the range, stepped by T += T >> B, whatever the signs of
+    # the higher differences; started at the top, its start values lie
+    # past the range.  One bit less than B misreads on every stretch.
+    for case, (coeffs, xmax) in DIFFERENCE_CASES.items():
+        count = len(coeffs)
+        width, packed = moments._pack(coeffs, xmax)
+        shift = count * width
+        mask = (1 << shift) - 1
+        signs = set()
+        for x0 in (0, 5, xmax - 17, xmax):
+            values = [horner(packed, x0 + j) for j in range(len(packed))]
+            diffs = []
+            while values:
+                diffs.append(values[0])
+                values = [b - a for a, b in zip(values, values[1:])]
+            signs.update((d > 0) - (d < 0) for d in diffs[1:])
+            table = moments._differences(packed, x0, shift)
+            assert table == sum(d << j * shift for j, d in enumerate(diffs))
+            short, misread = moments._differences(packed, x0, shift - 1), False
+            for y in range(x0, xmax + 1):
+                value = table & mask
+                assert value == horner(packed, y)
+                assert _unpack(value, width, count) == \
+                    [horner(c, y) for c in coeffs], (case, x0, y)
+                table += table >> shift
+                misread |= short & (mask >> 1) != value
+                short += short >> shift - 1
+            assert misread, (case, x0)
+        assert signs == ({1, -1} if case == "signs" else {1}), case
 
 
 def test_sequence_from_fractions():

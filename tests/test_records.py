@@ -21,7 +21,7 @@ FIELDS = {
     Scenario: ("variable", "alpha", "k"),
     TailEstimate: ("scenario", "alpha_w", "m", "mode", "precision", "value",
                    "bank"),
-    _Bank: ("an", "scale"),
+    _Bank: ("odd", "twos", "scale"),
     RationalGuess: ("value", "denominator_bound", "residual", "confidence"),
     _ClosedForm: ("const", "shift", "poly", "u", "v", "w"),
     StructuralPrediction: ("alpha", "degree", "leading_coeff", "g1", "g2",
