@@ -229,15 +229,17 @@ class _Bank(Record):
                      for o, t in zip(self.odd, self.twos))
 
 
-def _split(an: Iterable[int], scale: int) -> _Bank:
+def _split(an: List[int], scale: int) -> _Bank:
     """The bank an_i / scale, each an_i split once into its odd part and
-    the number of its trailing zero bits."""
-    odd, twos = [], []
-    for a in an:
+    the number of its trailing zero bits.  an is consumed: each an_i is
+    replaced by its odd part as it is split, so that the bank's integers
+    are never held twice."""
+    twos = []
+    for i, a in enumerate(an):
         t = (a & -a).bit_length() - 1 if a else 0
-        odd.append(a >> t)
+        an[i] = a >> t
         twos.append(t)
-    return _Bank(tuple(odd), tuple(twos), scale)
+    return _Bank(tuple(an), tuple(twos), scale)
 
 
 def _reduced(den: int, nums: List[int]) -> _Bank:
@@ -256,10 +258,10 @@ def _reduced(den: int, nums: List[int]) -> _Bank:
     for i, n in enumerate(nums):
         nums[i] = divmod(n >> twos, g0)
     g = math.gcd(g0, *(r for _, r in nums))
-    if g < g0:
-        up = g0 // g
-        return _split((q * up + r // g for q, r in nums), den // g)
-    return _split((q for q, _ in nums), den // g0)
+    up = g0 // g
+    for i, (q, r) in enumerate(nums):
+        nums[i] = q * up + r // g if up > 1 else q
+    return _split(nums, den // g)
 
 
 def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
@@ -307,7 +309,7 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     """
     if m == 0:
         head = _q0(a, zeta) / _h0(a)
-        return _split((head.numerator,), head.denominator)
+        return _split([head.numerator], head.denominator)
     lo, hi, xi = (-1 - c0) / c1, (1 - c0) / c1, (zeta - c0) / c1
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)

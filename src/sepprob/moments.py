@@ -280,22 +280,31 @@ def _table_rows(variable: Variable):
                 yield int(i), int(d), int(top), row
 
 
+def _runs(top: int) -> tuple[int, ...]:
+    """0 and the ends of the runs of lengths top + 1, top, ..., 1 that
+    make up a row of total degree top, both in the file (one run per
+    power u of 2 alpha) and in _int_table (one per power v of 2k)."""
+    return tuple(itertools.accumulate(range(top + 1, 0, -1), initial=0))
+
+
 @functools.lru_cache(maxsize=2)
-def _int_table(variable: Variable) -> tuple[tuple[tuple[tuple[int, ...],
-                                                       ...], ...], ...]:
+def _int_table(variable: Variable) -> tuple[tuple[tuple[int, tuple[int, ...]],
+                                                 ...], ...]:
     """The variable's table as integers, read from the file once per
-    process: for each c_i, each power of n and each power v of 2k, the
-    coefficients of (2 alpha)^u, ascending in u.  Both variables' tables
-    stay resident, about 0.4 MiB for pt."""
-    out: list[list[tuple[tuple[int, ...], ...]]] = []
+    process: for each c_i and each power of n, (top, coeffs), where coeffs
+    holds the coefficients of (2 alpha)^u (2k)^v, u + v <= top, in the
+    order v = 0..top and for each v u = 0..top-v.  Both variables'
+    tables stay resident, one flat tuple per row to keep them small:
+    0.30 MiB for pt and 0.04 MiB for diff."""
+    out: list[list[tuple[int, tuple[int, ...]]]] = []
     for i, _, top, row in _table_rows(variable):
         if i == len(out):
             out.append([])
-        # the run of u starts at sum_{t<u} (top - t + 1); v is its offset
-        starts = tuple(itertools.accumulate(range(top + 1, 1, -1), initial=0))
+        starts = _runs(top)
         values = tuple(map(int, row))
-        out[i].append(tuple(tuple(values[s + v] for s in starts[:top - v + 1])
-                            for v in range(top + 1)))
+        out[i].append((top, tuple(values[starts[u] + v]
+                                  for v in range(top + 1)
+                                  for u in range(top - v + 1))))
     return tuple(map(tuple, out))
 
 
@@ -305,12 +314,14 @@ def _alpha_table(variable: Variable,
     """The variable's table at 2 alpha = a2: for each c_i and each power
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    Each coefficient is a polynomial in a2 of _int_table, summed by
-    Horner, so a new alpha reads no file.  One pass serves every k at
-    this alpha.  Four alphas are kept: tables --approx-m and plot-data
-    --figure 2 step through three alphas for each k.
+    Each coefficient of 2k is one run of _int_table's row, a polynomial
+    in a2 summed by Horner, so a new alpha reads no file.  One pass serves every k at this alpha.
+    Four alphas are kept: tables --approx-m and plot-data --figure 2 step
+    through three alphas for each k.
     """
-    return tuple(tuple(tuple(horner(col, a2) for col in poly) for poly in c)
+    return tuple(tuple(tuple(horner(coeffs[lo:hi], a2) for lo, hi in
+                             itertools.pairwise(_runs(top)))
+                       for top, coeffs in c)
                  for c in _int_table(variable))
 
 

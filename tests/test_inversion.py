@@ -470,7 +470,7 @@ def dot_terms(draw):
 def test_dot_skips_zero_bits_exactly(terms):
     # _dot reads the bank split once into odd parts and shifts
     an, nums, steps = terms
-    bank = inversion._split(an, 1)
+    bank = inversion._split(list(an), 1)
     assert _integers(bank) == tuple(an)
     assert inversion._dot(bank, nums, steps) == _plain_dot(an, nums, steps)
 
