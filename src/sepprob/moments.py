@@ -315,9 +315,10 @@ def _alpha_table(variable: Variable,
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
     Each coefficient of 2k is one run of _int_table's row, a polynomial
-    in a2 summed by Horner, so a new alpha reads no file.  One pass serves every k at this alpha.
-    Four alphas are kept: tables --approx-m and plot-data --figure 2 step
-    through three alphas for each k.
+    in a2 summed by Horner, so a new alpha reads no file.  One pass
+    serves every k at this alpha.  Four alphas are kept: tables
+    --approx-m and plot-data --figure 2 step through three alphas for
+    each k.
     """
     return tuple(tuple(tuple(horner(coeffs[lo:hi], a2) for lo, hi in
                              itertools.pairwise(_runs(top)))
