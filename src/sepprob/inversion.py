@@ -44,10 +44,10 @@ all.  The dot product reads the moments in their scaled form,
 mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
 per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
 the running sum by a small factor and one an_i nums_i per term, then
-one reduction.  The an_i keep the power of two of z^i; the bank stores
-each an_i split once, when it is built, into its odd part and that
-power, so each enters its product without its trailing zero bits,
-which a shift puts back (_dot), and no scenario splits it again.
+one reduction.  The an_i keep the power of two of z^i, which the bank
+holds apart from their odd parts from the start (_reduced), so each
+enters its product without its trailing zero bits, which a shift puts
+back (_dot), and no scenario splits it again.
 Orders are independent of each other: there is no resumable state, and
 they may be asked for in any sequence.  The public API is
 gegenbauer_tail and legendre_tail, its w = 0 case under the paper's
@@ -229,39 +229,35 @@ class _Bank(Record):
                      for o, t in zip(self.odd, self.twos))
 
 
-def _split(an: List[int], scale: int) -> _Bank:
-    """The bank an_i / scale, each an_i split once into its odd part and
-    the number of its trailing zero bits.  an is consumed: each an_i is
-    replaced by its odd part as it is split, so that the bank's integers
-    are never held twice."""
-    twos = []
-    for i, a in enumerate(an):
-        t = (a & -a).bit_length() - 1 if a else 0
-        an[i] = a >> t
-        twos.append(t)
-    return _Bank(tuple(an), tuple(twos), scale)
+def _reduced(den: int, nums: List[int], step: int) -> _Bank:
+    """The bank A_i = N_i 2^(step i) / den over the lcm of their reduced
+    denominators, each integer kept as its odd part and its power of two,
+    with one divmod per numerator.  nums is consumed, each N_i replaced by
+    its odd part and then its quotient, so no bank integer is held twice.
 
-
-def _reduced(den: int, nums: List[int]) -> _Bank:
-    """The bank N_i / den with the common factor g = gcd(den, *N) divided
-    out, taking one divmod per numerator.  nums is consumed: each N_i is
-    replaced by its quotient and remainder as it is divided.
-
-    The common power of two, most of g, goes first by shifts.  A
-    provisional g0 from den and a few numerators is then usually the rest
-    of g: g = gcd(g0, *remainders), and when g < g0 each quotient is
-    mended as N_i / g = q_i (g0/g) + r_i / g.
+    The walk that strips each N_i's trailing zeros counts them, plus
+    step i; the least count, or den's, is the common power of two, and the
+    rest g of the common factor is odd.  A provisional g0 from den and a
+    few odd parts is usually g: g = gcd(g0, *remainders), and when g < g0
+    each quotient is mended as o_i / g = q_i (g0/g) + r_i / g.
     """
-    twos = min((n & -n).bit_length() for n in nums + [den] if n) - 1
-    den >>= twos
-    g0 = math.gcd(den, *(n >> twos for n in nums[:3]))
+    twos = []
     for i, n in enumerate(nums):
-        nums[i] = divmod(n >> twos, g0)
+        t = (n & -n).bit_length() - 1 if n else 0
+        nums[i] = n >> t
+        twos.append(t + step * i)
+    common = min([t for t, n in zip(twos, nums) if n]
+                 + [(den & -den).bit_length() - 1])
+    den >>= common
+    g0 = math.gcd(den, *nums[:3])
+    for i, n in enumerate(nums):
+        nums[i] = divmod(n, g0)
+        twos[i] = twos[i] - common if n else 0
     g = math.gcd(g0, *(r for _, r in nums))
     up = g0 // g
     for i, (q, r) in enumerate(nums):
         nums[i] = q * up + r // g if up > 1 else q
-    return _split(nums, den // g)
+    return _Bank(tuple(nums), tuple(twos), den // g)
 
 
 def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
@@ -305,11 +301,12 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     c = (1-zeta^2)^(a+1) kappa (L/2)^2 / (E_m E_{m+1} L^(2m+1) lam_1 ...
     lam_m).  No step divides by 1 - c0^2, by c0 or by zeta - c0, so
     c0 = 0, c0 = +-1, |c0| > 1 and zeta = +-1 take the same path.  All A_i
-    are written over one denominator and reduced once (_reduced).
+    are written over one denominator, without the power of two of z^i,
+    and reduced once (_reduced).
     """
     if m == 0:
         head = _q0(a, zeta) / _h0(a)
-        return _split([head.numerator], head.denominator)
+        return _reduced(head.denominator, [head.numerator], 0)
     lo, hi, xi = (-1 - c0) / c1, (1 - c0) / c1, (zeta - c0) / c1
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
@@ -349,8 +346,8 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
          / ((2 * a + 1) * 2 ** (2 * m + 2) * math.comb(2 * a, a) ** 2
             * math.comb(m + 2 * a + 1, 2 * a) * big_l ** (2 * m - 1) * keep))
     s0 = _sum_at_one(a, zeta, m) - c * h * acc     # S(c0) = S(1) - ...
-    # one denominator: N_i = c z^i (lam_1 ... lam_{i-1}) sigma_i in place
-    # of sigma_i, with the power of two in z applied as a shift
+    # one denominator: N_i = c z'^i (lam_1 ... lam_{i-1}) sigma_i in place
+    # of sigma_i, z' the odd part of z, whose power of two _reduced applies
     twos = (z & -z).bit_length() - 1
     den = math.lcm(c.denominator, s0.denominator)
     mult = c.numerator * (den // c.denominator)
@@ -358,9 +355,9 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     nums[0] = s0.numerator * (den // s0.denominator)
     for i in range(1, m + 1):
         mult *= z >> twos
-        nums[i] = nums[i] * mult << twos * i
+        nums[i] *= mult
         mult *= lam[i]
-    return _reduced(den, nums)
+    return _reduced(den, nums, twos)
 
 
 @functools.lru_cache(maxsize=1)
@@ -411,7 +408,7 @@ def _dot(bank: _Bank, nums: Iterable[int], steps: Iterable[int]) -> int:
     past order m.
 
     Each product takes the bank integer without its trailing zero bits,
-    split off once when the bank is built, and a shift puts them back.
+    kept apart since the bank was built, and a shift puts them back.
     The bank's A_i carry z^i, and the power of two in z, 8 bits per order
     for pt and 4 for diff, stays in an_i, so at m = 300 the top pt
     coefficient has 4.2k bits of which 2.4k are zeros that the product

@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -373,20 +374,117 @@ def test_bank_scale_is_lcm_of_reduced_denominators(interval):
 
 def test_bank_scale_width(monkeypatch):
     # the widest integers the construction holds are the numerators it
-    # hands to the final reduction, 4,828 bits here (the rows and the
-    # recurrences stay under 3,200); the m^2/2-step pass it replaced kept a
-    # common scale of 4,490 bits alone
+    # hands to the final reduction, 3,151 bits here (the rows and the
+    # recurrences stay under 3,200); with the power of two of z^i
+    # multiplied in they were 4,828, and the m^2/2-step pass they replaced
+    # kept a common scale of 4,490 bits alone
     widths = []
     reduced = inversion._reduced
 
-    def spy(den, nums):
+    def spy(den, nums, step):
         widths.append(max(n.bit_length() for n in nums + [den]))
-        return reduced(den, nums)
+        return reduced(den, nums, step)
 
     monkeypatch.setattr(inversion, "_reduced", spy)
     c0, c1 = inversion._map_constants(*PT_INTERVAL)
     inversion._emit(c0, c1, 0, c0, 300)
-    assert widths and max(widths) < 5000
+    assert widths and max(widths) < 3300
+
+
+def _bank_bytes(bank):
+    return (sys.getsizeof(bank.scale) + sys.getsizeof(bank.odd)
+            + sys.getsizeof(bank.twos)
+            + sum(map(sys.getsizeof, bank.odd + bank.twos)))
+
+
+@pytest.mark.parametrize("interval", [PT_INTERVAL, DIFF_INTERVAL])
+def test_bank_build_transient_stays_small(interval):
+    # what building a bank allocates beyond the bank it returns is mostly
+    # its unreduced numerators: 0.26 of the bank for pt and 0.19 for diff
+    # at order 400, and 0.71 and 0.36 while they carried the power of two
+    # of z^i and the reduction shifted it back out
+    c0, c1 = inversion._map_constants(*interval)
+    inversion._emit(c0, c1, 0, c0, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = inversion._emit(c0, c1, 0, c0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = _bank_bytes(built)
+    assert peak - size < 0.3 * size
+
+
+def _odd_and_twos(n):
+    t = (n & -n).bit_length() - 1 if n else 0
+    return n >> t, t
+
+
+def _reference_bank(den, nums, step):
+    # the A_i = N_i 2^(step i) / den as Fractions over the lcm of their
+    # denominators, each integer split into its odd part and its shift
+    coeffs = [Fraction(n << step * i, den) for i, n in enumerate(nums)]
+    scale = math.lcm(*(x.denominator for x in coeffs))
+    odd, twos = zip(*(_odd_and_twos(int(x * scale)) for x in coeffs))
+    return odd, twos, scale
+
+
+def _takes_the_mend(den, nums, step):
+    # whether den and the first three odd parts leave more than the common
+    # odd factor of all of them, so that _reduced mends its quotients
+    common = min([_odd_and_twos(n)[1] + step * i
+                  for i, n in enumerate(nums) if n]
+                 + [_odd_and_twos(den)[1]])
+    odd = [_odd_and_twos(n)[0] for n in nums]
+    return math.gcd(den >> common, *odd[:3]) > math.gcd(den >> common, *odd)
+
+
+@st.composite
+def reduction_inputs(draw):
+    # numerators with zeros, both signs and a shared odd factor, over dens
+    # with more and with fewer trailing zero bits than every numerator
+    shared = draw(st.sampled_from([1, 3, 45, 7 * 11 * 13, (1 << 89) - 1]))
+    odd = st.integers(-(1 << 200), 1 << 200).map(lambda n: 2 * n + 1)
+    value = st.one_of(st.just(0), odd.map(lambda n: n * shared))
+    nums = [draw(value) << draw(st.integers(0, 24))
+            for _ in range(draw(st.integers(1, 10)))]
+    den = (draw(st.integers(0, 1 << 120)) * 2 + 1) * shared \
+        << draw(st.integers(0, 60))
+    return den, nums, draw(st.integers(0, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_inputs())
+@example((1, [0], 0))
+@example((1 << 40, [0, 0, 0], 8))
+@example((3, [3, 3, -3, 1], 0))             # g0 = 3, g = 1: the mend
+@example((3 << 1, [1 << 2, 3 << 2, 0], 1))  # den has the fewest twos
+@example((5 << 30, [5 << 3, 0, 10, -15, 0, 5 << 2], 4))
+def test_reduction_matches_fraction_reference(case):
+    den, nums, step = case
+    built = inversion._reduced(den, list(nums), step)
+    assert (built.odd, built.twos, built.scale) == \
+        _reference_bank(den, nums, step)
+
+
+def test_reduction_mends_a_recorded_bank(monkeypatch):
+    # pt, w = 0, xi = -1/48, m = 40: the provisional gcd is 9 times the
+    # common odd factor, so every quotient takes the mend
+    handed = []
+    reduced = inversion._reduced
+
+    def spy(den, nums, step):
+        handed.append((den, list(nums), step))
+        return reduced(den, nums, step)
+
+    monkeypatch.setattr(inversion, "_reduced", spy)
+    c0, c1 = inversion._map_constants(*PT_INTERVAL)
+    built = inversion._emit(c0, c1, 0, c0 + c1 * Fraction(-1, 48), 40)
+    (den, nums, step), = handed
+    assert step == 8 and _takes_the_mend(den, nums, step)
+    assert (built.odd, built.twos, built.scale) == \
+        _reference_bank(den, nums, step)
 
 
 def test_bank_memo_stays_bounded():
@@ -468,9 +566,9 @@ def dot_terms(draw):
 @example(([1 << 5000, -(3 << 4999), 7, -(1 << 2408)],
           [-1, (1 << 300) + 1, 1 << 900, -5], [1, 2, 1 << 40, 3]))
 def test_dot_skips_zero_bits_exactly(terms):
-    # _dot reads the bank split once into odd parts and shifts
+    # _dot reads the bank as odd parts and shifts
     an, nums, steps = terms
-    bank = inversion._split(list(an), 1)
+    bank = inversion._reduced(1, list(an), 0)
     assert _integers(bank) == tuple(an)
     assert inversion._dot(bank, nums, steps) == _plain_dot(an, nums, steps)
 
