@@ -23,7 +23,7 @@ from . import closedform, inversion, recon
 from .errors import CacheHeaderError, CacheIntegrityError, CacheIOError, \
     DomainError, SepprobError, StructureViolation
 from .exactnum import as_rational, is_order
-from .moments import Scenario, Variable, moment_sequence
+from .moments import MomentSequence, Scenario, Variable, moment_sequence
 from .reported import DIFF_TAILS, TABLE_IV
 
 CACHE_HEADER_PREFIX = "sepprob-moments v1"
@@ -65,8 +65,8 @@ def _dec(v, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
 
 
 def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
-          fields: Sequence[str], stream=None) -> None:
-    stream = stream or sys.stdout
+          fields: Sequence[str]) -> None:
+    stream = sys.stdout
     if fmt == "json":
         import json
         json.dump({"meta": meta, "rows": rows}, stream, indent=2,
@@ -98,15 +98,15 @@ class MomentCacheFile:
 
     Header line pins the scenario; records are "n num/den" with n counting
     up from 0 and num/den in lowest terms.  Loading computes the moments
-    afresh and refuses every file whose header belongs to a different
+    afresh, refuses every file whose header belongs to a different
     scenario or whose records are not, line for line, what a write of
-    those moments emits.  Each write goes to a temp file of its own next
-    to the cache and replaces the cache with one atomic rename, so readers
-    see either the old file or a new complete one and concurrent writers
-    never share a file; the last complete writer wins.  A failed write
-    removes its temp file; a killed writer may leave one behind, which
-    nothing reads.  A file that cannot be opened, read, decoded or written
-    raises CacheIOError.
+    those moments emits, and hands on the sequence it checked.  Each
+    write goes to a temp file of its own next to the cache and replaces
+    the cache with one atomic rename, so readers see either the old file
+    or a new complete one and concurrent writers never share a file; the
+    last complete writer wins.  A failed write removes its temp file; a
+    killed writer may leave one behind, which nothing reads.  A file that
+    cannot be opened, read, decoded or written raises CacheIOError.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
@@ -118,12 +118,13 @@ class MomentCacheFile:
         return (f"{CACHE_HEADER_PREFIX} variable={s.variable} "
                 f"alpha={s.alpha} k={s.k}")
 
-    def load(self, m: int) -> Sequence[Fraction]:
-        """The file's moments, each record checked against mu_n.
+    def load(self, m: int) -> MomentSequence:
+        """The scenario's moments to order m or to the last record,
+        whichever is higher, each record checked against them.
 
-        One moment_sequence call computes them afresh, to order m or to
-        the last record, whichever is higher, so a run that goes on to
-        order m finds every order it needs in the memo.
+        One moment_sequence call computes them afresh.  A file that holds
+        fewer than m + 1 records is rewritten with all of them, and the
+        checked sequence is returned, so no order is computed twice.
         """
         try:
             with open(self.path, encoding="ascii") as fh:
@@ -139,7 +140,8 @@ class MomentCacheFile:
         records = lines[1:]
         if not records:
             raise CacheIntegrityError(f"cache {self.path} has no records")
-        mu = moment_sequence(self.scenario, max(m, len(records) - 1)).mu
+        seq = moment_sequence(self.scenario, max(m, len(records) - 1))
+        mu = seq.mu
         for n, line in enumerate(records):
             if line == _record(n, mu[n]):
                 continue
@@ -148,7 +150,9 @@ class MomentCacheFile:
                     f"cache {self.path}: expected record {n}, found {line!r}")
             raise CacheIntegrityError(
                 f"cache {self.path}: record n={n} fails recomputation")
-        return mu[:len(records)]
+        if len(records) <= m:
+            self.write(mu)
+        return seq
 
     def write(self, mus: Sequence[Fraction]) -> None:
         # os.urandom rather than uuid4, whose import costs every run ~2 ms
@@ -170,13 +174,13 @@ class MomentCacheFile:
 
 
 def _sequence_with_cache(scenario: Scenario, m: int,
-                         cache_path: Optional[str]):
-    have = -1
+                         cache_path: Optional[str]) -> MomentSequence:
+    """mu_0..mu_m or more: those of the cache file when it exists, else
+    computed, and written to the cache file when one is named."""
     if cache_path and os.path.exists(cache_path):
-        have = len(MomentCacheFile(cache_path, scenario).load(m)) - 1
+        return MomentCacheFile(cache_path, scenario).load(m)
     seq = moment_sequence(scenario, m)
-    # a run that stays within the cached orders only reads the file
-    if cache_path and m > have:
+    if cache_path:
         MomentCacheFile(cache_path, scenario).write(seq.mu)
     return seq
 
@@ -196,7 +200,8 @@ def cmd_moments(args) -> int:
     meta = {"command": "moments", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
             "m": str(args.m)}
-    rows = [{"n": str(n), "mu": _rat(mu)} for n, mu in enumerate(seq.mu)]
+    rows = [{"n": str(n), "mu": _rat(mu)}
+            for n, mu in enumerate(seq.mu[:args.m + 1])]
     _emit(args.format, meta, rows, ["n", "mu"])
     return 0
 

@@ -52,9 +52,9 @@ a MomentSequence is built from the scaled form alone, MomentSequence.mu
 reduces the moments once, for the callers that read them as Fractions,
 and the tail's dot product reads the scaled form.
 c_r has only positive coefficients, so every step is defined.
-_fast_moment computes only the first r orders of a new scenario.  The
-memo keeps the latest sequence alone: a longer request for it continues
-from its remembered orders, and any other scenario replaces it.
+_fast_moment computes only the first r orders.  Each call builds its
+sequence from order 0 in one pass and keeps nothing: no sequence
+outlives the caller that holds it.
 
 The underlying random variables are supported on [-1/16, 1/256] (pt) and
 [-1/16, 1/432] (diff), so the bound |mu_n| <= (1/16)^n holds for every n.
@@ -68,9 +68,8 @@ import itertools
 import math
 import operator
 import os
-import threading
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from .errors import DomainError
 from .exactnum import RationalLike, Record, as_rational, check_alpha, \
@@ -258,7 +257,7 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Whole sequences: the certified recurrence in n, with memoization
+# Whole sequences: the certified recurrence in n
 # ---------------------------------------------------------------------------
 
 _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -336,16 +335,17 @@ def _recurrence(variable: Variable, alpha: Fraction,
                  for c in _alpha_table(variable, int(2 * alpha)))
 
 
-def _rescale(mu: Iterable[Fraction], nums: List[int],
-             steps: List[int]) -> None:
-    """Append mu to the scaled form nums, steps by a running lcm: each
-    step is the part of the denominator that the scale so far lacks."""
-    scale = math.prod(steps)
+def _rescale(mu: Iterable[Fraction]) -> tuple[list[int], list[int]]:
+    """The scaled form nums, steps of mu by a running lcm from scale 1:
+    each step is the part of the denominator that the scale so far
+    lacks."""
+    nums, steps, scale = [], [], 1
     for x in mu:
         step = x.denominator // math.gcd(scale, x.denominator)
         scale *= step
         nums.append(x.numerator * (scale // x.denominator))
         steps.append(step)
+    return nums, steps
 
 
 def _pack(coeffs: tuple[tuple[int, ...], ...],
@@ -367,8 +367,8 @@ def _pack(coeffs: tuple[tuple[int, ...], ...],
     return width, packed
 
 
-def _differences(packed: list[int], x: int, shift: int) -> int:
-    """The forward differences Delta^0..Delta^D at x of the packed
+def _differences(packed: list[int], shift: int) -> int:
+    """The forward differences Delta^0..Delta^D at x = 0 of the packed
     polynomial of _pack, D its degree, as one integer
     T = sum_j Delta^j 2^(j shift).
 
@@ -378,10 +378,10 @@ def _differences(packed: list[int], x: int, shift: int) -> int:
     alone, whatever the signs of the higher differences, since
     T = Delta^0 + 2^shift (T >> shift).  With shift = (r + 1) W, _pack's
     bias keeps Delta^0 there at every x of its range.  The values at
-    x..x+D that the table starts from are exact integers even where
-    x + j lies past that range.
+    0..D that the table starts from are exact integers even where j
+    lies past that range.
     """
-    values = [horner(packed, x + j) for j in range(len(packed))]
+    values = [horner(packed, j) for j in range(len(packed))]
     table = 0
     for j in range(len(packed)):
         table += values[0] << j * shift
@@ -389,15 +389,15 @@ def _differences(packed: list[int], x: int, shift: int) -> int:
     return table
 
 
-def _extend(variable: Variable, alpha: Fraction, k: Fraction,
-            nums: List[int], steps: List[int], m: int) -> None:
-    """Extend the scaled form nums, steps of a scenario to order m, in
-    place.
+def _scaled(variable: Variable, alpha: Fraction, k: Fraction,
+            m: int) -> tuple[list[int], list[int]]:
+    """The scaled form nums, steps of mu_0..mu_m of a scenario, built
+    from order 0 in one pass.
 
-    _fast_moment gives the orders below r that are missing.  Every later
-    order is one step of the recurrence in integers.  The window holds the
-    r orders before it over the running scale S = S_{n-1}, as integers w_i,
-    so mu_n = num / (c_r(n-r) S) with num = -sum_i c_i(n-r) w_i.  One
+    _fast_moment gives the orders below r.  Every later order is one
+    step of the recurrence in integers.  The window holds the r orders
+    before it over the running scale S = S_{n-1}, as integers w_i, so
+    mu_n = num / (c_r(n-r) S) with num = -sum_i c_i(n-r) w_i.  One
     division num = q c_r(n-r) + rem, 0 <= rem < c_r(n-r), and
     g = gcd(rem, c_r(n-r)), which is gcd(num, c_r(n-r)), a number of a
     few hundred bits, give
@@ -407,29 +407,25 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
     so the long num is divided once, and the window moves to the new
     scale by that step, a few tens of bits.  c_0(n-r)..c_r(n-r) are the
     slots of one packed value (_pack, whose width W bounds every |c_i(x)|
-    up to x = m - r, so each stretch derives W afresh from its own m).
-    That value is the lowest (r + 1) W bits of one integer holding its
-    whole forward-difference table (_differences): per order one mask
-    reads it and one shift and one addition move the table on, in place
-    of D additions, D = 20 for pt and 11 for diff, or a Horner pass of
-    D products.  Shifts and masks read the slots in the loop.  A stretch
-    continues from the remembered orders, so no order is computed twice,
-    and a request below order r reads no table.
+    up to x = m - r).  That value is the lowest (r + 1) W bits of one
+    integer holding its whole forward-difference table (_differences):
+    per order one mask reads it and one shift and one addition move the
+    table on, in place of D additions, D = 20 for pt and 11 for diff, or
+    a Horner pass of D products.  Shifts and masks read the slots in the
+    loop.  A request below order r reads no table.
     """
     r = _ORDER[variable]
-    n = len(nums)
-    _rescale((_fast_moment(variable, alpha, k, i)
-              for i in range(n, min(r, m + 1))), nums, steps)
-    n = len(nums)
-    if n > m:
-        return
+    nums, steps = _rescale(_fast_moment(variable, alpha, k, n)
+                           for n in range(min(r, m + 1)))
+    if m < r:
+        return nums, steps
     width, packed = _pack(_recurrence(variable, alpha, k), m - r)
     shift = (r + 1) * width
-    table = _differences(packed, n - r, shift)
+    table = _differences(packed, shift)
     mask, slot, half = (1 << shift) - 1, (1 << width) - 1, 1 << width - 1
-    window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
+    window = [nums[i] * math.prod(steps[i + 1:]) for i in range(r)]
     kept = range(r - 1)
-    for n in range(n, m + 1):
+    for _ in range(r, m + 1):
         value = table & mask
         table += table >> shift
         num = 0
@@ -447,42 +443,18 @@ def _extend(variable: Variable, alpha: Fraction, k: Fraction,
         for i in kept:
             window[i] *= step
         window.append(num)
-
-
-# the latest sequence computed, the only one kept
-_SEQ_MEMO: dict[tuple[Variable, Fraction, Fraction], MomentSequence] = {}
-_SEQ_LOCK = threading.Lock()
+    return nums, steps
 
 
 def moment_sequence(scenario: Scenario, m: int) -> MomentSequence:
-    """mu_0..mu_m for a scenario, memoized per process.
+    """mu_0..mu_m for a scenario, computed afresh on every call.
 
-    The memo keeps one sequence, the latest computed.  A repeat or a
-    prefix of it is read from the memo, and a longer request extends it
-    from its last orders; any other scenario replaces it.  The commands
-    and sweeps use each scenario's moments once, right away, so the one
-    entry serves every repeat they make.  When two threads race on one
-    scenario, the longer sequence stays.  The kept sequence builds its
-    mu at most once, and a prefix shares it.
+    _scaled builds the scaled form from order 0 in one pass, and nothing
+    is kept: the sequence lives as long as its caller holds it.  The
+    commands use each scenario's moments once, right away, at the highest
+    order they need.
     """
     if not is_order(m):
         raise DomainError(f"sequence order must be an integer >= 0, got {m!r}")
-    key = (scenario.variable, scenario.alpha, scenario.k)
-    with _SEQ_LOCK:
-        seq = _SEQ_MEMO.get(key)
-    if seq is None or seq.order < m:
-        nums = list(seq.nums) if seq else []
-        steps = list(seq.steps) if seq else []
-        _extend(scenario.variable, scenario.alpha, scenario.k, nums, steps, m)
-        seq = MomentSequence(scenario, tuple(nums), tuple(steps))
-        with _SEQ_LOCK:
-            old = _SEQ_MEMO.get(key)
-            if old is None or old.order < seq.order:
-                _SEQ_MEMO.clear()
-                _SEQ_MEMO[key] = seq
-    if seq.order == m:
-        return seq
-    prefix = MomentSequence(scenario, seq.nums[:m + 1], seq.steps[:m + 1])
-    if "mu" in seq.__dict__:
-        prefix.mu = seq.mu[:m + 1]
-    return prefix
+    nums, steps = _scaled(scenario.variable, scenario.alpha, scenario.k, m)
+    return MomentSequence(scenario, tuple(nums), tuple(steps))

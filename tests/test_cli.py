@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line driver.
 
-Commands run in-process through main() so the exact coefficient banks and
-moment memos are shared with the rest of the suite; one test execs the
-installed console script to cover the entry point wiring.
+Commands run in-process through main() so the coefficient bank and the
+recurrence-table memos are shared with the rest of the suite; one test
+execs the installed console script to cover the entry point wiring.
 """
 
 import contextlib
@@ -188,15 +188,15 @@ def test_cache_record_must_be_the_computed_text(tmp_path):
 
 
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
-    # from cold memos, the load's check and the orders past the cache share
-    # one reading of the recurrence table; a second k or a second alpha of
-    # the variable reads none, and the other variable reads its own once
+    # from cold table memos, the load's one sequence checks the cache and
+    # runs on past it with one reading of the recurrence table; a second k
+    # or a second alpha of the variable reads none, and the other variable
+    # reads its own once
     cache = tmp_path / "c.moments"
     argv = ["moments", "--variable", "pt", "--alpha", "7/2", "--k", "9/2",
             "--cache", str(cache)]
     rc, _, _ = run_cli(argv + ["--m", "39"])
     assert rc == 0
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
     moments._alpha_table.cache_clear()
     moments._int_table.cache_clear()
     rows = moments._table_rows
@@ -688,28 +688,28 @@ def test_negative_k_max_is_refused(argv):
 
 
 def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
-    # from cold memos, each served command computes every order of a
-    # scenario and every coefficient bank once: the memos' one moment
-    # sequence and one bank serve every repeat these commands make, so a
-    # command that went back to an older scenario or bank would fail here
+    # from a cold bank memo, each served command computes every order of
+    # a scenario and every coefficient bank once: one moment sequence per
+    # scenario, checked by the cache load where there is one, and the
+    # memo's one bank serve every repeat these commands make, so a command
+    # that went back to an older scenario or bank would fail here
     full, short = tmp_path / "full.moments", tmp_path / "short.moments"
     scenario = ["--variable", "pt", "--alpha", "1", "--k", "0"]
     for cache, m in ((full, "30"), (short, "20")):
         assert run_cli(["moments", *scenario, "--m", m,
                         "--cache", str(cache)])[0] == 0
-    extend, emit = moments._extend, inversion._emit
+    scaled, emit = moments._scaled, inversion._emit
     orders, banks = [], []
 
-    def counted_extend(variable, alpha, k, nums, steps, m):
-        orders.extend((variable, alpha, k, n)
-                      for n in range(len(nums), m + 1))
-        extend(variable, alpha, k, nums, steps, m)
+    def counted_scaled(variable, alpha, k, m):
+        orders.extend((variable, alpha, k, n) for n in range(m + 1))
+        return scaled(variable, alpha, k, m)
 
     def counted_emit(*key):
         banks.append(key)
         return emit(*key)
 
-    monkeypatch.setattr(moments, "_extend", counted_extend)
+    monkeypatch.setattr(moments, "_scaled", counted_scaled)
     monkeypatch.setattr(inversion, "_emit", counted_emit)
     # argv, then the scenarios and banks the command computes
     served = [
@@ -721,7 +721,6 @@ def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
         (["fit", "--alpha", "1", "--from-approximants"], 4, 1),
     ]
     for argv, scenarios, bank_count in served:
-        monkeypatch.setattr(moments, "_SEQ_MEMO", {})
         inversion._exact_bank.cache_clear()
         orders.clear()
         banks.clear()

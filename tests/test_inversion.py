@@ -272,8 +272,7 @@ def test_sequence_from_fractions_gives_the_same_tail():
     # stand-in scenario that carries only the interval
     s = Scenario(Variable.DIFF, Fraction(2), Fraction(3))
     served = moment_sequence(s, 60)
-    nums, steps = [], []
-    moments._rescale(served.mu, nums, steps)
+    nums, steps = moments._rescale(served.mu)
     nums = tuple(num * 3 ** (n + 1) for n, num in enumerate(nums))
     steps = tuple(3 * step for step in steps)
     built = MomentSequence(s, nums, steps)

@@ -1,9 +1,11 @@
 """Unit tests for the determinantal moment families."""
 
+import gc
 import hashlib
 import math
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -86,7 +88,7 @@ def test_hankel_determinants_nonnegative():
 
 
 def test_moment_sequence_matches_oracle():
-    # the memoized batch path every tail estimate is served from
+    # the batch path every tail estimate is served from
     oracle = {Variable.PT_DET: pt_moment_oracle,
               Variable.DIFF: diff_moment_oracle}
     # k = n - 1 puts both vanishing 5F4 factors in one step, and the two
@@ -138,7 +140,7 @@ def test_moment_sequence_shape_and_memo_extension():
     assert seq5.mu[0] == 1
     seq8 = moment_sequence(s, 8)
     assert seq8.mu[:6] == seq5.mu
-    # shrinking requests replay the memo without truncating it
+    # a shorter request is the prefix of a longer one, and a repeat the same
     assert moment_sequence(s, 3).mu == seq5.mu[:4]
     assert moment_sequence(s, 8).mu == seq8.mu
 
@@ -293,87 +295,43 @@ def test_packed_pass_on_the_table():
                 [horner(c, x) for c in coeffs], (variable, x)
 
 
-def test_memo_extension_derives_the_width_per_stretch(monkeypatch):
-    # 0 -> r -> 40 -> 1000 through the memo equals one direct extension;
-    # each stretch packs for its own highest order, so the width grows
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
-    pack, packed = moments._pack, []
-
-    def spy(coeffs, xmax):
-        width, out = pack(coeffs, xmax)
-        packed.append((xmax, width))
-        return width, out
-
-    for variable in Variable:
-        r = moments._ORDER[variable]
-        s = Scenario(variable, Fraction(4), Fraction(20))
-        monkeypatch.setattr(moments, "_pack", spy)
-        packed.clear()
-        for m in (r, 40, 1000):
-            seq = moment_sequence(s, m)
-        assert [xmax for xmax, _ in packed] == [0, 40 - r, 1000 - r]
-        widths = [width for _, width in packed]
-        assert widths == sorted(set(widths)), widths
-        monkeypatch.setattr(moments, "_pack", pack)
-        nums, steps = [], []
-        moments._extend(variable, s.alpha, s.k, nums, steps, 1000)
-        assert (seq.nums, seq.steps) == (tuple(nums), tuple(steps))
-
-
-def _extend_by_horner(variable, alpha, k, nums, steps, m):
+def _scaled_by_horner(variable, alpha, k, m):
     # the per-order loop that the difference table and the one division
     # replace: each c_i(n - r) by its own Horner pass, then one gcd of the
     # whole sum with c_r and two divisions by it
     r = moments._ORDER[variable]
-    moments._rescale((moments._fast_moment(variable, alpha, k, i)
-                      for i in range(len(nums), min(r, m + 1))), nums, steps)
-    n = len(nums)
-    if n > m:
-        return
+    nums, steps = moments._rescale(moments._fast_moment(variable, alpha, k, i)
+                                   for i in range(min(r, m + 1)))
     coeffs = moments._recurrence(variable, alpha, k)
-    window = [nums[i] * math.prod(steps[i + 1:n]) for i in range(n - r, n)]
-    for n in range(n, m + 1):
+    window = [nums[i] * math.prod(steps[i + 1:]) for i in range(len(nums))]
+    for n in range(r, m + 1):
         *lower, den = (horner(c, n - r) for c in coeffs)
         num = -sum(c * w for c, w in zip(lower, window))
         g = math.gcd(num, den)
         nums.append(num // g)
         steps.append(den // g)
         window = [w * steps[-1] for w in window[1:]] + [nums[-1]]
-
-
-@st.composite
-def stretches(draw):
-    variable = draw(st.sampled_from(list(Variable)))
-    alpha = Fraction(draw(st.integers(1, 8)), 2)
-    k = Fraction(draw(st.integers(0, 40)), 2)
-    m = draw(st.integers(0, 90))
-    return variable, alpha, k, draw(st.integers(0, m)), m
+    return nums, steps
 
 
 @settings(max_examples=60, deadline=None)
-@given(stretches())
-# stretches of fewer orders than the degree, whose difference tables
-# start from values past the range of the slot width
-@example((Variable.PT_DET, Fraction(4), Fraction(20), 89, 90))
-@example((Variable.PT_DET, Fraction(1, 2), Fraction(0), 3, 7))
-@example((Variable.PT_DET, Fraction(1), Fraction(0), 0, 3))
-@example((Variable.DIFF, Fraction(4), Fraction(20), 80, 90))
-@example((Variable.DIFF, Fraction(1), Fraction(0), 2, 2))
-@example((Variable.DIFF, Fraction(5, 2), Fraction(11, 2), 0, 1))
-def test_difference_table_stepping_matches_horner(case):
-    # 0 -> lo -> m in two stretches gives the integers of the per-order
-    # Horner loop, and so does 0 -> m in one
-    variable, alpha, k, lo, m = case
-    expect_nums, expect_steps = [], []
-    _extend_by_horner(variable, alpha, k, expect_nums, expect_steps, m)
-    nums, steps = [], []
-    moments._extend(variable, alpha, k, nums, steps, lo)
-    assert (nums, steps) == (expect_nums[:lo + 1], expect_steps[:lo + 1])
-    moments._extend(variable, alpha, k, nums, steps, m)
-    assert (nums, steps) == (expect_nums, expect_steps)
-    nums, steps = [], []
-    moments._extend(variable, alpha, k, nums, steps, m)
-    assert (nums, steps) == (expect_nums, expect_steps)
+@given(st.sampled_from(list(Variable)), st.integers(1, 8), st.integers(0, 40),
+       st.integers(0, 90))
+# sequences of fewer orders past r than the degree, whose difference
+# tables start from values past the range of the slot width
+@example(Variable.PT_DET, 8, 40, 90)
+@example(Variable.PT_DET, 1, 0, 7)
+@example(Variable.PT_DET, 2, 0, 3)
+@example(Variable.PT_DET, 2, 0, 0)
+@example(Variable.DIFF, 8, 40, 90)
+@example(Variable.DIFF, 2, 0, 2)
+@example(Variable.DIFF, 5, 11, 1)
+def test_difference_table_stepping_matches_horner(variable, a2, k2, m):
+    # the one pass from order 0 gives the integers of the per-order
+    # Horner loop
+    alpha, k = Fraction(a2, 2), Fraction(k2, 2)
+    assert moments._scaled(variable, alpha, k, m) == \
+        _scaled_by_horner(variable, alpha, k, m)
 
 
 def _rooted(roots):
@@ -385,50 +343,51 @@ def _rooted(roots):
 
 
 # packed polynomials and the top x of their slot range: both variables'
-# c_0..c_r at the largest coefficients of the grid up to order 200, and a
-# top slot with roots inside the range, whose higher differences take
-# both signs
+# c_0..c_r at the largest coefficients of the grid up to order 200 and up
+# to order 8, whose range is shorter than the degree, so the table starts
+# from values past it, and a top slot with roots inside the range, whose
+# higher differences take both signs
 DIFFERENCE_CASES = {
     "pt": (moments._recurrence(Variable.PT_DET, Fraction(4), Fraction(20)),
            200 - moments._ORDER[Variable.PT_DET]),
     "diff": (moments._recurrence(Variable.DIFF, Fraction(4), Fraction(20)),
              200 - moments._ORDER[Variable.DIFF]),
+    "short": (moments._recurrence(Variable.PT_DET, Fraction(4), Fraction(20)),
+              8 - moments._ORDER[Variable.PT_DET]),
     "signs": (((9, -4, 1), (-6, 0, 0, 2), _rooted((3, 11, 19, 27, 35))), 37),
 }
 
 
 def test_differences_step_the_packed_polynomial():
     # the one integer T = sum_j Delta^j 2^(jB), B = (r + 1) W, started at
-    # x0 holds horner(packed, y) in its low B bits at every y from x0 to
-    # the top of the range, stepped by T += T >> B, whatever the signs of
-    # the higher differences; started at the top, its start values lie
-    # past the range.  One bit less than B misreads on every stretch.
+    # x = 0 holds horner(packed, y) in its low B bits at every y of the
+    # range, stepped by T += T >> B, whatever the signs of the higher
+    # differences.  One bit less than B misreads.
+    signs = {}
     for case, (coeffs, xmax) in DIFFERENCE_CASES.items():
         count = len(coeffs)
         width, packed = moments._pack(coeffs, xmax)
         shift = count * width
         mask = (1 << shift) - 1
-        signs = set()
-        for x0 in (0, 5, xmax - 17, xmax):
-            values = [horner(packed, x0 + j) for j in range(len(packed))]
-            diffs = []
-            while values:
-                diffs.append(values[0])
-                values = [b - a for a, b in zip(values, values[1:])]
-            signs.update((d > 0) - (d < 0) for d in diffs[1:])
-            table = moments._differences(packed, x0, shift)
-            assert table == sum(d << j * shift for j, d in enumerate(diffs))
-            short, misread = moments._differences(packed, x0, shift - 1), False
-            for y in range(x0, xmax + 1):
-                value = table & mask
-                assert value == horner(packed, y)
-                assert _unpack(value, width, count) == \
-                    [horner(c, y) for c in coeffs], (case, x0, y)
-                table += table >> shift
-                misread |= short & (mask >> 1) != value
-                short += short >> shift - 1
-            assert misread, (case, x0)
-        assert signs == ({1, -1} if case == "signs" else {1}), case
+        values = [horner(packed, j) for j in range(len(packed))]
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        signs[case] = {(d > 0) - (d < 0) for d in diffs[1:]}
+        table = moments._differences(packed, shift)
+        assert table == sum(d << j * shift for j, d in enumerate(diffs))
+        short, misread = moments._differences(packed, shift - 1), False
+        for y in range(xmax + 1):
+            value = table & mask
+            assert value == horner(packed, y)
+            assert _unpack(value, width, count) == \
+                [horner(c, y) for c in coeffs], (case, y)
+            table += table >> shift
+            misread |= short & (mask >> 1) != value
+            short += short >> shift - 1
+        assert misread, case
+    assert signs == {"pt": {1}, "diff": {1}, "short": {1}, "signs": {1, -1}}
 
 
 def test_sequence_from_fractions():
@@ -436,8 +395,7 @@ def test_sequence_from_fractions():
     # of Fractions by a running lcm
     s = Scenario(Variable.PT_DET, Fraction(3, 2), Fraction(2))
     served = moment_sequence(s, 30)
-    nums, steps = [], []
-    moments._rescale(served.mu, nums, steps)
+    nums, steps = moments._rescale(served.mu)
     built = MomentSequence(s, tuple(nums), tuple(steps))
     assert built.mu == served.mu and len(built) == 31 and built.order == 30
     scale = 1
@@ -449,9 +407,8 @@ def test_sequence_from_fractions():
 
 
 def test_memo_extension_continues_the_recurrence(monkeypatch):
-    # the direct sums seed only orders 0..r-1 of a new scenario; a longer
-    # request steps on from the remembered orders
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+    # the direct sums seed only orders 0..r-1, at every order requested;
+    # the recurrence steps every later order
     direct = moments._fast_moment
     seeded = []
 
@@ -462,80 +419,32 @@ def test_memo_extension_continues_the_recurrence(monkeypatch):
     monkeypatch.setattr(moments, "_fast_moment", counted)
     for variable, r in ((Variable.PT_DET, 3), (Variable.DIFF, 2)):
         s = Scenario(variable, Fraction(5, 2), Fraction(3, 2))
-        seeded.clear()
-        short = moment_sequence(s, 1)
-        longer = moment_sequence(s, 12)
-        longest = moment_sequence(s, 40)
-        assert seeded == list(range(r))
-        assert longest.mu[:13] == longer.mu and longer.mu[:2] == short.mu
-        assert longest.mu == tuple(direct(variable, s.alpha, s.k, n)
-                                   for n in range(41))
+        for m in (1, 12, 40):
+            seeded.clear()
+            seq = moment_sequence(s, m)
+            assert seeded == list(range(min(r, m + 1)))
+            assert seq.mu == tuple(direct(variable, s.alpha, s.k, n)
+                                   for n in range(m + 1))
 
 
-def test_orders_below_r_read_no_table(monkeypatch):
+def test_orders_below_r_read_no_table():
     # orders 0..r-1 are the direct sums alone; order r specializes the
     # table once.  _ORDER is the order of the table's recurrence.
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
     for variable in Variable:
         r = moments._ORDER[variable]
         assert max(i for i, *_ in moments._table_rows(variable)) == r
         s = Scenario(variable, Fraction(3), Fraction(0))
         moments._alpha_table.cache_clear()
         for n in range(r):
-            moments._SEQ_MEMO.clear()
-            moment_sequence(s, n)           # cold
-        moments._SEQ_MEMO.clear()
-        for n in range(r):
-            moment_sequence(s, n)           # extending the memo
+            moment_sequence(s, n)
         assert moments._alpha_table.cache_info().misses == 0
         assert moment_sequence(s, r).mu[r] == moments._fast_moment(
             variable, s.alpha, s.k, r)
         assert moments._alpha_table.cache_info().misses == 1
 
 
-def test_memo_stays_bounded(monkeypatch):
-    # the memo keeps the latest sequence alone: a long session of distinct
-    # scenarios holds one entry, going back to A replaces B, and a repeat
-    # or a prefix of the kept sequence computes nothing
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
-    for variable in Variable:
-        for alpha in GRID_ALPHAS:
-            for k in GRID_KS:
-                moment_sequence(Scenario(variable, alpha, k), 30)
-                assert list(moments._SEQ_MEMO) == [(variable, alpha, k)]
-    a = Scenario(Variable.PT_DET, HALF, Fraction(0))
-    b = Scenario(Variable.DIFF, Fraction(2), Fraction(3))
-    for s in (a, b, a):
-        moment_sequence(s, 60)
-    key = (a.variable, a.alpha, a.k)
-    assert list(moments._SEQ_MEMO) == [key]
-    kept = moments._SEQ_MEMO[key]
-    extend, direct = moments._extend, moments._fast_moment
-    stretches, seeded = [], []
-
-    def counted_extend(variable, alpha, k, nums, steps, m):
-        stretches.append((len(nums), m))
-        extend(variable, alpha, k, nums, steps, m)
-
-    def counted_direct(variable, alpha, k, n):
-        seeded.append(n)
-        return direct(variable, alpha, k, n)
-
-    monkeypatch.setattr(moments, "_extend", counted_extend)
-    monkeypatch.setattr(moments, "_fast_moment", counted_direct)
-    assert moment_sequence(a, 60) is kept
-    prefix = moment_sequence(a, 20)
-    assert (prefix.nums, prefix.steps) == (kept.nums[:21], kept.steps[:21])
-    assert stretches == []
-    longer = moment_sequence(a, 90)
-    assert stretches == [(61, 90)] and seeded == []
-    assert list(moments._SEQ_MEMO.values()) == [longer]
-    assert longer.nums[:61] == kept.nums and longer.steps[:61] == kept.steps
-
-
-def test_memo_stays_consistent_under_threads(monkeypatch):
-    # more threads than cores extend, read and replace the memo at once
-    monkeypatch.setattr(moments, "_SEQ_MEMO", {})
+def test_memo_stays_consistent_under_threads():
+    # more threads than cores compute sequences at once
     scenarios = [Scenario(variable, alpha, Fraction(1))
                  for variable in Variable for alpha in (HALF, 2)]
     expect = {s: tuple(moments._fast_moment(s.variable, s.alpha, s.k, n)
@@ -560,4 +469,15 @@ def test_memo_stays_consistent_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert [results[i] for i in range(len(jobs))] == \
         [expect[s][:m + 1] for s, m in jobs]
-    assert len(moments._SEQ_MEMO) <= 1
+
+
+def test_sequence_is_not_kept():
+    # nothing holds a returned sequence: once its caller drops it, it is
+    # gone, its Fractions too
+    for variable in Variable:
+        seq = moment_sequence(Scenario(variable, Fraction(1), Fraction(0)), 40)
+        assert len(seq.mu) == 41
+        ref = weakref.ref(seq)
+        del seq
+        gc.collect()
+        assert ref() is None, variable
