@@ -12,10 +12,13 @@ A given config always produces identical bytes in exact mode.
 from __future__ import annotations
 
 import argparse
+import math
+import operator
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import mpmath
 
@@ -89,8 +92,52 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
 # Moment cache files
 # ---------------------------------------------------------------------------
 
-def _record(n: int, mu: Fraction) -> str:
-    return f"{n} {_rat(mu)}"
+def _int_of(text: str) -> Optional[int]:
+    """The int that _int_text spells as text, or None when it spells
+    none so: no sign but one '-', no leading zero, no '-0'.
+
+    The cache is read as ASCII, where isdigit() admits only 0-9.
+    """
+    digits = text.removeprefix("-")
+    if not digits.isdigit() or (digits[0] == "0" and text != "0"):
+        return None
+    value = _digits_value(digits)
+    return -value if len(digits) < len(text) else value
+
+
+def _digits_value(digits: str) -> int:
+    """The value of a string of decimal digits, in full.
+
+    int() refuses text past the interpreter's digit limit, so a longer
+    string is split into halves that are read the same way.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    half = len(digits) // 2
+    return (_digits_value(digits[:-half]) * 10 ** half
+            + _digits_value(digits[-half:]))
+
+
+def _is_record(line: str, n: int, num: int, scale: int) -> bool:
+    """Whether line is, byte for byte, the record write emits for
+    mu_n = num / scale (scale > 0): "n p/q" with q > 0, gcd(p, q) = 1
+    and p / q = num / scale, each integer spelled as _int_text spells it.
+
+    One spelling per value makes the test exact with no reduction of
+    num / scale: q divides scale, p times the cofactor is num, and p
+    and q are coprime.
+    """
+    prefix = f"{n} "
+    if not line.startswith(prefix):
+        return False
+    p_text, _, q_text = line[len(prefix):].partition("/")
+    p, q = _int_of(p_text), _int_of(q_text)
+    if p is None or q is None or q <= 0:
+        return False
+    cofactor, rest = divmod(scale, q)
+    return rest == 0 and p * cofactor == num and math.gcd(p, q) == 1
 
 
 class MomentCacheFile:
@@ -100,7 +147,10 @@ class MomentCacheFile:
     up from 0 and num/den in lowest terms.  Loading computes the moments
     afresh, refuses every file whose header belongs to a different
     scenario or whose records are not, line for line, what a write of
-    those moments emits, and hands on the sequence it checked.  Each
+    those moments emits, and hands on the sequence it checked.  Both
+    work on the sequence's scaled form, mu_n = nums[n] / S_n: no moment
+    becomes a reduced Fraction on the cache path, and the file is
+    streamed, never held whole.  Each
     write goes to a temp file of its own next to the cache and replaces
     the cache with one atomic rename, so readers see either the old file
     or a new complete one and concurrent writers never share a file; the
@@ -118,43 +168,73 @@ class MomentCacheFile:
         return (f"{CACHE_HEADER_PREFIX} variable={s.variable} "
                 f"alpha={s.alpha} k={s.k}")
 
+    def _unreadable(self, exc: Exception) -> CacheIOError:
+        return CacheIOError(f"cannot read cache {self.path}: {exc}")
+
+    def _lines(self, fh) -> Iterator[str]:
+        """The non-blank lines of fh from its start, stripped."""
+        try:
+            fh.seek(0)
+            for line in fh:
+                line = line.strip()
+                if line:
+                    yield line
+        except (OSError, UnicodeDecodeError) as exc:
+            raise self._unreadable(exc) from exc
+
     def load(self, m: int) -> MomentSequence:
         """The scenario's moments to order m or to the last record,
         whichever is higher, each record checked against them.
 
-        One moment_sequence call computes them afresh.  A file that holds
-        fewer than m + 1 records is rewritten with all of them, and the
-        checked sequence is returned, so no order is computed twice.
+        A first pass over the file reads the header and counts the
+        records, so a file that cannot be decoded is refused before its
+        header is judged.  One moment_sequence call then computes the
+        moments afresh, and a second pass over the same open file checks
+        each record against its scaled moment with _is_record.  A file
+        that holds fewer than m + 1 records is rewritten with all of
+        them, and the checked sequence is returned, so no order is
+        computed twice.
         """
         try:
-            with open(self.path, encoding="ascii") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CacheIOError(
-                f"cannot read cache {self.path}: {exc}") from exc
-        if not lines or lines[0] != self.header():
-            found = lines[0] if lines else "<empty>"
-            raise CacheHeaderError(
-                f"cache {self.path} belongs to another scenario: expected "
-                f"{self.header()!r}, found {found!r}")
-        records = lines[1:]
-        if not records:
-            raise CacheIntegrityError(f"cache {self.path} has no records")
-        seq = moment_sequence(self.scenario, max(m, len(records) - 1))
-        mu = seq.mu
-        for n, line in enumerate(records):
-            if line == _record(n, mu[n]):
-                continue
-            if line.split()[0] != str(n):
+            fh = open(self.path, encoding="ascii")
+        except OSError as exc:
+            raise self._unreadable(exc) from exc
+        with fh:
+            lines = self._lines(fh)
+            first = next(lines, None)
+            records = sum(1 for _ in lines)
+            if first != self.header():
+                found = "<empty>" if first is None else first
+                raise CacheHeaderError(
+                    f"cache {self.path} belongs to another scenario: "
+                    f"expected {self.header()!r}, found {found!r}")
+            if not records:
                 raise CacheIntegrityError(
-                    f"cache {self.path}: expected record {n}, found {line!r}")
-            raise CacheIntegrityError(
-                f"cache {self.path}: record n={n} fails recomputation")
-        if len(records) <= m:
-            self.write(mu)
+                    f"cache {self.path} has no records")
+            seq = moment_sequence(self.scenario, max(m, records - 1))
+            lines = self._lines(fh)
+            next(lines)
+            scales = accumulate(seq.steps, operator.mul)
+            for n, (line, num, scale) in enumerate(
+                    zip(lines, seq.nums, scales)):
+                if _is_record(line, n, num, scale):
+                    continue
+                if line.split()[0] != str(n):
+                    raise CacheIntegrityError(
+                        f"cache {self.path}: expected record {n}, "
+                        f"found {line!r}")
+                raise CacheIntegrityError(
+                    f"cache {self.path}: record n={n} fails recomputation")
+        if records <= m:
+            self.write(seq)
         return seq
 
-    def write(self, mus: Sequence[Fraction]) -> None:
+    def write(self, mus: MomentSequence) -> None:
+        """Write the header and one record per moment of mus.
+
+        Each record is reduced from the scaled form by one gcd of
+        nums[n] and S_n and written at once.
+        """
         # os.urandom rather than uuid4, whose import costs every run ~2 ms
         tmp = f"{self.path}.{os.urandom(16).hex()}.tmp"
         try:
@@ -162,8 +242,11 @@ class MomentCacheFile:
             try:
                 with fh:
                     fh.write(self.header() + "\n")
-                    for n, value in enumerate(mus):
-                        fh.write(_record(n, value) + "\n")
+                    scales = accumulate(mus.steps, operator.mul)
+                    for n, (num, scale) in enumerate(zip(mus.nums, scales)):
+                        g = math.gcd(num, scale)
+                        fh.write(f"{n} {_int_text(num // g)}/"
+                                 f"{_int_text(scale // g)}\n")
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
@@ -181,7 +264,7 @@ def _sequence_with_cache(scenario: Scenario, m: int,
         return MomentCacheFile(cache_path, scenario).load(m)
     seq = moment_sequence(scenario, m)
     if cache_path:
-        MomentCacheFile(cache_path, scenario).write(seq.mu)
+        MomentCacheFile(cache_path, scenario).write(seq)
     return seq
 
 

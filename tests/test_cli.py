@@ -8,6 +8,7 @@ execs the installed console script to cover the entry point wiring.
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -166,7 +167,9 @@ def test_stored_moment_check_catches_every_record(tmp_path):
 def test_cache_record_must_be_the_computed_text(tmp_path):
     # the first record is congruent to mu_20 modulo 2^61 - 1, the second
     # has a denominator divisible by it, the third is mu_20 itself but not
-    # in lowest terms; the rest of the file is exactly what a write emits
+    # in lowest terms; then come spellings of mu_20 or of other values
+    # that a write never emits; the rest of the file is exactly what a
+    # write emits
     cache = tmp_path / "c.moments"
     argv = ["--variable", "pt", "--alpha", "1", "--k", "0", "--m", "30",
             "--cache", str(cache)]
@@ -177,14 +180,76 @@ def test_cache_record_must_be_the_computed_text(tmp_path):
                                  Fraction(0)), 30).mu[20]
     p = (1 << 61) - 1
     shifted = x + p
-    for value in (f"{shifted.numerator}/{shifted.denominator}", f"1/{p}",
-                  f"{2 * x.numerator}/{2 * x.denominator}"):
-        cache.write_text("\n".join(lines[:21] + [f"20 {value}"]
-                                   + lines[22:]) + "\n")
+    num, den = str(x.numerator), str(x.denominator)
+    sign, digits = num[:1] if x < 0 else "", num.lstrip("-")
+    assert lines[21] == f"20 {num}/{den}"
+    records = [f"20 {shifted.numerator}/{shifted.denominator}", f"20 1/{p}",
+               f"20 {2 * x.numerator}/{2 * x.denominator}",
+               # a leading zero, a + sign, an underscore
+               f"20 {sign}0{digits}/{den}", f"20 {num}/0{den}",
+               f"20 {num}/+{den}", f"20 {num}/{den[:2]}_{den[2:]}",
+               f"20 {num}/{den}_0",
+               # a denominator one less: the quotient of S_20 by it is
+               # still the cofactor of the reduced denominator
+               f"20 {num}/{x.denominator - 1}",
+               # a tab or a double space between the fields
+               f"20\t{num}/{den}", f"20  {num}/{den}",
+               # zero spelled -0/1 or 0/5, a zero or negative denominator,
+               # a third field
+               "20 -0/1", "20 0/5", f"20 {num}/0",
+               f"20 {-x.numerator}/-{den}", "20 1/2/3"]
+    for record in records:
+        cache.write_text("\n".join(lines[:21] + [record] + lines[22:])
+                         + "\n")
         rc, out, err = run_cli(["tail"] + argv)
-        assert rc == 1 and out == ""
+        assert rc == 1 and out == "", record
         assert err == (f"CacheIntegrityError: cache {cache}: "
-                       "record n=20 fails recomputation\n")
+                       "record n=20 fails recomputation\n"), record
+
+
+def test_cache_past_the_digit_limit(tmp_path):
+    # records whose denominators reach 756 digits, past a limit of 640,
+    # are written with the same bytes and read back
+    argv = ["--variable", "pt", "--alpha", "1", "--k", "0", "--m", "300",
+            "--cache"]
+    rc, _, _ = run_cli(["moments"] + argv + [str(tmp_path / "free")])
+    assert rc == 0
+    expect = (tmp_path / "free").read_bytes()
+    assert max(map(len, expect.replace(b"/", b" ").split())) > 640
+    cache = tmp_path / "limited"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, _, err = run_cli(["moments"] + argv + [str(cache)])
+        assert rc == 0 and err == ""
+        assert cache.read_bytes() == expect
+        rc, out, err = run_cli(["tail"] + argv + [str(cache)])
+        assert rc == 0 and err == ""
+        assert "value_exact" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cache.read_bytes() == expect
+
+
+def test_cache_path_builds_no_fraction(tmp_path, monkeypatch):
+    # a write, a read and an extension from 5 to 8 records work on the
+    # scaled moments alone; the records are still the reduced moments
+    def no_fraction(seq):
+        raise AssertionError("MomentSequence.mu read on the cache path")
+
+    cache = tmp_path / "c.moments"
+    argv = ["tail", "--variable", "pt", "--alpha", "1", "--k", "0",
+            "--cache", str(cache)]
+    monkeypatch.setattr(moments.MomentSequence, "mu", property(no_fraction))
+    for m in ("4", "4", "7"):
+        rc, out, err = run_cli(argv + ["--m", m])
+        assert rc == 0 and err == "" and "value_exact" in out, m
+    monkeypatch.undo()
+    mu = moment_sequence(Scenario(Variable.PT_DET, Fraction(1),
+                                  Fraction(0)), 7).mu
+    assert cache.read_text().splitlines()[1:] == [
+        f"{n} {x.numerator}/{x.denominator}" for n, x in enumerate(mu)]
+    assert "mus" in inspect.signature(cli.MomentCacheFile.write).parameters
 
 
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
