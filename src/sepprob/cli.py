@@ -93,8 +93,9 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
 # ---------------------------------------------------------------------------
 
 def _int_of(text: str) -> Optional[int]:
-    """The int that _int_text spells as text, or None when it spells
-    none so: no sign but one '-', no leading zero, no '-0'.
+    """The int that _int_text spells as text, or None when _int_text
+    spells no int so: '-' is the only sign, zero is '0', and no other
+    number starts with a 0.
 
     The cache is read as ASCII, where isdigit() admits only 0-9.
     """
@@ -147,16 +148,16 @@ class MomentCacheFile:
     up from 0 and num/den in lowest terms.  Loading computes the moments
     afresh, refuses every file whose header belongs to a different
     scenario or whose records are not, line for line, what a write of
-    those moments emits, and hands on the sequence it checked.  Both
-    work on the sequence's scaled form, mu_n = nums[n] / S_n: no moment
-    becomes a reduced Fraction on the cache path, and the file is
-    streamed, never held whole.  Each
-    write goes to a temp file of its own next to the cache and replaces
-    the cache with one atomic rename, so readers see either the old file
-    or a new complete one and concurrent writers never share a file; the
-    last complete writer wins.  A failed write removes its temp file; a
-    killed writer may leave one behind, which nothing reads.  A file that
-    cannot be opened, read, decoded or written raises CacheIOError.
+    those moments emits, and hands on the sequence it checked.  Loads
+    and writes work on the sequence's scaled form, mu_n = nums[n] / S_n,
+    so no moment becomes a reduced Fraction on the cache path, and a
+    load streams the file rather than hold it.  Each write goes to a
+    temp file of its own next to the cache and replaces the cache with
+    one atomic rename, so readers see either the old file or a new
+    complete one and concurrent writers never share a file; the last
+    complete writer wins.  A failed write removes its temp file; a
+    killed writer may leave one behind, which nothing reads.  A file
+    that cannot be opened, read, decoded or written raises CacheIOError.
     """
 
     def __init__(self, path: str, scenario: Scenario) -> None:
