@@ -284,8 +284,11 @@ def cmd_moments(args) -> int:
     meta = {"command": "moments", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
             "m": str(args.m)}
-    rows = [{"n": str(n), "mu": _rat(mu)}
-            for n, mu in enumerate(seq.mu[:args.m + 1])]
+    # a cache load may return more orders than are printed; a prefix of
+    # the scaled form is itself a sequence, so only those are reduced
+    printed = MomentSequence(scenario, seq.nums[:args.m + 1],
+                             seq.steps[:args.m + 1])
+    rows = [{"n": str(n), "mu": _rat(mu)} for n, mu in enumerate(printed.mu)]
     _emit(args.format, meta, rows, ["n", "mu"])
     return 0
 

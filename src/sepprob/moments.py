@@ -20,17 +20,18 @@ pt_moment and diff_moment are its validated public front.
 moment_sequence does not sum each order afresh.  Each family obeys a
 linear recurrence in n, sum_{i=0..r} c_i(n) mu_{n+i} = 0, of order r = 3
 (pt) or 2 (diff), whose coefficients are integer polynomials in n,
-2 alpha and 2k of degree 20 or 11 (the table recurrences.txt next to this
-module, written by tools/derive_recurrences.py).  Zeilberger's creative
-telescoping proves it: tests/test_recurrence.py checks the certificate's
-telescoping identity and its boundary terms exactly.  The identity holds
-for generic alpha and k, and each mu_n is a rational function of both, so
-the recurrence holds at the 0/0 orders as well.  The table is read and
-parsed once per process and variable and kept as integers; it is
-specialized to 2 alpha, by Horner, once per (variable, alpha), leaving
-each coefficient a polynomial in 2k.  A small memo keeps the last few
-alphas, so the scenarios of a sweep that share an alpha share that
-set-up.  A sequence then evaluates those polynomials at its 2k by Horner
+2 alpha and 2k of degree 20 or 11 (the binary records of recurrences.bin
+next to this module, written by tools/derive_recurrences.py).
+Zeilberger's creative telescoping proves it: tests/test_recurrence.py
+checks the certificate's telescoping identity and its boundary terms
+exactly.  The identity holds for generic alpha and k, and each mu_n is a
+rational function of both, so the recurrence holds at the 0/0 orders as
+well.  Each (variable, alpha)
+streams the variable's records once and specializes each to 2 alpha, by
+Horner, as it passes, leaving each coefficient a polynomial in 2k; no
+parsed record is kept.  A small memo keeps the last four alphas' tables,
+so the scenarios of a sweep that share an alpha share that set-up.  A
+sequence then evaluates those polynomials at its 2k by Horner
 (924 steps for pt) and steps the recurrence in integers over one running
 scale S: the r orders of the window are integers over S, each order is
 one sum of r products, and one division of that sum by c_r, a number of
@@ -65,6 +66,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import marshal
 import math
 import operator
 import os
@@ -261,50 +263,43 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "recurrences.txt")
+                      "recurrences.bin")
 # the order r of each variable's recurrence: the table holds c_0..c_r
 _ORDER = {Variable.PT_DET: 3, Variable.DIFF: 2}
 
 
 def _table_rows(variable: Variable):
-    """(i, d, top, row) for each line of the variable's table: row holds
-    the decimal coefficients of n^d in c_i, those of (2 alpha)^u (2k)^v of
-    total degree at most top, in the order u = 0..top and for each u
-    v = 0..top-u."""
-    prefix = variable.value + " "
-    with open(_TABLE, encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith(prefix):
-                _, i, d, top, *row = line.split()
-                yield int(i), int(d), int(top), row
+    """(i, d, top, coeffs) for each of the variable's records, in the
+    order of the file: for each c_i, i = 0..r, the powers n^d,
+    d = 0..D.
+
+    The file is a run of records, diff's and then pt's.  Each is a
+    4-byte little-endian length and then that many bytes of
+    marshal.dumps((variable, i, d, top, coeffs), 4): the coefficient of
+    n^d in c_i is a polynomial in 2 alpha and 2k of total degree at most
+    top, and coeffs holds its integer coefficients of (2 alpha)^u (2k)^v
+    in the order v = 0..top and for each v u = 0..top-v, the runs of
+    _runs(top).  The records are read from the open file one at a time,
+    as the caller asks for them, and the reading stops at the end of the
+    variable's own: diff's table is about a tenth of pt's, so it comes
+    first, and neither pass decodes the other's pt records.
+    """
+    found = False
+    with open(_TABLE, "rb") as fh:
+        while size := fh.read(4):
+            name, i, d, top, coeffs = marshal.loads(
+                fh.read(int.from_bytes(size, "little")))
+            if name == variable.value:
+                found = True
+                yield i, d, top, coeffs
+            elif found:
+                return
 
 
 def _runs(top: int) -> tuple[int, ...]:
     """0 and the ends of the runs of lengths top + 1, top, ..., 1 that
-    make up a row of total degree top, both in the file (one run per
-    power u of 2 alpha) and in _int_table (one per power v of 2k)."""
+    make up a record of total degree top, one run per power v of 2k."""
     return tuple(itertools.accumulate(range(top + 1, 0, -1), initial=0))
-
-
-@functools.lru_cache(maxsize=2)
-def _int_table(variable: Variable) -> tuple[tuple[tuple[int, tuple[int, ...]],
-                                                 ...], ...]:
-    """The variable's table as integers, read from the file once per
-    process: for each c_i and each power of n, (top, coeffs), where coeffs
-    holds the coefficients of (2 alpha)^u (2k)^v, u + v <= top, in the
-    order v = 0..top and for each v u = 0..top-v.  Both variables'
-    tables stay resident, one flat tuple per row to keep them small:
-    0.30 MiB for pt and 0.04 MiB for diff."""
-    out: list[list[tuple[int, tuple[int, ...]]]] = []
-    for i, _, top, row in _table_rows(variable):
-        if i == len(out):
-            out.append([])
-        starts = _runs(top)
-        values = tuple(map(int, row))
-        out[i].append((top, tuple(values[starts[u] + v]
-                                  for v in range(top + 1)
-                                  for u in range(top - v + 1))))
-    return tuple(map(tuple, out))
 
 
 @functools.lru_cache(maxsize=4)
@@ -313,16 +308,20 @@ def _alpha_table(variable: Variable,
     """The variable's table at 2 alpha = a2: for each c_i and each power
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    Each coefficient of 2k is one run of _int_table's row, a polynomial
-    in a2 summed by Horner, so a new alpha reads no file.  One pass
-    serves every k at this alpha.  Four alphas are kept: tables
-    --approx-m and plot-data --figure 2 step through three alphas for
-    each k.
+    The records stream past once: each coefficient of 2k is one run of a
+    record, a polynomial in a2 summed by Horner, and the record is
+    dropped before the next is read, so no parsed table outlives the
+    pass.  One pass serves every k at this alpha.  Four alphas are kept:
+    tables --approx-m and plot-data --figure 2 step through three alphas
+    for each k.
     """
-    return tuple(tuple(tuple(horner(coeffs[lo:hi], a2) for lo, hi in
-                             itertools.pairwise(_runs(top)))
-                       for top, coeffs in c)
-                 for c in _int_table(variable))
+    out: list[list[tuple[int, ...]]] = []
+    for i, _, top, coeffs in _table_rows(variable):
+        if i == len(out):
+            out.append([])
+        out[i].append(tuple(horner(coeffs[lo:hi], a2) for lo, hi in
+                            itertools.pairwise(_runs(top))))
+    return tuple(map(tuple, out))
 
 
 def _recurrence(variable: Variable, alpha: Fraction,

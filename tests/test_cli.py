@@ -252,18 +252,42 @@ def test_cache_path_builds_no_fraction(tmp_path, monkeypatch):
     assert "mus" in inspect.signature(cli.MomentCacheFile.write).parameters
 
 
+def test_moments_reduce_only_the_printed_orders(tmp_path, monkeypatch):
+    # a cache load returns all 60 held orders; moments --m 5 prints the
+    # bytes it prints without a cache and reduces only its 6 moments
+    cache = tmp_path / "c.moments"
+    argv = ["moments", "--variable", "pt", "--alpha", "1", "--k", "0"]
+    rc, _, _ = run_cli(argv + ["--m", "59", "--cache", str(cache)])
+    assert rc == 0
+    held = cache.read_bytes()
+    rc, plain, _ = run_cli(argv + ["--m", "5"])
+    assert rc == 0
+    reduced = []
+    mu = moments.MomentSequence.mu.func
+
+    def counted(seq):
+        reduced.append(len(seq))
+        return mu(seq)
+
+    monkeypatch.setattr(moments.MomentSequence, "mu", property(counted))
+    rc, out, err = run_cli(argv + ["--m", "5", "--cache", str(cache)])
+    assert rc == 0 and err == ""
+    assert out == plain
+    assert reduced == [6]
+    assert cache.read_bytes() == held
+
+
 def test_cache_extension_specializes_once(tmp_path, monkeypatch):
-    # from cold table memos, the load's one sequence checks the cache and
-    # runs on past it with one reading of the recurrence table; a second k
-    # or a second alpha of the variable reads none, and the other variable
-    # reads its own once
+    # from a cold alpha memo, the load's one sequence checks the cache and
+    # runs on past it with one pass over the recurrence table; a second k
+    # at the same alpha reads none, and each further alpha, of either
+    # variable, streams its variable's records once
     cache = tmp_path / "c.moments"
     argv = ["moments", "--variable", "pt", "--alpha", "7/2", "--k", "9/2",
             "--cache", str(cache)]
     rc, _, _ = run_cli(argv + ["--m", "39"])
     assert rc == 0
     moments._alpha_table.cache_clear()
-    moments._int_table.cache_clear()
     rows = moments._table_rows
     reads = []
 
@@ -286,7 +310,8 @@ def test_cache_extension_specializes_once(tmp_path, monkeypatch):
         mu = moments._fast_moment(Variable(variable), Fraction(alpha),
                                   Fraction(k), 20)
         assert body_lines(out)[-1] == f"20 {mu.numerator}/{mu.denominator}"
-    assert reads == [Variable.PT_DET, Variable.DIFF]
+    assert reads == [Variable.PT_DET, Variable.PT_DET, Variable.DIFF,
+                     Variable.DIFF]
     assert moments._alpha_table.cache_info().misses == 4
 
 

@@ -1,7 +1,7 @@
 """The recurrences in n that serve the exact moment sequences.
 
 moment_sequence runs, for each variable, sum_i c_i(n) mu_{n+i} = 0 with
-the integer polynomial coefficients of src/sepprob/recurrences.txt.  Two
+the integer polynomial coefficients of src/sepprob/recurrences.bin.  Two
 kinds of test cover it:
 
 * The certificate test proves the recurrence.  With the summand F of
@@ -49,11 +49,13 @@ COUNT = {"n": (0, 2, 0, 0, 0), "2n": (0, 4, 0, 0, 0),
 
 def table_terms(variable):
     """(i, d, u, v, coeff) for each term coeff n^d (2 alpha)^u (2k)^v of
-    each recurrence coefficient c_i, expanded from the table's rows."""
-    for i, d, top, row in moments._table_rows(Variable(variable)):
-        values = map(int, row)
-        for u in range(top + 1):
-            for v in range(top - u + 1):
+    each recurrence coefficient c_i, expanded from the table's records,
+    whose coefficients run v-major: v = 0..top and for each v
+    u = 0..top-v."""
+    for i, d, top, coeffs in moments._table_rows(Variable(variable)):
+        values = iter(coeffs)
+        for v in range(top + 1):
+            for u in range(top - v + 1):
                 yield i, d, u, v, next(values)
 
 
@@ -374,20 +376,17 @@ def test_integer_steps_from_any_stretch_start(variable, a2, k2, m):
 
 
 def test_table_rows_are_whole():
-    # each line of the table holds one full triangle of coefficients, and
-    # the rows of every c_i run d = 0..D with total degree D - d
-    rows = {}
-    with open(moments._TABLE, encoding="ascii") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                name, i, d, top, *values = line.split()
-                i, d, top = int(i), int(d), int(top)
-                assert len(values) == (top + 1) * (top + 2) // 2, (name, i, d)
-                rows.setdefault((name, i), []).append((d, top))
-    assert {name for name, _ in rows} == {v.value for v in Variable}
-    for (name, i), ds in rows.items():
-        deg = len(ds) - 1
-        assert ds == [(d, deg - d) for d in range(deg + 1)], (name, i)
+    # each record holds one full triangle of integer coefficients, and
+    # each variable's records run c_0..c_r in order, those of every c_i
+    # d = 0..D with total degree D - d
     for variable in Variable:
-        orders = sorted(i for name, i in rows if name == variable.value)
-        assert orders == list(range(len(orders))), variable
+        rows = {}
+        for i, d, top, coeffs in moments._table_rows(variable):
+            assert all(type(c) is int for c in coeffs), (variable, i, d)
+            assert len(coeffs) == (top + 1) * (top + 2) // 2, (variable, i, d)
+            assert i >= max(rows, default=0), (variable, i, d)
+            rows.setdefault(i, []).append((d, top))
+        assert list(rows) == list(range(moments._ORDER[variable] + 1))
+        for i, ds in rows.items():
+            deg = len(ds) - 1
+            assert ds == [(d, deg - d) for d in range(deg + 1)], (variable, i)

@@ -39,14 +39,16 @@ fixed, so a rerun rewrites both outputs byte for byte:
 
     python3 tools/derive_recurrences.py      # about 7 minutes on 2 cores
 
-writes ``src/sepprob/recurrences.txt`` (the coefficients c, which
-``sepprob.moments`` serves) and ``tests/recurrence_certificates.py`` (the
-terms F and the certificates, which only the test reads).
+writes ``src/sepprob/recurrences.bin`` (the coefficients c, which
+``sepprob.moments`` serves, as binary records: see write_recurrences)
+and ``tests/recurrence_certificates.py`` (the terms F and the
+certificates, which only the test reads).
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import multiprocessing
 import random
 import sys
@@ -481,33 +483,33 @@ def poly_lines(entries, indent="    "):
     return [f"{indent}{entry!r}," for entry in entries]
 
 
-def write_recurrences(results) -> str:
-    lines = [
-        "# Recurrences in n of the exact moment sequences.",
-        "#",
-        "# Generated by tools/derive_recurrences.py; do not edit.  For each",
-        "# variable, sum_{i=0..r} c_i(n) mu_{n+i} = 0 for every n >= 0.  A",
-        "# line 'variable i d t coeffs' holds the coefficient of n^d in c_i,",
-        "# a polynomial in a2 = 2 alpha and k2 = 2k of total degree at most",
-        "# t: the integer coefficients of a2^u k2^v in the order u = 0..t,",
-        "# and for each u v = 0..t-u.  sepprob.moments reads the lines of",
-        "# one variable when it specializes a scenario's recurrence.  The",
-        "# certificate that proves each recurrence is",
-        "# tests/recurrence_certificates.py.",
-    ]
-    for variable in TERMS:
+def write_recurrences(results) -> bytes:
+    """The coefficients c as records, one per c_i and power n^d.
+
+    Each record is a 4-byte little-endian length, then
+    marshal.dumps((variable, i, d, top, coefficients), 4), where the
+    coefficient of n^d in c_i is a polynomial in a2 = 2 alpha and
+    k2 = 2k of total degree at most top and coefficients holds the
+    integer coefficients of a2^u k2^v in the order v = 0..top and for
+    each v u = 0..top-v: one run in a2 per power of k2, the order in
+    which sepprob.moments evaluates them.  diff's records, the smaller
+    table, come first, so that sepprob.moments decodes no pt record for
+    diff.
+    """
+    out = bytearray()
+    for variable in ("diff", "pt"):
         coeffs = results[variable][0]
         shape = SHAPES[variable]
         deg = shape["degree"]
         for i in range(shape["order"] + 1):
             for d in range(deg + 1):
                 top = deg - d
-                row = " ".join(str(coeffs.get((i, d, u, v), 0))
-                               for u in range(top + 1)
-                               for v in range(top - u + 1))
-                lines.append(f"{variable} {i} {d} {top} {row}")
-    lines.append("")
-    return "\n".join(lines)
+                row = tuple(coeffs.get((i, d, u, v), 0)
+                            for v in range(top + 1)
+                            for u in range(top - v + 1))
+                record = marshal.dumps((variable, i, d, top, row), 4)
+                out += len(record).to_bytes(4, "little") + record
+    return bytes(out)
 
 
 def write_certificates(results) -> str:
@@ -522,7 +524,7 @@ def write_certificates(results) -> str:
         "The certificate is R(n, j) = N(n, j) / (D0 * prod DEN), with",
         "N = sum coeff n^u j^v (2 alpha)^x (2k)^y over NUM's (u, v, x, y, coeff),",
         "such that sum_i c_i(n) F(n+i, j) = R(n, j+1) F(n, j+1) - R(n, j) F(n, j)",
-        "with the c_i of src/sepprob/recurrences.txt.",
+        "with the c_i of src/sepprob/recurrences.bin.",
         '"""',
         "",
         "from fractions import Fraction",
@@ -576,7 +578,7 @@ def main(argv=None) -> int:
             coeffs, d0, num = to_integers(values, variable)
             check_against_moments(variable, coeffs)
             results[variable] = (coeffs, d0, num)
-    (ROOT / "src" / "sepprob" / "recurrences.txt").write_text(
+    (ROOT / "src" / "sepprob" / "recurrences.bin").write_bytes(
         write_recurrences(results))
     (ROOT / "tests" / "recurrence_certificates.py").write_text(
         write_certificates(results))
