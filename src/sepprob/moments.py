@@ -26,14 +26,14 @@ Zeilberger's creative telescoping proves it: tests/test_recurrence.py
 checks the certificate's telescoping identity and its boundary terms
 exactly.  The identity holds for generic alpha and k, and each mu_n is a
 rational function of both, so the recurrence holds at the 0/0 orders as
-well.  Each (variable, alpha)
-streams the variable's records once and specializes each to 2 alpha, by
-Horner, as it passes, leaving each coefficient a polynomial in 2k; no
-parsed record is kept.  A small memo keeps the last four alphas' tables,
-so the scenarios of a sweep that share an alpha share that set-up.  A
-sequence then evaluates those polynomials at its 2k by Horner
-(924 steps for pt) and steps the recurrence in integers over one running
-scale S: the r orders of the window are integers over S, each order is
+well.  Each (variable, alpha) streams the variable's records once and
+specializes each to 2 alpha, by Horner, as it passes, leaving each
+coefficient a polynomial in 2k; no parsed record is kept.  A small memo
+keeps the last four alphas' tables, so the scenarios of a sweep that
+share an alpha share that set-up.  A sequence then evaluates those
+polynomials at its 2k by Horner (924 steps for pt) and steps the
+recurrence in integers over one running scale S: the r orders of the
+window are integers over S, each order is
 one sum of r products, and one division of that sum by c_r, a number of
 a few hundred bits, with one gcd of the small remainder and c_r, leaves
 the order's numerator and the small factor (at most 34 bits up to order
@@ -281,8 +281,9 @@ def _table_rows(variable: Variable):
     in the order v = 0..top and for each v u = 0..top-v, the runs of
     _runs(top).  The records are read from the open file one at a time,
     as the caller asks for them, and the reading stops at the end of the
-    variable's own: diff's table is about a tenth of pt's, so it comes
-    first, and neither pass decodes the other's pt records.
+    variable's own.  diff's table is about a tenth of pt's, so it comes
+    first: a diff pass decodes one pt record, and a pt pass diff's 36
+    small ones.
     """
     found = False
     with open(_TABLE, "rb") as fh:

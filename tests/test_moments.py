@@ -466,8 +466,8 @@ def test_no_table_stays_resident():
 
 
 def test_diff_decodes_no_pt_record(monkeypatch):
-    # diff's records come first, and its pass stops at the first pt
-    # record
+    # diff's records, (r + 1)(D + 1) = 3 * 12 of them, come first, and
+    # its pass stops at the first pt record
     decoded = []
     loads = marshal.loads
     monkeypatch.setattr(moments, "marshal", types.SimpleNamespace(
