@@ -27,6 +27,7 @@ from .errors import (
     SepprobError,
     SingularityError,
     StructureViolation,
+    TableError,
 )
 from .exactnum import (
     as_rational,

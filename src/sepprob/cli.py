@@ -549,17 +549,8 @@ def _fit_from_approximants(args, alpha: Fraction) -> int:
 
 
 def _poly_str(coeffs) -> str:
-    terms = []
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if c == 0:
-            continue
-        if power == 0:
-            terms.append(str(c))
-        elif power == 1:
-            terms.append(f"{c}*k")
-        else:
-            terms.append(f"{c}*k^{power}")
+    terms = [str(c) if p == 0 else f"{c}*k" if p == 1 else f"{c}*k^{p}"
+             for p, c in reversed(list(enumerate(coeffs))) if c]
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
@@ -582,28 +573,23 @@ def cmd_asymptote(args) -> int:
 
 def cmd_plot_data(args) -> int:
     _check_k_max(args.k_max)
+    meta = {"command": "plot-data", "figure": str(args.figure)}
     if args.figure == 1:
-        k_max = args.k_max if args.k_max is not None else 20
-        meta = {"command": "plot-data", "figure": "1"}
-        rows = []
-        for k in range(0, k_max + 1):
-            row = {"k": str(k)}
-            for alpha in ALPHA_COLUMNS:
-                row[ALPHA_NAMES[alpha]] = _dec(closedform.sep_prob(alpha, k))
-            rows.append(row)
+        k_max, value = 20, closedform.sep_prob
     else:
-        k_max = args.k_max if args.k_max is not None else 4
-        meta = {"command": "plot-data", "figure": "2", "m": str(args.m)}
-        rows = []
-        for k in range(0, k_max + 1):
-            row = {"k": str(k)}
-            for alpha in ALPHA_COLUMNS:
-                tail = _pipeline_tail(Variable.DIFF, alpha, k, args.m)
-                row[ALPHA_NAMES[alpha]] = _dec(
-                    tail / closedform.sep_prob(alpha, k))
-            rows.append(row)
-    _emit(args.format, meta, rows,
-          ["k", "rebit", "qubit", "quaterbit"])
+        meta["m"] = str(args.m)
+        k_max = 4
+
+        def value(alpha, k):
+            tail = _pipeline_tail(Variable.DIFF, alpha, k, args.m)
+            return tail / closedform.sep_prob(alpha, k)
+
+    if args.k_max is not None:
+        k_max = args.k_max
+    rows = [{"k": str(k), **{ALPHA_NAMES[alpha]: _dec(value(alpha, k))
+                             for alpha in ALPHA_COLUMNS}}
+            for k in range(k_max + 1)]
+    _emit(args.format, meta, rows, ["k", *ALPHA_NAMES.values()])
     return 0
 
 

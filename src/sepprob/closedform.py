@@ -334,22 +334,17 @@ def structure_checks(pred: StructuralPrediction,
         monic2 = below_top(coeffs, 1)
         checks.append(StructureCheck("monic_second", pred.c2, monic2,
                                      monic2 == pred.c2))
+        rdeg = red2 = None              # unknown unless the chain divides
         if divisible:
             reduced = list(coeffs)
             for i in chain:
                 reduced = _deflate(reduced, Fraction(-i))
-            rdeg = len(reduced) - 1
-            checks.append(StructureCheck("reduced_degree", pred.reduced_degree,
-                                         rdeg, rdeg == pred.reduced_degree))
-            red2 = below_top(reduced, 1)
-            expect = pred.c2 - pred.c2_prime
-            checks.append(StructureCheck("reduced_second", expect, red2,
-                                         red2 == expect))
-        else:
-            checks.append(StructureCheck("reduced_degree", pred.reduced_degree,
-                                         None, False))
-            checks.append(StructureCheck("reduced_second",
-                                         pred.c2 - pred.c2_prime, None, False))
+            rdeg, red2 = len(reduced) - 1, below_top(reduced, 1)
+        expect = pred.c2 - pred.c2_prime
+        checks.append(StructureCheck("reduced_degree", pred.reduced_degree,
+                                     rdeg, rdeg == pred.reduced_degree))
+        checks.append(StructureCheck("reduced_second", expect, red2,
+                                     red2 == expect))
         if pred.c3 is not None:
             monic3 = below_top(coeffs, 2)
             checks.append(StructureCheck("monic_third", pred.c3, monic3,

@@ -26,6 +26,10 @@ class PrecisionError(SepprobError):
     """The working precision is too low to resolve the requested quantity."""
 
 
+class TableError(SepprobError):
+    """The recurrence table file is missing, cut short or out of order."""
+
+
 class CacheError(SepprobError):
     """Base class for moment-cache problems."""
 

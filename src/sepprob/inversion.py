@@ -27,30 +27,22 @@ steps, without the B rows.  The A_i are the Taylor coefficients of
 S(t) = sum_j (q_j / h_j) P_j(t) at c0, and S obeys the Gegenbauer
 differential equation with a right-hand side that the Christoffel-Darboux
 formula gives in closed form from P_m and P_{m+1} (Szego, Orthogonal
-Polynomials, 1939, sections 3.2 and 4.7).  So four three-term recurrences
-in the index i, each run backward in integers with only small multipliers
-and exact small divisions, replace the sum over j; the constant term comes
-from S at t = 1.  At m = 500 the whole bank takes about 0.02 s of CPU
-time on a 2-vCPU host with CPython's own big integers.
+Polynomials, 1939, sections 3.2, 4.7 and 4.21).  So one forward pass of
+the degree recurrence and four three-term recurrences in the index i, run
+backward, all in integers with small multipliers and exact small
+divisions, replace the sum over j; the constant term comes from S at
+t = 1.  At m = 500 the whole bank takes about 0.011 s of CPU time on a
+2-vCPU host with CPython's own big integers.
 
-The bank is content-scaled: all A_i are written over one denominator,
-and one gcd of it with every numerator leaves integers an_i over the lcm
-of the reduced denominators (4.1k bits at m = 500).  No Fraction is
-built per coefficient; TailEstimate.coeffs reduces them once per bank,
-on first access.  The latest bank is kept, keyed by (interval, w, zeta,
-order), so further scenarios on the same interval at the same order
-cost only the dot product; the A_i do not depend on the moments at
-all.  The dot product reads the moments in their scaled form,
-mu_i = nums_i / S_i over a scale that grows by a small factor steps_i
-per order, and sums sum_i an_i mu_i by Horner at S_m: one product of
-the running sum by a small factor and one an_i nums_i per term, then
-one reduction.  The an_i keep the power of two of z^i, which the bank
-holds apart from their odd parts from the start (_reduced), so each
-enters its product without its trailing zero bits, which a shift puts
-back (_dot), and no scenario splits it again.
-Orders are independent of each other: there is no resumable state, and
-they may be asked for in any sequence.  The public API is
-gegenbauer_tail and legendre_tail, its w = 0 case under the paper's
+The bank is content-scaled (_reduced): the A_i are integers an_i over the
+lcm of their reduced denominators (4.1k bits at m = 500), each held as its
+odd part and its power of two, so the dot product (_dot) multiplies each
+without its trailing zero bits.  The latest bank is kept, keyed by
+(interval, w, zeta, order): further scenarios on the same interval at the
+same order cost only the dot product, which reads the moments in their
+scaled form and sums by Horner with one reduction.  Orders are
+independent of each other: there is no resumable state.  The public API
+is gegenbauer_tail and legendre_tail, its w = 0 case under the paper's
 name; a convergence profile is a loop of one of them over one
 moment_sequence at the highest order, as tail --m-list runs it.
 """
@@ -148,21 +140,25 @@ def _q1(a: int, zeta: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _taylor(n: int, a: int, l: int, h: int, top: int = 1) -> Iterator[int]:
-    """top E_n L^n times the Taylor coefficients of P_n(t) at x' = 0, from
+    """top e_n L^n times the Taylor coefficients of P_n(t) at x' = 0, from
     degree n down to 0, where t = c0 + 2 x' / L maps the integer interval
-    [l, h] of x' onto [-1, 1], L = h - l, and E_n = 2^n C(2a, a) C(n+2a, 2a)
-    makes E_n P_n(t) a polynomial with integer coefficients.
+    [l, h] of x' onto [-1, 1], L = h - l, and e_n = C(2a, a) C(n+2a, 2a).
+    They are integers: with t - 1 = 2 (x'-h) / L and t + 1 = 2 (x'-l) / L
+    the Jacobi sum (Szego, section 4.21) for P_n(1) = 1 reads
+
+      e_n L^n P_n(t) = C(n+2a, a) sum_k C(n+a, k) C(n+a, n-k)
+                       (x'-h)^(n-k) (x'-l)^k.
 
     D P_n = -n (n+2a+1) P_n, read coefficientwise in x', gives
 
       (k-n)(k+n+2a+1) U_k = -l h (k+1)(k+2) U_{k+2}
                             + (l+h)(k+1)(k+a+1) U_{k+1},
 
-    stepped down from U_n = top 2^n E_n k_n = top 2^n C(2n+2a, n+a)
-    C(n+a, a).  Every U_k is an integer, so each division is exact, and a
-    big top costs no product of two big integers.
+    stepped down from the sum's leading coefficient U_n = top C(n+2a, a)
+    C(2n+2a, n), so each division is exact and a big top costs no product
+    of two big integers.
     """
-    u1 = top * 2 ** n * math.comb(2 * n + 2 * a, n + a) * math.comb(n + a, a)
+    u1 = top * math.comb(n + 2 * a, a) * math.comb(2 * n + 2 * a, n)
     u2 = 0
     yield u1
     lh, mid = l * h, l + h
@@ -173,14 +169,25 @@ def _taylor(n: int, a: int, l: int, h: int, top: int = 1) -> Iterator[int]:
         yield u1
 
 
-def _value_and_slope(u: Iterable[int], x: int) -> Tuple[int, int]:
-    """sum_k u_k x^k and its derivative in x, by one Horner pass over the
-    u_k from the highest degree down."""
-    value = slope = 0
-    for c in u:
-        slope = slope * x + value
-        value = value * x + c
-    return value, slope
+def _at_cut(m: int, a: int, l: int, h: int, x: int) -> Tuple[int, ...]:
+    """p_m, p_m', p_{m+1}, p_{m+1}' at x' = x, where p_n = e_n L^n P_n(t)
+    is the row _taylor yields and ' is d/dx', by one forward pass of the
+    degree recurrence from p_0 = C(2a, a), p'_0 = 0, with s = 2 x - (l+h):
+
+      (n+1) p_{n+1} = (2n+2a+1) s p_n - (n+2a) L^2 p_{n-1},
+      (n+1) p'_{n+1} = (2n+2a+1) (2 p_n + s p'_n) - (n+2a) L^2 p'_{n-1}.
+
+    At an integer x every p_n and p'_n is an integer, so each division is
+    exact.
+    """
+    s, ll = 2 * x - l - h, (h - l) ** 2
+    p0 = d0 = 0                         # p_{n-1}, p'_{n-1}
+    p1, d1 = math.comb(2 * a, a), 0     # p_n, p'_n
+    for n in range(m + 1):
+        f, g = 2 * n + 2 * a + 1, (n + 2 * a) * ll
+        p0, p1, d0, d1 = (p1, (f * s * p1 - g * p0) // (n + 1),
+                          d1, (f * (2 * p1 + s * d1) - g * d0) // (n + 1))
+    return p0, d0, p1, d1
 
 
 def _sum_at_one(a: int, zeta: Fraction, m: int) -> Fraction:
@@ -282,12 +289,14 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
       N   = P_{m+1}(zeta) P_m - P_m(zeta) P_{m+1},
       N_s = P_{m+1}'(zeta) P_m - P_m'(zeta) P_{m+1},
 
-    kappa = k_m / (k_{m+1} h_m).  Four recurrences of O(m) steps, run
+    kappa = k_m / (k_{m+1} h_m).  The values and slopes of P_m and
+    P_{m+1} at x come first, from one forward pass of the degree
+    recurrence (_at_cut).  Then four recurrences of O(m) steps run
     backward together in one pass that keeps no row but sigma:
-      1. the Taylor rows of P_m and P_{m+1} (_taylor), their values and
-         slopes at x, and the rows again started from those values, so the
-         coefficients n_k of N - (x - x') N_s come out as integers at the
-         scale E_m E_{m+1} L^(2m+1) with no product of two big integers;
+      1. the Taylor rows of P_m and P_{m+1} (_taylor), started from those
+         values, so the coefficients n_k of N - (x - x') N_s come out as
+         integers at the scale e_m e_{m+1} L^(2m+1) with no product of two
+         big integers;
       2. rho with (x - x')^2 rho = n: rho_{k-2} = n_k + 2 x rho_{k-1}
          - x^2 rho_k;
       3. D sigma = rho coefficientwise,
@@ -298,7 +307,7 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
       4. the sum of the sigma_k h^k by Horner, which turns S(1) into
          A_0 = S(c0), since x' = h is t = 1.
     Then A_i = c z^i (lam_1 ... lam_{i-1}) sigma_i for i >= 1, with
-    c = (1-zeta^2)^(a+1) kappa (L/2)^2 / (E_m E_{m+1} L^(2m+1) lam_1 ...
+    c = (1-zeta^2)^(a+1) kappa (L/2)^2 / (e_m e_{m+1} L^(2m+1) lam_1 ...
     lam_m).  No step divides by 1 - c0^2, by c0 or by zeta - c0, so
     c0 = 0, c0 = +-1, |c0| > 1 and zeta = +-1 take the same path.  All A_i
     are written over one denominator, without the power of two of z^i,
@@ -311,12 +320,11 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
     big_l = h - l
-    # 1. values and slopes at x, then the rows of
+    # values and slopes at x, then 1. the rows of
     # n = (vp - x wp) P_m + wp x' P_m - (vm - x wm) P_{m+1} - wm x' P_{m+1}
     # as (f_m, s_m, f_p, s_p) with n_k = f_m[k] + s_m[k-1] - f_p[k]
     # - s_p[k-1], from k = m + 2 down
-    vm, wm = _value_and_slope(_taylor(m, a, l, h), x)
-    vp, wp = _value_and_slope(_taylor(m + 1, a, l, h), x)
+    vm, wm, vp, wp = _at_cut(m, a, l, h, x)
     rows = zip(itertools.chain((0, 0), _taylor(m, a, l, h, vp - x * wp)),
                itertools.chain((0,), _taylor(m, a, l, h, wp)),
                itertools.chain((0,), _taylor(m + 1, a, l, h, vm - x * wm)),
@@ -341,9 +349,9 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
         b1, b2 = sigma[j], b1 * lam[j]
         # 4. sum_k s_k h^k by Horner, the s_k read from sigma_k
         acc = sigma[j] + h * lam[j] * acc
-    # c of the docstring, with kappa and E_m E_{m+1} written out
+    # c of the docstring, with kappa and e_m e_{m+1} written out
     c = (_q1(a, zeta) / _h0(a) * (a + 1) * (m + 2 * a + 1)
-         / ((2 * a + 1) * 2 ** (2 * m + 2) * math.comb(2 * a, a) ** 2
+         / ((4 * a + 2) * math.comb(2 * a, a) ** 2
             * math.comb(m + 2 * a + 1, 2 * a) * big_l ** (2 * m - 1) * keep))
     s0 = _sum_at_one(a, zeta, m) - c * h * acc     # S(c0) = S(1) - ...
     # one denominator: N_i = c z'^i (lam_1 ... lam_{i-1}) sigma_i in place

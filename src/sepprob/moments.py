@@ -32,26 +32,17 @@ coefficient a polynomial in 2k; no parsed record is kept.  A small memo
 keeps the last four alphas' tables, so the scenarios of a sweep that
 share an alpha share that set-up.  A sequence then evaluates those
 polynomials at its 2k by Horner (924 steps for pt) and steps the
-recurrence in integers over one running scale S: the r orders of the
-window are integers over S, each order is
-one sum of r products, and one division of that sum by c_r, a number of
-a few hundred bits, with one gcd of the small remainder and c_r, leaves
-the order's numerator and the small factor (at most 34 bits up to order
-1000) by which S grows.  The r + 1 values c_i(n - r) of an order are
-the slots of one integer: the coefficients of each power of n are
-packed, c_i in the bits iW..iW+W-1, plus a bias of 2^(W-1) per slot.
-The forward differences of that packed polynomial, 21 for pt and 12
-for diff, are the (r + 1) W-bit fields of one integer, whose lowest field
-is the packed value: one shift and one addition move the whole table to
-the next order, with no product, and shifts and masks read the slots
-back.  W is one bit more than the largest sum_d |c_{i,d}| (m - r)^d,
-which bounds |c_i(x)| for 0 <= x <= m - r, so it is derived afresh for
-each requested order m and no slot borrows from the next; the bias
-keeps the packed value in [1, 2^((r+1) W)), so the shift that moves the
-table never borrows from it either.  No Fraction is reduced per order:
-a MomentSequence is built from the scaled form alone, MomentSequence.mu
-reduces the moments once, for the callers that read them as Fractions,
-and the tail's dot product reads the scaled form.
+recurrence in integers over one running scale S (_scaled): each order
+is one sum of r products and one division of that sum by c_r, a number
+of a few hundred bits, which leaves the order's numerator and the small
+factor (at most 34 bits up to order 1000) by which S grows.  The r + 1
+values c_i(n - r) of an order are the slots of one packed integer
+(_pack), and one integer holds the whole forward-difference table of
+that packed polynomial (_differences): one shift and one addition move
+it to the next order, with no product.  No Fraction is reduced per
+order: a MomentSequence is built from the scaled form alone,
+MomentSequence.mu reduces the moments once, for the callers that read
+them as Fractions, and the tail's dot product reads the scaled form.
 c_r has only positive coefficients, so every step is defined.
 _fast_moment computes only the first r orders.  Each call builds its
 sequence from order 0 in one pass and keeps nothing: no sequence
@@ -73,7 +64,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, TableError
 from .exactnum import RationalLike, Record, as_rational, check_alpha, \
     horner, is_half_integer, is_order
 
@@ -264,8 +255,10 @@ def diff_moment(alpha: RationalLike, k: RationalLike, n: int) -> Fraction:
 
 _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "recurrences.bin")
-# the order r of each variable's recurrence: the table holds c_0..c_r
+# the order r and the degree D in n of each variable's recurrence: the
+# table holds c_0..c_r, each as its powers n^0..n^D
 _ORDER = {Variable.PT_DET: 3, Variable.DIFF: 2}
+_DEGREE = {Variable.PT_DET: 20, Variable.DIFF: 11}
 
 
 def _table_rows(variable: Variable):
@@ -283,18 +276,31 @@ def _table_rows(variable: Variable):
     as the caller asks for them, and the reading stops at the end of the
     variable's own.  diff's table is about a tenth of pt's, so it comes
     first: a diff pass decodes one pt record, and a pt pass diff's 36
-    small ones.
+    small ones.  A record out of the order (i, d) above, a missing one
+    (pt has 84, diff 36) or bytes that do not decode raise TableError,
+    so a cut or corrupt file never yields a short recurrence.
     """
+    want = itertools.product(range(_ORDER[variable] + 1),
+                             range(_DEGREE[variable] + 1))
     found = False
-    with open(_TABLE, "rb") as fh:
-        while size := fh.read(4):
-            name, i, d, top, coeffs = marshal.loads(
-                fh.read(int.from_bytes(size, "little")))
-            if name == variable.value:
-                found = True
-                yield i, d, top, coeffs
-            elif found:
-                return
+    try:
+        with open(_TABLE, "rb") as fh:
+            while size := fh.read(4):
+                name, i, d, top, coeffs = marshal.loads(
+                    fh.read(int.from_bytes(size, "little")))
+                if name == variable.value:
+                    found = True
+                    if (i, d) != next(want, None):
+                        raise TableError(f"{_TABLE}: {variable} record "
+                                         f"c_{i} n^{d} is out of order")
+                    yield i, d, top, coeffs
+                elif found:
+                    break
+    except (OSError, EOFError, ValueError, TypeError) as exc:
+        raise TableError(f"{_TABLE}: unreadable: {exc}") from None
+    if (gap := next(want, None)) is not None:
+        raise TableError(f"{_TABLE}: {variable} record c_{gap[0]} "
+                         f"n^{gap[1]} is missing")
 
 
 def _runs(top: int) -> tuple[int, ...]:

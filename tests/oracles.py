@@ -10,7 +10,9 @@ slopes, which is the exact eps -> 0 limit of the term.
 
 The Gegenbauer table oracle builds the B / eta / g tables by their defining
 three-term recurrences in plain Fractions, one entry at a time, for checking
-the library's scaled-integer coefficient stream.
+the library's scaled-integer coefficient stream.  value_and_slope reads a
+polynomial and its slope at a point from its coefficients by Horner, the
+check of the bank's cut-point values.
 
 The reconstruction oracles answer best-approximation and uniqueness
 questions by exhaustive scan over every denominator up to the bound.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from sepprob.errors import DomainError
 from sepprob.exactnum import as_rational, pochhammer
@@ -185,6 +187,17 @@ def build_tables(interval, alpha_w: int, m: int,
 
     return GegenbauerTables(alpha_w=a, m=m, c0=c0, c1=c1, zeta=zeta,
                             B=tuple(rows), eta=tuple(eta), g=tuple(g))
+
+
+def value_and_slope(u: Iterable[int], x: int) -> Tuple[int, int]:
+    """sum_k u_k x^k and its derivative in x, by one Horner pass over the
+    u_k from the highest degree down: the cut-point values that the bank
+    once read from two whole Taylor rows."""
+    value = slope = 0
+    for c in u:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
 
 def tail_coeffs_from_tables(tables) -> Tuple[Fraction, ...]:

@@ -22,6 +22,7 @@ from sepprob import cli, closedform, inversion, moments
 from sepprob.cli import main
 from sepprob.moments import Scenario, Variable, moment_sequence, \
     pt_moment
+from test_moments import table_records
 
 
 def run_cli(argv):
@@ -40,6 +41,26 @@ def test_moments_text_output():
                             "--k", "0", "--m", "1"])
     assert rc == 0 and err == ""
     assert body_lines(out) == ["0 1/1", "1 -7/3876"]
+
+
+@pytest.mark.parametrize("cut", [
+    lambda records: records[:-5],                   # at a record boundary
+    lambda records: records[:-1] + [records[-1][:9]],   # inside a record
+])
+def test_cut_table_exits_one(tmp_path, monkeypatch, cut):
+    # a recurrences.bin cut short ends the command with exit 1 and one
+    # stderr line naming the file, not with wrong moments or a traceback
+    path = tmp_path / "recurrences.bin"
+    path.write_bytes(b"".join(cut(table_records())))
+    monkeypatch.setattr(moments, "_TABLE", str(path))
+    moments._alpha_table.cache_clear()
+    try:
+        rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                                "--k", "0", "--m", "5"])
+    finally:
+        moments._alpha_table.cache_clear()
+    assert rc == 1 and "991/802241960520" not in out
+    assert err.startswith(f"TableError: {path}: ") and err.count("\n") == 1
 
 
 def test_moments_order_zero():

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sepprob.inversion as inversion
 import sepprob.moments as moments
-from oracles import build_tables, tail_coeffs_from_tables
+from oracles import build_tables, tail_coeffs_from_tables, value_and_slope
 from sepprob.errors import DomainError
 from sepprob.exactnum import pochhammer
 from sepprob.inversion import MODE_AUTO, MODE_EXACT, MODE_FLOAT, \
@@ -335,6 +335,59 @@ def test_bank_matches_table_assembly_on_random_intervals(case, a, m):
         tail_coeffs_from_tables(build_tables(interval, a, m, xi))
 
 
+@st.composite
+def integer_frames(draw):
+    # l < h and l <= x <= h: a rational interval and cut point scaled to
+    # integers by the lcm of their denominators, as _emit scales them.  An
+    # end at 0 is c0 = -1 or c0 = 1, and the cut point falls on either end
+    # as often as inside
+    ends = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-4, max_value=4, max_denominator=60))
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    t = draw(st.one_of(st.sampled_from([Fraction(0), Fraction(1)]),
+                       st.fractions(min_value=0, max_value=1,
+                                    max_denominator=30)))
+    xi = lo + (hi - lo) * t
+    z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
+    return int(lo * z), int(hi * z), int(xi * z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_frames(), st.integers(0, 4), st.integers(0, 60))
+@example((-16, 1, 0), 0, 60)        # pt at xi = 0, z = 256
+@example((-16, 1, -16), 3, 60)      # pt at its lower end
+@example((-16, 1, 1), 4, 60)        # pt at its upper end
+@example((0, 5, 0), 2, 0)           # c0 = -1, cut at either end
+@example((0, 5, 5), 2, 1)
+@example((-7, 0, 0), 1, 2)          # c0 = 1
+@example((-7, 0, -7), 1, 2)
+def test_cut_values_match_horner_over_rows(frame, a, m):
+    # the degree recurrence's p_m, p_m', p_{m+1}, p_{m+1}' at x equal the
+    # Horner sums over the Taylor rows of P_m and P_{m+1}
+    l, h, x = frame
+    assert inversion._at_cut(m, a, l, h, x) == \
+        value_and_slope(inversion._taylor(m, a, l, h), x) \
+        + value_and_slope(inversion._taylor(m + 1, a, l, h), x)
+
+
+@pytest.mark.parametrize("l, h", [(-16, 1), (-3, 5), (0, 2), (-7, 0)])
+@pytest.mark.parametrize("a", [0, 1, 3])
+def test_taylor_rows_are_the_jacobi_sum(l, h, a):
+    # e_n L^n P_n = C(n+2a, a) sum_k C(n+a, k) C(n+a, n-k) (x'-h)^(n-k)
+    # (x'-l)^k, expanded in powers of x' with integer binomials alone
+    for n in range(12):
+        row = [0] * (n + 1)
+        for k in range(n + 1):
+            weight = math.comb(n + a, k) * math.comb(n + a, n - k)
+            for i in range(n - k + 1):
+                for j in range(k + 1):
+                    row[i + j] += (weight * math.comb(n - k, i)
+                                   * (-h) ** (n - k - i)
+                                   * math.comb(k, j) * (-l) ** (k - j))
+        row = [math.comb(n + 2 * a, a) * u for u in reversed(row)]
+        assert list(inversion._taylor(n, a, l, h)) == row
+
+
 @pytest.mark.parametrize("interval, a, kept", [
     (DIFF_INTERVAL, 0, 4),      # f_3 = 1
     (PT_INTERVAL, 1, 3),        # f_3 = 2
@@ -373,10 +426,11 @@ def test_bank_scale_is_lcm_of_reduced_denominators(interval):
 
 def test_bank_scale_width(monkeypatch):
     # the widest integers the construction holds are the numerators it
-    # hands to the final reduction, 3,151 bits here (the rows and the
-    # recurrences stay under 3,200); with the power of two of z^i
-    # multiplied in they were 4,828, and the m^2/2-step pass they replaced
-    # kept a common scale of 4,490 bits alone
+    # hands to the final reduction, 2,553 bits here (the rows and the
+    # recurrences stay under 2,600); while the Taylor rows carried a spare
+    # 2^n they were 3,151, with the power of two of z^i multiplied in too
+    # 4,828, and the m^2/2-step pass they replaced kept a common scale of
+    # 4,490 bits alone
     widths = []
     reduced = inversion._reduced
 
@@ -387,7 +441,7 @@ def test_bank_scale_width(monkeypatch):
     monkeypatch.setattr(inversion, "_reduced", spy)
     c0, c1 = inversion._map_constants(*PT_INTERVAL)
     inversion._emit(c0, c1, 0, c0, 300)
-    assert widths and max(widths) < 3300
+    assert widths and max(widths) < 2700
 
 
 def _bank_bytes(bank):
@@ -500,7 +554,9 @@ def test_bank_memo_stays_bounded():
 
 
 # SHA-256 over the hex digits of scale and then of every an_i, each an_i
-# after a comma, of the banks the m^2/2-step Clenshaw pass built
+# after a comma, of the banks the m^2/2-step Clenshaw pass built; the
+# m = 1000 banks at w = 3, xi = -1/48 and at diff, xi = 1/1000 were built by
+# the O(m) pass while its Taylor rows still carried a spare 2^n
 RECORDED_BANKS = {
     ("pt", 0, "0", 100): "b45a5c88e690fa1c977e168a3256668d8a3a268fb0cf555493d2dba9712d9d25",
     ("pt", 0, "0", 500): "7595bba5d94c23b9fc6a7e2979d10dd0b85356eeffb166993a812c4050451854",
@@ -519,6 +575,8 @@ RECORDED_BANKS = {
     ("diff", 2, "-1/20", 100): "0f2c02f32b7e462b46d35c3d51746c6af56059d27f3374fb4c40266af275e828",
     ("diff", 2, "-1/20", 500): "f79cea9ac539e4a439f281f5427cef3cf7328eb753d053a3bb9154c793332a6c",
     ("pt", 0, "0", 1000): "a54826136557ee6b3921e14e0a3209aa6ef8db70644ebec313e9bff0b7723a4b",
+    ("pt", 3, "-1/48", 1000): "6afc35c5b43f395f1805bf409f6917d5a5d1cbf2744841bd88d892177c99c818",
+    ("diff", 0, "1/1000", 1000): "6ae61f3ed3961915c427a5d33d7ac6c0018d11145379c02d0e794c908ccaecda",
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob import moments
-from sepprob.errors import DomainError
+from sepprob.errors import DomainError, TableError
 from sepprob.exactnum import horner
 from sepprob.moments import DIFF_INTERVAL, MomentSequence, PT_INTERVAL, \
     Scenario, Variable, diff_moment, moment_sequence, pt_moment
@@ -474,6 +474,76 @@ def test_diff_decodes_no_pt_record(monkeypatch):
         loads=lambda data: decoded.append(data) or loads(data)))
     rows = list(moments._table_rows(Variable.DIFF))
     assert len(decoded) - 1 == len(rows) == 3 * 12
+
+
+def table_records():
+    """The records of recurrences.bin, each with its 4-byte length."""
+    with open(moments._TABLE, "rb") as fh:
+        data = fh.read()
+    records, pos = [], 0
+    while pos < len(data):
+        end = pos + 4 + int.from_bytes(data[pos:pos + 4], "little")
+        records.append(data[pos:end])
+        pos = end
+    return records
+
+
+@pytest.fixture
+def table_copy(tmp_path, monkeypatch):
+    """Points moments._TABLE at a file holding the bytes it is given,
+    with the alpha memo cleared before and after."""
+    path = tmp_path / "recurrences.bin"
+
+    def point(data):
+        path.write_bytes(data)
+        monkeypatch.setattr(moments, "_TABLE", str(path))
+        moments._alpha_table.cache_clear()
+        return path
+
+    yield point
+    moments._alpha_table.cache_clear()
+
+
+def _swapped(records, at):
+    records = list(records)
+    records[at], records[at + 1] = records[at + 1], records[at]
+    return records
+
+
+@pytest.mark.parametrize("variable, edit, says", [
+    # the last 5 pt records dropped at a record boundary
+    (Variable.PT_DET, lambda rs: rs[:-5], "pt record c_3 n^16 is missing"),
+    # pt's c_2 n^0 ahead of c_1 n^20
+    (Variable.PT_DET, lambda rs: _swapped(rs, -2 * 21 - 1),
+     "pt record c_2 n^0 is out of order"),
+    # diff's first record moved behind its second
+    (Variable.DIFF, lambda rs: _swapped(rs, 0),
+     "diff record c_0 n^1 is out of order"),
+    # the file cut 7 bytes into its last record
+    (Variable.PT_DET,
+     lambda rs: rs[:-1] + [rs[-1][:7]], "unreadable: "),
+    # the type code of diff's first record made unknown
+    (Variable.DIFF, lambda rs: [rs[0][:4] + b"\x00" + rs[0][5:]] + rs[1:],
+     "unreadable: "),
+])
+def test_cut_or_corrupt_table_raises(table_copy, variable, edit, says):
+    # a table that is short, out of order or does not decode raises a
+    # TableError that names the file, never a short recurrence
+    path = table_copy(b"".join(edit(table_records())))
+    with pytest.raises(TableError) as caught:
+        moments._alpha_table(variable, 2)
+    assert str(caught.value).startswith(f"{path}: {says}"), caught.value
+    assert moments._alpha_table.cache_info().currsize == 0
+
+
+def test_whole_table_of_the_other_variable_still_reads(table_copy):
+    # diff's records come first, so a file cut inside pt's still gives
+    # diff its whole table
+    whole = moments._alpha_table(Variable.DIFF, 2)
+    table_copy(b"".join(table_records()[:40]))
+    assert moments._alpha_table(Variable.DIFF, 2) == whole
+    with pytest.raises(TableError):
+        moments._alpha_table(Variable.PT_DET, 2)
 
 
 def test_memo_stays_consistent_under_threads():
