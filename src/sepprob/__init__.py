@@ -27,7 +27,6 @@ from .errors import (
     SepprobError,
     SingularityError,
     StructureViolation,
-    TableError,
 )
 from .exactnum import (
     as_rational,

@@ -27,7 +27,7 @@ class PrecisionError(SepprobError):
 
 
 class TableError(SepprobError):
-    """The recurrence table file is missing, cut short or out of order."""
+    """The recurrence table file is missing, cut, reordered or undecodable."""
 
 
 class CacheError(SepprobError):

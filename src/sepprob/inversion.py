@@ -139,12 +139,14 @@ def _q1(a: int, zeta: Fraction) -> Fraction:
 # Exact coefficient bank
 # ---------------------------------------------------------------------------
 
-def _taylor(n: int, a: int, l: int, h: int, top: int = 1) -> Iterator[int]:
-    """top e_n L^n times the Taylor coefficients of P_n(t) at x' = 0, from
-    degree n down to 0, where t = c0 + 2 x' / L maps the integer interval
+def _taylor(n: int, a: int, l: int, h: int, c: int = 1,
+            d: int = 0) -> Iterator[int]:
+    """The coefficients of (c + d x') e_n L^n P_n(t) in x', from degree
+    n + 1 down to 0, where t = c0 + 2 x' / L maps the integer interval
     [l, h] of x' onto [-1, 1], L = h - l, and e_n = C(2a, a) C(n+2a, 2a).
-    They are integers: with t - 1 = 2 (x'-h) / L and t + 1 = 2 (x'-l) / L
-    the Jacobi sum (Szego, section 4.21) for P_n(1) = 1 reads
+    e_n L^n P_n has integer coefficients U_k: with t - 1 = 2 (x'-h) / L
+    and t + 1 = 2 (x'-l) / L the Jacobi sum (Szego, section 4.21) for
+    P_n(1) = 1 reads
 
       e_n L^n P_n(t) = C(n+2a, a) sum_k C(n+a, k) C(n+a, n-k)
                        (x'-h)^(n-k) (x'-l)^k.
@@ -154,31 +156,31 @@ def _taylor(n: int, a: int, l: int, h: int, top: int = 1) -> Iterator[int]:
       (k-n)(k+n+2a+1) U_k = -l h (k+1)(k+2) U_{k+2}
                             + (l+h)(k+1)(k+a+1) U_{k+1},
 
-    stepped down from the sum's leading coefficient U_n = top C(n+2a, a)
-    C(2n+2a, n), so each division is exact and a big top costs no product
-    of two big integers.
+    stepped down twice from the sum's leading coefficient U_n = C(n+2a, a)
+    C(2n+2a, n), as c U_k and d U_k with the same small factors: each
+    division is exact, and big c and d cost no product of big integers.
     """
-    u1 = top * math.comb(n + 2 * a, a) * math.comb(2 * n + 2 * a, n)
-    u2 = 0
-    yield u1
+    lead = math.comb(n + 2 * a, a) * math.comb(2 * n + 2 * a, n)
+    u1, v1, u2, v2 = c * lead, d * lead, 0, 0   # c U_k, d U_k; c, d U_{k+1}
+    yield v1
     lh, mid = l * h, l + h
     for k in range(n - 1, -1, -1):
-        u1, u2 = ((mid * (k + 1) * (k + a + 1) * u1
-                   - lh * (k + 1) * (k + 2) * u2)
-                  // ((k - n) * (k + n + 2 * a + 1))), u1
-        yield u1
+        p, q = mid * (k + 1) * (k + a + 1), lh * (k + 1) * (k + 2)
+        r = (k - n) * (k + n + 2 * a + 1)
+        u1, u2, v1, v2 = (p * u1 - q * u2) // r, u1, (p * v1 - q * v2) // r, v1
+        yield u2 + v1               # the coefficient of x'^(k+1)
+    yield u1
 
 
 def _at_cut(m: int, a: int, l: int, h: int, x: int) -> Tuple[int, ...]:
     """p_m, p_m', p_{m+1}, p_{m+1}' at x' = x, where p_n = e_n L^n P_n(t)
-    is the row _taylor yields and ' is d/dx', by one forward pass of the
+    is the polynomial _taylor expands and ' is d/dx', by one pass of the
     degree recurrence from p_0 = C(2a, a), p'_0 = 0, with s = 2 x - (l+h):
 
       (n+1) p_{n+1} = (2n+2a+1) s p_n - (n+2a) L^2 p_{n-1},
       (n+1) p'_{n+1} = (2n+2a+1) (2 p_n + s p'_n) - (n+2a) L^2 p'_{n-1}.
 
-    At an integer x every p_n and p'_n is an integer, so each division is
-    exact.
+    Every p_n and p'_n is an integer at an integer x: each division is exact.
     """
     s, ll = 2 * x - l - h, (h - l) ** 2
     p0 = d0 = 0                         # p_{n-1}, p'_{n-1}
@@ -293,10 +295,11 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     P_{m+1} at x come first, from one forward pass of the degree
     recurrence (_at_cut).  Then four recurrences of O(m) steps run
     backward together in one pass that keeps no row but sigma:
-      1. the Taylor rows of P_m and P_{m+1} (_taylor), started from those
-         values, so the coefficients n_k of N - (x - x') N_s come out as
-         integers at the scale e_m e_{m+1} L^(2m+1) with no product of two
-         big integers;
+      1. the Taylor rows of (v + w (x' - x)) P_n for n = m, m + 1 and
+         the value v and slope w of the other polynomial (_taylor), so
+         the coefficients n_k of N - (x - x') N_s come out as integers at
+         the scale e_m e_{m+1} L^(2m+1) with no product of two big
+         integers;
       2. rho with (x - x')^2 rho = n: rho_{k-2} = n_k + 2 x rho_{k-1}
          - x^2 rho_k;
       3. D sigma = rho coefficientwise,
@@ -320,15 +323,12 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
     big_l = h - l
-    # values and slopes at x, then 1. the rows of
-    # n = (vp - x wp) P_m + wp x' P_m - (vm - x wm) P_{m+1} - wm x' P_{m+1}
-    # as (f_m, s_m, f_p, s_p) with n_k = f_m[k] + s_m[k-1] - f_p[k]
-    # - s_p[k-1], from k = m + 2 down
+    # values and slopes at x, then 1. the rows g_m and g_p of
+    # n = (vp - x wp + wp x') P_m - (vm - x wm + wm x') P_{m+1},
+    # n_k = g_m[k] - g_p[k], from k = m + 2 down
     vm, wm, vp, wp = _at_cut(m, a, l, h, x)
-    rows = zip(itertools.chain((0, 0), _taylor(m, a, l, h, vp - x * wp)),
-               itertools.chain((0,), _taylor(m, a, l, h, wp)),
-               itertools.chain((0,), _taylor(m + 1, a, l, h, vm - x * wm)),
-               _taylor(m + 1, a, l, h, wm))
+    rows = zip(itertools.chain((0,), _taylor(m, a, l, h, vp - x * wp, wp)),
+               _taylor(m + 1, a, l, h, vm - x * wm, wm))
     sigma = [0] * (m + 1)
     lam = [1] * (m + 1)
     r1 = r2 = 0                     # rho_{j+1}, rho_{j+2}
@@ -336,9 +336,10 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     b1 = b2 = 0                     # sigma_{j+1}, sigma_{j+2}, at scale keep
     acc = 0
     lh, mid = l * h, l + h
-    for j, (fm, sm, fp, sp) in zip(range(m, 0, -1), rows):
+    x2, xx = 2 * x, x * x
+    for j, (gm, gp) in zip(range(m, 0, -1), rows):
         # 2. rho_j = n_{j+2} + 2 x rho_{j+1} - x^2 rho_{j+2}
-        r1, r2 = fm + sm - fp - sp + x * (2 * r1 - x * r2), r1
+        r1, r2 = gm - gp + x2 * r1 - xx * r2, r1
         # 3. D sigma = rho; sigma_j is kept at scale lam_j ... lam_m
         rhs = (mid * (j + 1) * (j + a + 1) * b1
                - lh * (j + 1) * (j + 2) * b2 - keep * r1)

@@ -374,7 +374,8 @@ def test_cut_values_match_horner_over_rows(frame, a, m):
 @pytest.mark.parametrize("a", [0, 1, 3])
 def test_taylor_rows_are_the_jacobi_sum(l, h, a):
     # e_n L^n P_n = C(n+2a, a) sum_k C(n+a, k) C(n+a, n-k) (x'-h)^(n-k)
-    # (x'-l)^k, expanded in powers of x' with integer binomials alone
+    # (x'-l)^k, expanded in powers of x' with integer binomials alone, and
+    # its product with c + d x'
     for n in range(12):
         row = [0] * (n + 1)
         for k in range(n + 1):
@@ -384,8 +385,10 @@ def test_taylor_rows_are_the_jacobi_sum(l, h, a):
                     row[i + j] += (weight * math.comb(n - k, i)
                                    * (-h) ** (n - k - i)
                                    * math.comb(k, j) * (-l) ** (k - j))
-        row = [math.comb(n + 2 * a, a) * u for u in reversed(row)]
-        assert list(inversion._taylor(n, a, l, h)) == row
+        row = [0] + [math.comb(n + 2 * a, a) * u for u in reversed(row)]
+        for c, d in ((1, 0), (3, -5)):
+            assert list(inversion._taylor(n, a, l, h, c, d)) == \
+                [c * u + d * v for u, v in zip(row, row[1:] + [0])]
 
 
 @pytest.mark.parametrize("interval, a, kept", [
