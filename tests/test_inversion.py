@@ -366,8 +366,8 @@ def test_cut_values_match_horner_over_rows(frame, a, m):
     # Horner sums over the Taylor rows of P_m and P_{m+1}
     l, h, x = frame
     assert inversion._at_cut(m, a, l, h, x) == \
-        value_and_slope(inversion._taylor(m, a, l, h), x) \
-        + value_and_slope(inversion._taylor(m + 1, a, l, h), x)
+        value_and_slope(inversion._taylor(m, a, l, h, 1, 0), x) \
+        + value_and_slope(inversion._taylor(m + 1, a, l, h, 1, 0), x)
 
 
 @pytest.mark.parametrize("l, h", [(-16, 1), (-3, 5), (0, 2), (-7, 0)])
