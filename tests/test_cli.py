@@ -22,7 +22,7 @@ from sepprob import cli, closedform, inversion, moments
 from sepprob.cli import main
 from sepprob.moments import Scenario, Variable, moment_sequence, \
     pt_moment
-from test_moments import table_records
+from test_moments import table_copy, table_records  # noqa: F401,F811
 
 
 def run_cli(argv):
@@ -47,18 +47,12 @@ def test_moments_text_output():
     lambda records: records[:-5],                   # at a record boundary
     lambda records: records[:-1] + [records[-1][:9]],   # inside a record
 ])
-def test_cut_table_exits_one(tmp_path, monkeypatch, cut):
+def test_cut_table_exits_one(table_copy, cut):
     # a recurrences.bin cut short ends the command with exit 1 and one
     # stderr line naming the file, not with wrong moments or a traceback
-    path = tmp_path / "recurrences.bin"
-    path.write_bytes(b"".join(cut(table_records())))
-    monkeypatch.setattr(moments, "_TABLE", str(path))
-    moments._alpha_table.cache_clear()
-    try:
-        rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
-                                "--k", "0", "--m", "5"])
-    finally:
-        moments._alpha_table.cache_clear()
+    path = table_copy(b"".join(cut(table_records())))
+    rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                            "--k", "0", "--m", "5"])
     assert rc == 1 and "991/802241960520" not in out
     assert err.startswith(f"TableError: {path}: ") and err.count("\n") == 1
 
