@@ -30,9 +30,10 @@ formula gives in closed form from P_m and P_{m+1} (Szego, Orthogonal
 Polynomials, 1939, sections 3.2, 4.7 and 4.21).  So one forward pass of
 the degree recurrence and four three-term recurrences in the index i, run
 backward, all in integers with small multipliers and exact small
-divisions, replace the sum over j; the constant term comes from S at
-t = 1.  At m = 500 the whole bank takes about 0.010 s of CPU time on a
-2-vCPU host with CPython's own big integers.
+divisions, replace the sum over j; the constant term comes from
+S(1) = sum_j c_j, each c_j a slope at the cut point summed in the same
+forward pass.  At m = 500 the whole bank takes about 0.010 s of CPU time
+on a 2-vCPU host with CPython's own big integers.
 
 The bank is content-scaled (_reduced): the A_i are integers an_i over the
 lcm of their reduced denominators (4.1k bits at m = 500), each held as its
@@ -173,51 +174,35 @@ def _taylor(n: int, a: int, l: int, h: int, c: int, d: int) -> Iterator[int]:
 
 def _at_cut(m: int, a: int, l: int, h: int, x: int) -> Tuple[int, ...]:
     """p_m, p_m', p_{m+1}, p_{m+1}' at x' = x, where p_n = e_n L^n P_n(t)
-    is the polynomial _taylor expands and ' is d/dx', by one pass of the
-    degree recurrence from p_0 = C(2a, a), p'_0 = 0, with s = 2 x - (l+h):
+    is the polynomial _taylor expands and ' is d/dx', and the numerator
+    and scale of T = sum_{j=1..m} (2j+2a+1) p'_j L^(m-j) / (j (j+2a+1)),
+    by one pass of the degree recurrence from p_0 = C(2a, a), p'_0 = 0,
+    with s = 2 x - (l+h):
 
       (n+1) p_{n+1} = (2n+2a+1) s p_n - (n+2a) L^2 p_{n-1},
       (n+1) p'_{n+1} = (2n+2a+1) (2 p_n + s p'_n) - (n+2a) L^2 p'_{n-1}.
 
-    Every p_n and p'_n is an integer at an integer x: each division is exact.
+    Every p_n and p'_n is an integer at an integer x: each division is
+    exact.  T gives _emit its S(1): integrating D P_j = -j (j+2a+1) P_j
+    from zeta to 1 makes q_j = (1-zeta^2)^(a+1) P_j'(zeta) / (j (j+2a+1))
+    a slope (Szego, section 4.21).  Each step of T's Horner sum divides
+    out gcd(right-hand side, j (j+2a+1)) and keeps the rest in the scale,
+    as _emit's sigma step does.
     """
-    s, ll = 2 * x - l - h, (h - l) ** 2
+    s, big_l, ll = 2 * x - l - h, h - l, (h - l) ** 2
     p0 = d0 = 0                         # p_{n-1}, p'_{n-1}
     p1, d1 = math.comb(2 * a, a), 0     # p_n, p'_n
+    total, scale = 0, 1                 # T over j < n, as total / scale
     for n in range(m + 1):
         f, g = 2 * n + 2 * a + 1, (n + 2 * a) * ll
+        if n:
+            rhs, div = f * scale * d1, n * (n + 2 * a + 1)
+            cut = math.gcd(rhs, div)
+            total = total * big_l * (div // cut) + rhs // cut
+            scale *= div // cut
         p0, p1, d0, d1 = (p1, (f * s * p1 - g * p0) // (n + 1),
                           d1, (f * (2 * p1 + s * d1) - g * d0) // (n + 1))
-    return p0, d0, p1, d1
-
-
-def _sum_at_one(a: int, zeta: Fraction, m: int) -> Fraction:
-    """S(1) = sum_{j<=m} c_j: the tail polynomial at t = 1, where every P_j
-    is 1.
-
-    c_0 = q0/h0, and for j >= 1 c_j = (q1/h0) g_j / eta_j, with
-    1/eta_j = C(j+2a, 2a) (2j+2a+1) / (2a+1) and g_j = P^(a+1)_{j-1}(zeta)
-    the degree-(j-1) polynomial of the shifted weight.  With zeta = P/Q the
-    g_j obey (j+2a+1) g_j = (2j+2a-1) zeta g_{j-1} - (j-2) g_{j-2}; the
-    integers H_j = g_j Q^(j-1) prod_{i<=j} r_i step as
-
-      f_j H_j = (2j+2a-1) P H_{j-1} - (j-2) Q^2 r_{j-1} H_{j-2},
-
-    where f_j = gcd(right-hand side, j+2a+1) makes the division exact and
-    r_j = (j+2a+1) / f_j is the part the scale keeps.
-    """
-    P, Q = zeta.numerator, zeta.denominator
-    h_prev, h, r = 0, 1, 1
-    total, scale = (2 * a + 1) * (2 * a + 3), 1
-    for j in range(2, m + 1):
-        rhs = (2 * j + 2 * a - 1) * P * h - (j - 2) * Q * Q * r * h_prev
-        f = math.gcd(rhs, j + 2 * a + 1)
-        h_prev, h, r = h, rhs // f, (j + 2 * a + 1) // f
-        total = (total * Q * r
-                 + math.comb(j + 2 * a, 2 * a) * (2 * j + 2 * a + 1) * h)
-        scale *= Q * r
-    return (_q0(a, zeta) + _q1(a, zeta) * Fraction(total, (2 * a + 1) * scale)
-            ) / _h0(a)
+    return p0, d0, p1, d1, total, scale
 
 
 class _Bank(Record):
@@ -279,8 +264,8 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     D P_j = -j (j+2a+1) P_j, so integrating by parts gives D S = T with
     T(t) = -(1-zeta^2)^(a+1) d/ds K_m(s, t) at s = zeta, and the
     Christoffel-Darboux kernel K_m has a closed form in P_m and P_{m+1}.
-    D fixes S up to its constant term, which is read at t = 1
-    (_sum_at_one).
+    D fixes S up to its constant term, which is read at t = 1, where every
+    P_j is 1: S(1) = sum_j c_j, each c_j a slope at the cut point.
 
     All of it runs in integers in x' = z x, where z clears the denominators
     of the interval ends and of xi: the ends become integers l < h, xi an
@@ -291,9 +276,9 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
       N_s = P_{m+1}'(zeta) P_m - P_m'(zeta) P_{m+1},
 
     kappa = k_m / (k_{m+1} h_m).  The values and slopes of P_m and
-    P_{m+1} at x come first, from one forward pass of the degree
-    recurrence (_at_cut).  Then four recurrences of O(m) steps run
-    backward together in one pass that keeps no row but sigma:
+    P_{m+1} at x, and S(1), come first, from one forward pass (_at_cut).
+    Then four recurrences of O(m) steps run backward together in one pass
+    that keeps no row but sigma:
       1. the Taylor rows of (v + w (x' - x)) P_n for n = m, m + 1 and
          the value v and slope w of the other polynomial (_taylor), so
          the coefficients n_k of N - (x - x') N_s come out as integers at
@@ -311,13 +296,11 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     Then A_i = c z^i (lam_1 ... lam_{i-1}) sigma_i for i >= 1, with
     c = (1-zeta^2)^(a+1) kappa (L/2)^2 / (e_m e_{m+1} L^(2m+1) lam_1 ...
     lam_m).  No step divides by 1 - c0^2, by c0 or by zeta - c0, so
-    c0 = 0, c0 = +-1, |c0| > 1 and zeta = +-1 take the same path.  All A_i
-    are written over one denominator, without the power of two of z^i,
-    and reduced once (_reduced).
+    c0 = 0, c0 = +-1, |c0| > 1 and zeta = +-1 take the same path, and so
+    does m = 0, where the backward pass is empty and A_0 = S(1) = q0/h0.
+    All A_i are written over one denominator, without the power of two of
+    z^i, and reduced once (_reduced).
     """
-    if m == 0:
-        head = _q0(a, zeta) / _h0(a)
-        return _reduced(head.denominator, [head.numerator], 0)
     lo, hi, xi = (-1 - c0) / c1, (1 - c0) / c1, (zeta - c0) / c1
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
@@ -325,7 +308,7 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
     # values and slopes at x, then 1. the rows g_m and g_p of
     # n = (vp - x wp + wp x') P_m - (vm - x wm + wm x') P_{m+1},
     # n_k = g_m[k] - g_p[k], from k = m + 2 down
-    vm, wm, vp, wp = _at_cut(m, a, l, h, x)
+    vm, wm, vp, wp, total, scale = _at_cut(m, a, l, h, x)
     rows = zip(itertools.chain((0,), _taylor(m, a, l, h, vp - x * wp, wp)),
                _taylor(m + 1, a, l, h, vm - x * wm, wm))
     sigma = [0] * (m + 1)
@@ -349,11 +332,15 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
         b1, b2 = sigma[j], b1 * lam[j]
         # 4. sum_k s_k h^k by Horner, the s_k read from sigma_k
         acc = sigma[j] + h * lam[j] * acc
+    # c_j = u (2j+2a+1) p'_j / (j (j+2a+1) L^j) for j >= 1 (_at_cut), and
     # c of the docstring, with kappa and e_m e_{m+1} written out
-    c = (_q1(a, zeta) / _h0(a) * (a + 1) * (m + 2 * a + 1)
-         / ((4 * a + 2) * math.comb(2 * a, a) ** 2
-            * math.comb(m + 2 * a + 1, 2 * a) * big_l ** (2 * m - 1) * keep))
-    s0 = _sum_at_one(a, zeta, m) - c * h * acc     # S(c0) = S(1) - ...
+    u = (_q1(a, zeta) * (a + 1) * big_l
+         / ((2 * a + 1) * math.comb(2 * a, a) * _h0(a)))
+    c = u * (m + 2 * a + 1) / (2 * math.comb(2 * a, a)
+                               * math.comb(m + 2 * a + 1, 2 * a)
+                               * big_l ** (2 * m) * keep)
+    s1 = _q0(a, zeta) / _h0(a) + u * Fraction(total, scale * big_l ** m)
+    s0 = s1 - c * h * acc                           # S(c0) = S(1) - ...
     # one denominator: N_i = c z'^i (lam_1 ... lam_{i-1}) sigma_i in place
     # of sigma_i, z' the odd part of z, whose power of two _reduced applies
     twos = (z & -z).bit_length() - 1

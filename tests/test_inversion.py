@@ -365,9 +365,54 @@ def test_cut_values_match_horner_over_rows(frame, a, m):
     # the degree recurrence's p_m, p_m', p_{m+1}, p_{m+1}' at x equal the
     # Horner sums over the Taylor rows of P_m and P_{m+1}
     l, h, x = frame
-    assert inversion._at_cut(m, a, l, h, x) == \
+    assert inversion._at_cut(m, a, l, h, x)[:4] == \
         value_and_slope(inversion._taylor(m, a, l, h, 1, 0), x) \
         + value_and_slope(inversion._taylor(m + 1, a, l, h, 1, 0), x)
+
+
+def sum_at_one(frame, a, m):
+    """S(1) = sum_{j<=m} c_j as _emit forms it from _at_cut's T:
+    (q0 + q1 (a+1) T L / ((2a+1) C(2a, a) L^m)) / h0, on the integer
+    frame l < h, cut point x, where zeta = (2 x - l - h) / L."""
+    l, h, x = frame
+    big_l = h - l
+    zeta = Fraction(2 * x - l - h, big_l)
+    total, scale = inversion._at_cut(m, a, l, h, x)[4:]
+    return (inversion._q0(a, zeta) + inversion._q1(a, zeta) * (a + 1)
+            * Fraction(total, scale) * big_l / (
+                (2 * a + 1) * math.comb(2 * a, a) * big_l ** m)
+            ) / inversion._h0(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_frames(), st.integers(0, 80))
+@example((-16, 1, 0), 80)           # pt at xi = 0, z = 256
+@example((0, 5, 0), 0)              # c0 = -1, cut at either end
+@example((0, 5, 5), 1)
+@example((-7, 0, -7), 2)            # c0 = 1
+def test_legendre_sum_at_one_telescopes(frame, m):
+    # at w = 0, (1-t^2) P_j' = j (j+1) / (2j+1) (P_{j-1} - P_{j+1}) makes
+    # c_j = (P_{j-1}(zeta) - P_{j+1}(zeta)) / 2 for j >= 1, so the sum
+    # telescopes to S(1) = 1 - (P_m(zeta) + P_{m+1}(zeta)) / 2, where
+    # P_n(zeta) = p_n / L^n
+    l, h, x = frame
+    big_l = h - l
+    pm, _, pp = inversion._at_cut(m, 0, l, h, x)[:3]
+    assert sum_at_one(frame, 0, m) == \
+        1 - (Fraction(pm, big_l ** m) + Fraction(pp, big_l ** (m + 1))) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_frames(), st.integers(1, 4), st.integers(0, 25))
+@example((-16, 1, 0), 4, 25)
+@example((0, 5, 5), 1, 3)
+def test_weighted_sum_at_one_matches_table_assembly(frame, a, m):
+    # S(1) = sum_i A_i h^i of the oracle's bank, since x' = h is t = 1
+    l, h, x = frame
+    coeffs = tail_coeffs_from_tables(
+        build_tables((Fraction(l), Fraction(h)), a, m, x))
+    assert sum_at_one(frame, a, m) == sum(A * h ** i
+                                          for i, A in enumerate(coeffs))
 
 
 @pytest.mark.parametrize("l, h", [(-16, 1), (-3, 5), (0, 2), (-7, 0)])
@@ -396,8 +441,9 @@ def test_taylor_rows_are_the_jacobi_sum(l, h, a):
     (PT_INTERVAL, 1, 3),        # f_3 = 2
 ])
 def test_partial_divisor_steps(interval, a, kept):
-    # at xi = 0 the order-3 step of the g weights divides out only f_3 of
-    # 3 + 2a + 1 and keeps (3 + 2a + 1) / f_3 = kept in its scale
+    # at xi = 0 the order-3 step of the g weights that once gave S(1)
+    # divided out only f_3 of 3 + 2a + 1 and kept (3 + 2a + 1) / f_3 = kept
+    # in its scale; the banks of those orders are checked all the same
     for m in (3, 4, 30):
         assert bank(interval, a, 0, m) == \
             tail_coeffs_from_tables(build_tables(interval, a, m))
@@ -559,7 +605,8 @@ def test_bank_memo_stays_bounded():
 # SHA-256 over the hex digits of scale and then of every an_i, each an_i
 # after a comma, of the banks the m^2/2-step Clenshaw pass built; the
 # m = 1000 banks at w = 3, xi = -1/48 and at diff, xi = 1/1000 were built by
-# the O(m) pass while its Taylor rows still carried a spare 2^n
+# the O(m) pass while its Taylor rows still carried a spare 2^n, and the
+# m = 0 banks while order 0 had a branch of its own
 RECORDED_BANKS = {
     ("pt", 0, "0", 100): "b45a5c88e690fa1c977e168a3256668d8a3a268fb0cf555493d2dba9712d9d25",
     ("pt", 0, "0", 500): "7595bba5d94c23b9fc6a7e2979d10dd0b85356eeffb166993a812c4050451854",
@@ -580,6 +627,8 @@ RECORDED_BANKS = {
     ("pt", 0, "0", 1000): "a54826136557ee6b3921e14e0a3209aa6ef8db70644ebec313e9bff0b7723a4b",
     ("pt", 3, "-1/48", 1000): "6afc35c5b43f395f1805bf409f6917d5a5d1cbf2744841bd88d892177c99c818",
     ("diff", 0, "1/1000", 1000): "6ae61f3ed3961915c427a5d33d7ac6c0018d11145379c02d0e794c908ccaecda",
+    ("pt", 2, "-1/64", 0): "adcbd78fe0a5db0ee7f9c4db91d8a3cba5f2b5dc9a57f8dfd7b2d990cee70c69",
+    ("diff", 3, "1/1000", 0): "f8d660d7f671efefa75eba59eb091a90e7c3bdb1f9ea836cb75b938badcd0c88",
 }
 
 
@@ -701,6 +750,19 @@ def correctly_rounded(x, digits):
 def as_fraction(v):
     man, exp = v.man_exp        # mpmath drops the sign here
     return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def test_weight_helps_past_the_cut_point():
+    # at a cut point that is not a singular point of the density the
+    # Gegenbauer weight pays: at pt, alpha = 1, k = 0, xi = 1/512 and m = 250, the w = 4 tail
+    # is 5.6e-7 from the w = 4 tail at m = 1000, the Legendre one 1.1e-5
+    seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)),
+                          1000)
+    xi = Fraction(1, 512)
+    ref = gegenbauer_tail(seq, 4, xi, 1000, mode=MODE_EXACT).value
+    flat = legendre_tail(seq, xi, 250, mode=MODE_EXACT).value
+    weighted = gegenbauer_tail(seq, 4, xi, 250, mode=MODE_EXACT).value
+    assert abs(weighted - ref) < abs(flat - ref) / 5
 
 
 def test_float_mode_tracks_exact_mode():
