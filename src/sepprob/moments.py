@@ -26,8 +26,8 @@ Zeilberger's creative telescoping proves it: tests/test_recurrence.py
 checks the certificate's telescoping identity and its boundary terms
 exactly.  The identity holds for generic alpha and k, and each mu_n is a
 rational function of both, so the recurrence holds at the 0/0 orders as
-well.  Each (variable, alpha) streams the variable's records once and
-specializes each to 2 alpha, by Horner, as it passes, leaving each
+well.  Each (variable, alpha) decodes the variable's records once,
+after a checksum, and specializes each to 2 alpha by Horner, leaving each
 coefficient a polynomial in 2k; no parsed record is kept.  A small memo
 keeps the last four alphas' tables, so the scenarios of a sweep that
 share an alpha share that set-up.  A sequence then evaluates those
@@ -61,6 +61,7 @@ import marshal
 import math
 import operator
 import os
+import zlib
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -259,48 +260,56 @@ _TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # table holds c_0..c_r, each as its powers n^0..n^D
 _ORDER = {Variable.PT_DET: 3, Variable.DIFF: 2}
 _DEGREE = {Variable.PT_DET: 20, Variable.DIFF: 11}
+# the sum mod 2^32 of the CRC-32s of each variable's records, their 4-byte
+# lengths included, as tools/derive_recurrences.py prints it
+_CRC = {Variable.PT_DET: 0xFD4DA2D3, Variable.DIFF: 0x77A88F5C}
 
 
 def _table_rows(variable: Variable):
     """(i, d, top, coeffs) for each of the variable's records, in the
-    order of the file: for each c_i, i = 0..r, the powers n^d,
-    d = 0..D.
+    order of the file: for each c_i, i = 0..r, the powers n^d, d = 0..D.
 
-    The file is a run of records, diff's and then pt's.  Each is a
-    4-byte little-endian length and then that many bytes of
-    marshal.dumps((variable, i, d, top, coeffs), 4): the coefficient of
-    n^d in c_i is a polynomial in 2 alpha and 2k of total degree at most
-    top, and coeffs holds its integer coefficients of (2 alpha)^u (2k)^v
-    in the order v = 0..top and for each v u = 0..top-v, the runs of
-    _runs(top).  The records are read from the open file one at a time,
-    as the caller asks for them, and the reading stops at the end of the
-    variable's own.  diff's table is about a tenth of pt's, so it comes
-    first: a diff pass decodes one pt record, and a pt pass diff's 36
-    small ones.  A record out of the order (i, d) above, a missing one
-    (pt has 84, diff 36) or bytes that do not decode raise TableError,
-    so a cut or corrupt file never yields a short recurrence.
+    The file is a run of records, diff's (r + 1)(D + 1) = 36 and then
+    pt's 84.  Each is a 4-byte little-endian length and then that many
+    bytes of marshal.dumps((variable, i, d, top, coeffs), 4): the
+    coefficient of n^d in c_i is a polynomial in 2 alpha and 2k of total
+    degree at most top, and coeffs holds its integer coefficients of
+    (2 alpha)^u (2k)^v in the order v = 0..top and for each v
+    u = 0..top-v, the runs of _runs(top).  The variable's records are
+    found by their lengths, and the sum of their CRC-32s is checked
+    against _CRC before any is decoded: one flipped bit can make marshal
+    ask for a tuple of gigabytes.  Each record is then decoded as the
+    caller asks for it.  A changed, missing, reordered or cut record
+    raises TableError, so a corrupt file never yields a wrong recurrence.
     """
-    want = itertools.product(range(_ORDER[variable] + 1),
-                             range(_DEGREE[variable] + 1))
-    found = False
+    want = list(itertools.product(range(_ORDER[variable] + 1),
+                                  range(_DEGREE[variable] + 1)))
+    skip = 0 if variable is Variable.DIFF else \
+        (_ORDER[Variable.DIFF] + 1) * (_DEGREE[Variable.DIFF] + 1)
     try:
         with open(_TABLE, "rb") as fh:
-            while size := fh.read(4):
-                name, i, d, top, coeffs = marshal.loads(
-                    fh.read(int.from_bytes(size, "little")))
-                if name == variable.value:
-                    found = True
-                    if (i, d) != next(want, None):
-                        raise TableError(f"{_TABLE}: {variable} record "
-                                         f"c_{i} n^{d} is out of order")
-                    yield i, d, top, coeffs
-                elif found:
-                    break
+            table = memoryview(fh.read())
+        ends = [0]                  # where each record ends
+        for at in range(skip + len(want)):
+            if ends[-1] == len(table):
+                i, d = want[max(at - skip, 0)]
+                raise TableError(f"{_TABLE}: {variable} record c_{i} "
+                                 f"n^{d} is missing")
+            ends.append(ends[-1] + 4 + int.from_bytes(
+                table[ends[-1]:ends[-1] + 4], "little"))
+        spans = list(itertools.pairwise(ends[skip:]))
+        if sum(zlib.crc32(table[lo:hi]) for lo, hi in spans) % 2 ** 32 \
+                != _CRC[variable]:
+            raise TableError(f"{_TABLE}: unreadable: {variable} records "
+                             "fail their CRC-32 check")
+        for (i, d), (lo, hi) in zip(want, spans):
+            name, *key, top, coeffs = marshal.loads(table[lo + 4:hi])
+            if (name, *key) != (variable.value, i, d):
+                raise TableError(f"{_TABLE}: {name} record c_{key[0]} "
+                                 f"n^{key[1]} is out of order")
+            yield i, d, top, coeffs
     except (OSError, EOFError, ValueError, TypeError) as exc:
         raise TableError(f"{_TABLE}: unreadable: {exc}") from None
-    if (gap := next(want, None)) is not None:
-        raise TableError(f"{_TABLE}: {variable} record c_{gap[0]} "
-                         f"n^{gap[1]} is missing")
 
 
 def _runs(top: int) -> tuple[int, ...]:
@@ -315,9 +324,9 @@ def _alpha_table(variable: Variable,
     """The variable's table at 2 alpha = a2: for each c_i and each power
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    The records stream past once: each coefficient of 2k is one run of a
-    record, a polynomial in a2 summed by Horner, and the record is
-    dropped before the next is read, so no parsed table outlives the
+    The records are decoded once: each coefficient of 2k is one run of
+    a record, a polynomial in a2 summed by Horner, and the record is
+    dropped before the next is decoded, so no parsed table outlives the
     pass.  One pass serves every k at this alpha.  Four alphas are kept:
     tables --approx-m and plot-data --figure 2 step through three alphas
     for each k.

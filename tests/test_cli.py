@@ -11,6 +11,7 @@ import hashlib
 import inspect
 import io
 import json
+import marshal
 import os
 import subprocess
 import sys
@@ -54,6 +55,29 @@ def test_cut_table_exits_one(table_copy, cut):
     rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
                             "--k", "0", "--m", "5"])
     assert rc == 1 and "991/802241960520" not in out
+    assert err.startswith(f"TableError: {path}: ") and err.count("\n") == 1
+
+
+def _bumped(record):
+    # the record with its first coefficient raised by 1, marshalled again
+    name, i, d, top, coeffs = marshal.loads(record[4:])
+    payload = marshal.dumps((name, i, d, top, (coeffs[0] + 1,) + coeffs[1:]),
+                            4)
+    return len(payload).to_bytes(4, "little") + payload
+
+
+@pytest.mark.parametrize("change", [
+    _bumped,
+    lambda record: record[:-1] + bytes([record[-1] ^ 1]),   # one bit
+])
+def test_changed_table_exits_one(table_copy, change):
+    # a record of the right shape with changed contents fails the table's
+    # CRC-32 check: exit 1 and one stderr line, not wrong moments
+    records = table_records()
+    path = table_copy(b"".join(records[:-1] + [change(records[-1])]))
+    rc, out, err = run_cli(["moments", "--variable", "pt", "--alpha", "1",
+                            "--k", "0", "--m", "5"])
+    assert (rc, out) == (1, "")
     assert err.startswith(f"TableError: {path}: ") and err.count("\n") == 1
 
 
@@ -906,7 +930,8 @@ def test_json_and_csv_output_matches_recorded_digests(command):
 
 def test_import_loads_no_heavy_module():
     # importing sepprob and its CLI after mpmath adds no dataclasses (nor
-    # the inspect it pulls in) and no csv, in a child isolated with -I
+    # the inspect it pulls in), no csv and no hashlib, in a child isolated
+    # with -I
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "tools", "import_check.py")

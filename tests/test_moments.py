@@ -2,17 +2,21 @@
 
 import gc
 import hashlib
+import importlib.util
 import marshal
 import math
+import os
 import sys
 import threading
 import tracemalloc
 import types
 import weakref
+import zlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from oracles import diff_moment_oracle, pt_moment_oracle
 from sepprob import moments
@@ -467,18 +471,26 @@ def test_no_table_stays_resident():
 
 def test_diff_decodes_no_pt_record(monkeypatch):
     # diff's records, (r + 1)(D + 1) = 3 * 12 of them, come first, and
-    # its pass stops at the first pt record
+    # its pass stops at the last of them; a pt pass reads past them by
+    # their lengths and decodes none either
     decoded = []
     loads = marshal.loads
     monkeypatch.setattr(moments, "marshal", types.SimpleNamespace(
         loads=lambda data: decoded.append(data) or loads(data)))
     rows = list(moments._table_rows(Variable.DIFF))
-    assert len(decoded) - 1 == len(rows) == 3 * 12
+    assert len(decoded) == len(rows) == 3 * 12
+    decoded.clear()
+    rows = list(moments._table_rows(Variable.PT_DET))
+    assert len(decoded) == len(rows) == 4 * 21
+
+
+# the shipped table, which table_copy leaves in place
+SHIPPED_TABLE = moments._TABLE
 
 
 def table_records():
     """The records of recurrences.bin, each with its 4-byte length."""
-    with open(moments._TABLE, "rb") as fh:
+    with open(SHIPPED_TABLE, "rb") as fh:
         data = fh.read()
     records, pos = [], 0
     while pos < len(data):
@@ -534,6 +546,53 @@ def test_cut_or_corrupt_table_raises(table_copy, variable, edit, says):
         moments._alpha_table(variable, 2)
     assert str(caught.value).startswith(f"{path}: {says}"), caught.value
     assert moments._alpha_table.cache_info().currsize == 0
+
+
+def _segment(variable):
+    """The byte range of the variable's records in recurrences.bin."""
+    records = table_records()
+    first = 0 if variable is Variable.DIFF else 3 * 12
+    count = (moments._ORDER[variable] + 1) * (moments._DEGREE[variable] + 1)
+    start = sum(map(len, records[:first]))
+    return start, start + sum(map(len, records[first:first + count]))
+
+
+def test_crc_constants_match_the_shipped_table():
+    # the sum mod 2^32 of the CRC-32s of each variable's records, lengths
+    # included, as the shipped file gives it
+    sums = {}
+    for record in table_records():
+        name = marshal.loads(record[4:])[0]
+        sums[name] = (sums.get(name, 0) + zlib.crc32(record)) % 2 ** 32
+    assert sums == {variable.value: crc
+                    for variable, crc in moments._CRC.items()}
+    # the sums tools/derive_recurrences.py prints when it writes the file
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "tools", "derive_recurrences.py")
+    spec = importlib.util.spec_from_file_location("derive_recurrences", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.table_checks(b"".join(table_records())) == sums
+    assert (0, os.path.getsize(SHIPPED_TABLE)) == \
+        (_segment(Variable.DIFF)[0], _segment(Variable.PT_DET)[1])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(Variable)), st.integers(0, 1 << 20),
+       st.integers(1, 255))
+@example(Variable.PT_DET, 0, 1)         # the first record's length
+@example(Variable.DIFF, 8, 1)           # the first record's i
+def test_any_changed_byte_raises(table_copy, variable, offset, flip):
+    # one byte of the variable's records changed anywhere, lengths and
+    # type codes included, fails the CRC-32 check before marshal reads it:
+    # a pass raises TableError, never another exception or a table
+    data = bytearray(b"".join(table_records()))
+    start, end = _segment(variable)
+    data[start + offset % (end - start)] ^= flip
+    table_copy(bytes(data))
+    with pytest.raises(TableError):
+        moments._alpha_table(variable, 2)
 
 
 def test_whole_table_of_the_other_variable_still_reads(table_copy):

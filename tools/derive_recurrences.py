@@ -42,7 +42,8 @@ fixed, so a rerun rewrites both outputs byte for byte:
 writes ``src/sepprob/recurrences.bin`` (the coefficients c, which
 ``sepprob.moments`` serves, as binary records: see write_recurrences)
 and ``tests/recurrence_certificates.py`` (the terms F and the
-certificates, which only the test reads).
+certificates, which only the test reads), and prints each variable's
+CRC-32 sum, which ``sepprob.moments._CRC`` must hold.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import marshal
 import multiprocessing
 import random
 import sys
+import zlib
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -512,6 +514,19 @@ def write_recurrences(results) -> bytes:
     return bytes(out)
 
 
+def table_checks(table: bytes) -> dict:
+    """Per variable, the sum mod 2^32 of the CRC-32s of its records, each
+    with its 4-byte length: the constants sepprob.moments._CRC holds."""
+    checks, pos = {}, 0
+    while pos < len(table):
+        end = pos + 4 + int.from_bytes(table[pos:pos + 4], "little")
+        variable = marshal.loads(table[pos + 4:end])[0]
+        checks[variable] = (checks.get(variable, 0)
+                            + zlib.crc32(table[pos:end])) % 2 ** 32
+        pos = end
+    return checks
+
+
 def write_certificates(results) -> str:
     lines = [
         '"""Creative-telescoping certificates of the moment recurrences.',
@@ -578,8 +593,10 @@ def main(argv=None) -> int:
             coeffs, d0, num = to_integers(values, variable)
             check_against_moments(variable, coeffs)
             results[variable] = (coeffs, d0, num)
-    (ROOT / "src" / "sepprob" / "recurrences.bin").write_bytes(
-        write_recurrences(results))
+    table = write_recurrences(results)
+    (ROOT / "src" / "sepprob" / "recurrences.bin").write_bytes(table)
+    for variable, check in table_checks(table).items():
+        print(f"{variable}: CRC-32 sum {check:#010x}")
     (ROOT / "tests" / "recurrence_certificates.py").write_text(
         write_certificates(results))
     return 0
