@@ -338,19 +338,21 @@ def cmd_tail(args) -> int:
     xi = inversion._check_xi(scenario.interval, args.xi)
     inversion._resolve_mode(args.mode, orders[-1], args.precision)
     seq = _sequence_with_cache(scenario, orders[-1], args.cache)
-    ests = [inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
-                                      mode=args.mode, precision=args.precision)
-            for m in orders]
     meta = {"command": "tail", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
             "method": "gegenbauer" if args.geg_alpha else "legendre",
             "alpha_w": str(args.geg_alpha), "xi": str(xi)}
     if args.m_list is None:
-        meta.update(m=str(args.m), mode=ests[0].mode)
+        meta["m"] = str(args.m)
     else:
         meta.update(m_list=args.m_list, mode=args.mode)
     rows = []
-    for est in ests:
+    # one estimate at a time, so a profile does not keep every order's bank
+    for m in orders:
+        est = inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
+                                        mode=args.mode,
+                                        precision=args.precision)
+        meta.setdefault("mode", est.mode)
         exact = est.mode == inversion.MODE_EXACT
         if not exact:
             # a rounded value holds only the digits it was rounded to
@@ -365,7 +367,7 @@ def cmd_tail(args) -> int:
             for field in ("value_decimal", "value_exact")
             if rows[0][field] != "-"]
     if reconstruct:
-        guess = recon.reconstruct(ests[0].value, args.radius, args.bound)
+        guess = recon.reconstruct(est.value, args.radius, args.bound)
         rows.append({"field": "reconstructed", "value": _rat(guess.value)})
         rows.append({"field": "confidence",
                      "value": guess.confidence.value})

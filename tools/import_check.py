@@ -15,8 +15,10 @@ no time, so its verdict does not depend on the host.
 import sys
 
 # the modules a cold CLI run should not pay for: dataclasses brings in
-# inspect (and with it ast and dis); csv is needed only by --format csv
-HEAVY = ("dataclasses", "inspect", "csv")
+# inspect (and with it ast and dis); csv is needed only by --format csv;
+# hashlib costs about 4.7 ms to import (it loads OpenSSL), and the table
+# check uses zlib, which the interpreter has loaded at start-up
+HEAVY = ("dataclasses", "inspect", "csv", "hashlib")
 
 
 def main(argv=None) -> int:
