@@ -26,8 +26,8 @@ Zeilberger's creative telescoping proves it: tests/test_recurrence.py
 checks the certificate's telescoping identity and its boundary terms
 exactly.  The identity holds for generic alpha and k, and each mu_n is a
 rational function of both, so the recurrence holds at the 0/0 orders as
-well.  Each (variable, alpha) decodes the variable's records once,
-after a checksum, and specializes each to 2 alpha by Horner, leaving each
+well.  Each (variable, alpha) checks the variable's records and then
+decodes each once and specializes it to 2 alpha by Horner, leaving each
 coefficient a polynomial in 2k; no parsed record is kept.  A small memo
 keeps the last four alphas' tables, so the scenarios of a sweep that
 share an alpha share that set-up.  A sequence then evaluates those
@@ -269,18 +269,17 @@ def _table_rows(variable: Variable):
     """(i, d, top, coeffs) for each of the variable's records, in the
     order of the file: for each c_i, i = 0..r, the powers n^d, d = 0..D.
 
-    The file is a run of records, diff's (r + 1)(D + 1) = 36 and then
-    pt's 84.  Each is a 4-byte little-endian length and then that many
-    bytes of marshal.dumps((variable, i, d, top, coeffs), 4): the
-    coefficient of n^d in c_i is a polynomial in 2 alpha and 2k of total
-    degree at most top, and coeffs holds its integer coefficients of
-    (2 alpha)^u (2k)^v in the order v = 0..top and for each v
-    u = 0..top-v, the runs of _runs(top).  The variable's records are
-    found by their lengths, and the sum of their CRC-32s is checked
+    The file is a run of records, diff's 36 and then pt's 84, each a
+    4-byte little-endian length and then marshal.dumps((variable, i, d,
+    top, coeffs), 4): the coefficient of n^d in c_i is a polynomial in
+    2 alpha and 2k of total degree at most top, and coeffs holds its
+    integer coefficients of (2 alpha)^u (2k)^v, v = 0..top and for each
+    v u = 0..top-v, the runs of _runs(top).  A first pass reads the
+    records one at a time and checks the sum of the variable's CRC-32s
     against _CRC before any is decoded: one flipped bit can make marshal
-    ask for a tuple of gigabytes.  Each record is then decoded as the
-    caller asks for it.  A changed, missing, reordered or cut record
-    raises TableError, so a corrupt file never yields a wrong recurrence.
+    ask for a tuple of gigabytes.  A second decodes each as the caller
+    asks for it, so the file is never held whole.  A changed, missing,
+    reordered or cut record raises TableError.
     """
     want = list(itertools.product(range(_ORDER[variable] + 1),
                                   range(_DEGREE[variable] + 1)))
@@ -288,26 +287,29 @@ def _table_rows(variable: Variable):
         (_ORDER[Variable.DIFF] + 1) * (_DEGREE[Variable.DIFF] + 1)
     try:
         with open(_TABLE, "rb") as fh:
-            table = memoryview(fh.read())
-        ends = [0]                  # where each record ends
-        for at in range(skip + len(want)):
-            if ends[-1] == len(table):
-                i, d = want[max(at - skip, 0)]
-                raise TableError(f"{_TABLE}: {variable} record c_{i} "
-                                 f"n^{d} is missing")
-            ends.append(ends[-1] + 4 + int.from_bytes(
-                table[ends[-1]:ends[-1] + 4], "little"))
-        spans = list(itertools.pairwise(ends[skip:]))
-        if sum(zlib.crc32(table[lo:hi]) for lo, hi in spans) % 2 ** 32 \
-                != _CRC[variable]:
-            raise TableError(f"{_TABLE}: unreadable: {variable} records "
-                             "fail their CRC-32 check")
-        for (i, d), (lo, hi) in zip(want, spans):
-            name, *key, top, coeffs = marshal.loads(table[lo + 4:hi])
-            if (name, *key) != (variable.value, i, d):
-                raise TableError(f"{_TABLE}: {name} record c_{key[0]} "
-                                 f"n^{key[1]} is out of order")
-            yield i, d, top, coeffs
+            size, crc = os.fstat(fh.fileno()).st_size, 0
+            for at in range(skip + len(want)):
+                if at == skip:
+                    start = fh.tell()
+                if not (head := fh.read(4)):
+                    i, d = want[max(at - skip, 0)]
+                    raise TableError(f"{_TABLE}: {variable} record c_{i} "
+                                     f"n^{d} is missing")
+                # a changed length may not ask for more than the file
+                body = fh.read(min(int.from_bytes(head, "little"), size))
+                if at >= skip:
+                    crc += zlib.crc32(body, zlib.crc32(head))
+            if crc % 2 ** 32 != _CRC[variable]:
+                raise TableError(f"{_TABLE}: unreadable: {variable} records "
+                                 "fail their CRC-32 check")
+            fh.seek(start)
+            for i, d in want:
+                name, *key, top, coeffs = marshal.loads(
+                    fh.read(int.from_bytes(fh.read(4), "little")))
+                if (name, *key) != (variable.value, i, d):
+                    raise TableError(f"{_TABLE}: {name} record c_{key[0]} "
+                                     f"n^{key[1]} is out of order")
+                yield i, d, top, coeffs
     except (OSError, EOFError, ValueError, TypeError) as exc:
         raise TableError(f"{_TABLE}: unreadable: {exc}") from None
 
@@ -324,12 +326,11 @@ def _alpha_table(variable: Variable,
     """The variable's table at 2 alpha = a2: for each c_i and each power
     of n, the integer coefficients of a polynomial in 2k, ascending.
 
-    The records are decoded once: each coefficient of 2k is one run of
-    a record, a polynomial in a2 summed by Horner, and the record is
-    dropped before the next is decoded, so no parsed table outlives the
-    pass.  One pass serves every k at this alpha.  Four alphas are kept:
-    tables --approx-m and plot-data --figure 2 step through three alphas
-    for each k.
+    Each coefficient of 2k is one run of a record, a polynomial in a2
+    summed by Horner, and each record is dropped before the next is
+    decoded.  One pass serves every k at this alpha.  Four alphas are
+    kept: tables --approx-m and plot-data --figure 2 step through three
+    alphas for each k.
     """
     out: list[list[tuple[int, ...]]] = []
     for i, _, top, coeffs in _table_rows(variable):

@@ -469,6 +469,20 @@ def test_no_table_stays_resident():
     assert kept <= 0.05 * 2 ** 20, kept
 
 
+def test_table_is_never_held_whole():
+    # both passes over the 115-kB file read one record at a time: a pass
+    # peaks at about 30 kB for pt (152 kB when the file was read whole)
+    for variable in Variable:
+        tracemalloc.start()
+        try:
+            for _ in moments._table_rows(variable):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(moments._TABLE) / 2, (variable, peak)
+
+
 def test_diff_decodes_no_pt_record(monkeypatch):
     # diff's records, (r + 1)(D + 1) = 3 * 12 of them, come first, and
     # its pass stops at the last of them; a pt pass reads past them by
