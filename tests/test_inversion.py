@@ -754,8 +754,9 @@ def as_fraction(v):
 
 def test_weight_helps_past_the_cut_point():
     # at a cut point that is not a singular point of the density the
-    # Gegenbauer weight pays: at pt, alpha = 1, k = 0, xi = 1/512 and m = 250, the w = 4 tail
-    # is 5.6e-7 from the w = 4 tail at m = 1000, the Legendre one 1.1e-5
+    # Gegenbauer weight pays: at pt, alpha = 1, k = 0, xi = 1/512 and
+    # m = 250 the w = 4 tail is 5.6e-7 from the w = 4 tail at m = 1000,
+    # the Legendre one 1.1e-5
     seq = moment_sequence(Scenario(Variable.PT_DET, Fraction(1), Fraction(0)),
                           1000)
     xi = Fraction(1, 512)
