@@ -336,14 +336,14 @@ def cmd_tail(args) -> int:
         recon._check_radius(args.radius)
     inversion._check_weight(args.geg_alpha)
     xi = inversion._check_xi(scenario.interval, args.xi)
-    inversion._resolve_mode(args.mode, orders[-1], args.precision)
+    mode, _ = inversion._resolve_mode(args.mode, orders[-1], args.precision)
     seq = _sequence_with_cache(scenario, orders[-1], args.cache)
     meta = {"command": "tail", "variable": str(scenario.variable),
             "alpha": str(scenario.alpha), "k": str(scenario.k),
             "method": "gegenbauer" if args.geg_alpha else "legendre",
             "alpha_w": str(args.geg_alpha), "xi": str(xi)}
     if args.m_list is None:
-        meta["m"] = str(args.m)
+        meta.update(m=str(args.m), mode=mode)
     else:
         meta.update(m_list=args.m_list, mode=args.mode)
     rows = []
@@ -352,7 +352,6 @@ def cmd_tail(args) -> int:
         est = inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
                                         mode=args.mode,
                                         precision=args.precision)
-        meta.setdefault("mode", est.mode)
         exact = est.mode == inversion.MODE_EXACT
         if not exact:
             # a rounded value holds only the digits it was rounded to
