@@ -347,18 +347,19 @@ def cmd_tail(args) -> int:
     else:
         meta.update(m_list=args.m_list, mode=args.mode)
     rows = []
-    # one estimate at a time, so a profile does not keep every order's bank
+    # one estimate at a time, dropped with its bank once its row is made
     for m in orders:
         est = inversion.gegenbauer_tail(seq, args.geg_alpha, xi, m,
                                         mode=args.mode,
                                         precision=args.precision)
-        exact = est.mode == inversion.MODE_EXACT
+        value, exact = est.value, est.mode == inversion.MODE_EXACT
         if not exact:
             # a rounded value holds only the digits it was rounded to
             meta["precision"] = str(est.precision)
         digits = est.precision or EXACT_VALUE_DIGITS
-        rows.append({"m": str(est.m), "value_decimal": _dec(est.value, digits),
-                     "value_exact": _rat(est.value) if exact else "-"})
+        rows.append({"m": str(m), "value_decimal": _dec(value, digits),
+                     "value_exact": _rat(value) if exact else "-"})
+        del est
     if args.m_list is not None:
         _emit(args.format, meta, rows, ["m", "value_decimal", "value_exact"])
         return 0
@@ -366,7 +367,7 @@ def cmd_tail(args) -> int:
             for field in ("value_decimal", "value_exact")
             if rows[0][field] != "-"]
     if reconstruct:
-        guess = recon.reconstruct(est.value, args.radius, args.bound)
+        guess = recon.reconstruct(value, args.radius, args.bound)
         rows.append({"field": "reconstructed", "value": _rat(guess.value)})
         rows.append({"field": "confidence",
                      "value": guess.confidence.value})

@@ -39,7 +39,7 @@ The bank is content-scaled (_reduced): the A_i are integers an_i over the
 lcm of their reduced denominators (4.1k bits at m = 500), each held as its
 odd part and its power of two, so the dot product (_dot) multiplies each
 without its trailing zero bits.  The latest bank is kept, keyed by
-(interval, w, zeta, order): further scenarios on the same interval at the
+(interval, w, xi, order): further scenarios on the same interval at the
 same order cost only the dot product, which reads the moments in their
 scaled form and sums by Horner with one reduction.  Orders are
 independent of each other: there is no resumable state.  The public API
@@ -96,12 +96,6 @@ class TailEstimate(Record, hide=("bank",)):
     def coeffs(self) -> Tuple[Fraction, ...]:
         """The exact A_i as reduced Fractions."""
         return self.bank.coeffs
-
-
-def _map_constants(lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    if not lo < hi:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    return -(lo + hi) / (hi - lo), 2 / (hi - lo)
 
 
 def _check_weight(alpha_w: int) -> int:
@@ -253,23 +247,25 @@ def _reduced(den: int, nums: List[int], step: int) -> _Bank:
     return _Bank(tuple(nums), tuple(twos), den // g)
 
 
-def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
+def _emit(lo: Fraction, hi: Fraction, a: int, xi: Fraction,
           m: int) -> _Bank:
-    """A_0..A_m of order m in O(m) steps, content-scaled.
+    """A_0..A_m of order m in O(m) steps, content-scaled, on the support
+    [lo, hi] at weight exponent a and cut point xi.
 
     The A_i are the Taylor coefficients in x of the tail polynomial
     S(t) = sum_{j<=m} c_j P_j(t), t = c0 + c1 x, with c_j = h_j^-1 times
-    the integral of (1-t^2)^a P_j over [zeta, 1].  The operator
-    D = (1-t^2) d^2/dt^2 - (2a+2) t d/dt is self-adjoint for the weight and
-    D P_j = -j (j+2a+1) P_j, so integrating by parts gives D S = T with
-    T(t) = -(1-zeta^2)^(a+1) d/ds K_m(s, t) at s = zeta, and the
-    Christoffel-Darboux kernel K_m has a closed form in P_m and P_{m+1}.
+    the integral of (1-t^2)^a P_j over [zeta, 1], zeta = c0 + c1 xi.
+    The operator D = (1-t^2) d^2/dt^2 - (2a+2) t d/dt is self-adjoint for
+    the weight and D P_j = -j (j+2a+1) P_j, so integrating by parts gives
+    D S = T with T(t) = -(1-zeta^2)^(a+1) d/ds K_m(s, t) at s = zeta, and
+    the Christoffel-Darboux kernel K_m has a closed form in P_m and P_{m+1}.
     D fixes S up to its constant term, which is read at t = 1, where every
     P_j is 1: S(1) = sum_j c_j, each c_j a slope at the cut point.
 
     All of it runs in integers in x' = z x, where z clears the denominators
     of the interval ends and of xi: the ends become integers l < h, xi an
-    integer x, and t = c0 + 2 x' / L with L = h - l.  With a dot for d/dx',
+    integer x, t = c0 + 2 x' / L with L = h - l, and zeta, for q0 and q1,
+    is (2 x - l - h) / L.  With a dot for d/dx',
 
       (x - x')^2 T = (1-zeta^2)^(a+1) kappa (L/2)^2 [N - (x - x') N_s],
       N   = P_{m+1}(zeta) P_m - P_m(zeta) P_{m+1},
@@ -295,16 +291,18 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
          A_0 = S(c0), since x' = h is t = 1.
     Then A_i = c z^i (lam_1 ... lam_{i-1}) sigma_i for i >= 1, with
     c = (1-zeta^2)^(a+1) kappa (L/2)^2 / (e_m e_{m+1} L^(2m+1) lam_1 ...
-    lam_m).  No step divides by 1 - c0^2, by c0 or by zeta - c0, so
-    c0 = 0, c0 = +-1, |c0| > 1 and zeta = +-1 take the same path, and so
-    does m = 0, where the backward pass is empty and A_0 = S(1) = q0/h0.
+    lam_m).  No step divides by l h, l + h, x or (x - l)(h - x), so an
+    interval symmetric about 0 (c0 = 0), an end at 0 (c0 = +-1), 0 outside
+    [lo, hi] (|c0| > 1), xi = 0 (zeta = c0) and xi at an end (zeta = +-1)
+    take the same path, and so does m = 0, where the backward pass is
+    empty and A_0 = S(1) = q0/h0.
     All A_i are written over one denominator, without the power of two of
     z^i, and reduced once (_reduced).
     """
-    lo, hi, xi = (-1 - c0) / c1, (1 - c0) / c1, (zeta - c0) / c1
     z = math.lcm(lo.denominator, hi.denominator, xi.denominator)
     l, h, x = int(lo * z), int(hi * z), int(xi * z)
     big_l = h - l
+    zeta = Fraction(2 * x - l - h, big_l)
     # values and slopes at x, then 1. the rows g_m and g_p of
     # n = (vp - x wp + wp x') P_m - (vm - x wm + wm x') P_{m+1},
     # n_k = g_m[k] - g_p[k], from k = m + 2 down
@@ -356,11 +354,13 @@ def _emit(c0: Fraction, c1: Fraction, a: int, zeta: Fraction,
 
 
 @functools.lru_cache(maxsize=1)
-def _exact_bank(c0: Fraction, c1: Fraction, alpha_w: int, zeta: Fraction,
+def _exact_bank(lo: Fraction, hi: Fraction, alpha_w: int, xi: Fraction,
                 m: int) -> _Bank:
     """A_0..A_m over their common scale, kept for the latest (interval,
-    w, zeta, order): the scenarios of a sweep share one bank in turn."""
-    return _emit(c0, c1, alpha_w, zeta, m)
+    w, xi, order): the scenarios of a sweep share one bank in turn.  The
+    last bank is dropped first, so a profile holds one bank at a time."""
+    _exact_bank.cache_clear()
+    return _emit(lo, hi, alpha_w, xi, m)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +436,8 @@ def gegenbauer_tail(moments: MomentSequence, alpha_w: int, xi: RationalLike,
         raise DomainError(
             f"need {m + 1} moments, sequence has {len(moments)}")
     xi = _check_xi(moments.scenario.interval, xi)
-    c0, c1 = _map_constants(*moments.scenario.interval)
-    zeta = c0 + c1 * xi
     mode, precision = _resolve_mode(mode, m, precision)
-    bank = _exact_bank(c0, c1, alpha_w, zeta, m)
+    bank = _exact_bank(*moments.scenario.interval, alpha_w, xi, m)
     value = Fraction(_dot(bank, moments.nums, moments.steps),
                      bank.scale * math.prod(moments.steps[:m + 1]))
     if mode == MODE_FLOAT:

@@ -92,12 +92,6 @@ def _check_radius(radius: ApproxLike) -> Fraction:
     return eps
 
 
-def _best_within(x: Fraction, bound: int) -> Fraction:
-    """Best rational approximation to x with denominator <= bound; ties go
-    to the smaller denominator."""
-    return x.limit_denominator(bound)
-
-
 def _farey_neighbors(value: Fraction, bound: int) -> Tuple[Fraction, Fraction]:
     """The adjacent fractions on both sides of value in the Farey set F_bound."""
     p, q = value.numerator, value.denominator
@@ -128,7 +122,8 @@ def reconstruct(x: ApproxLike, error_radius: Optional[ApproxLike] = None,
         raise DomainError(
             "input carries no decimal rendering; an explicit error "
             "radius is required")
-    cand = _best_within(xf, denominator_bound)
+    # the best approximation under the bound, ties to the smaller denominator
+    cand = xf.limit_denominator(denominator_bound)
     dist = abs(xf - cand)
     if dist > eps:
         raise NoCandidateError(

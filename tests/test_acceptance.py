@@ -187,7 +187,8 @@ def test_criterion_12_reconstruction_guarantee():
         bound = rng.choice([7, 31, 146, 999, 1000])
         x = Fraction(rng.randrange(-10 ** 6, 10 ** 6),
                      rng.randrange(1, 10 ** 6))
-        assert recon._best_within(x, bound) == \
+        # radius 1 covers the best approximation: an integer lies within 1/2
+        assert recon.reconstruct(x, 1, bound).value == \
             oracles.best_rational_scan(x, bound)
     for _ in range(10 ** 4):
         q = rng.randrange(1, 10 ** 4 + 1)

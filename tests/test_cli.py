@@ -7,6 +7,7 @@ execs the installed console script to cover the entry point wiring.
 
 import contextlib
 import csv
+import gc
 import hashlib
 import inspect
 import io
@@ -15,6 +16,7 @@ import marshal
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -858,6 +860,27 @@ def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
         assert len(set(orders)) == len(orders), argv
         assert len({order[:3] for order in orders}) == scenarios, argv
         assert len(set(banks)) == len(banks) == bank_count, argv
+
+
+def test_profile_holds_one_bank_at_a_time(monkeypatch):
+    # tail --m-list lets go of each order's estimate once its row is made,
+    # and the bank memo of its bank before the next one is built, so no
+    # earlier order's bank is alive while a build runs
+    emit, built, alive = inversion._emit, [], []
+
+    def spy(*key):
+        gc.collect()
+        alive.append([ref() is not None for ref in built])
+        bank = emit(*key)
+        built.append(weakref.ref(bank))
+        return bank
+
+    monkeypatch.setattr(inversion, "_emit", spy)
+    inversion._exact_bank.cache_clear()
+    rc, out, err = run_cli(["tail", "--variable", "pt", "--alpha", "1",
+                            "--k", "0", "--m-list", "10,20,30"])
+    assert (rc, err) == (0, "") and len(body_lines(out)) == 3
+    assert alive == [[], [False], [False, False]]
 
 
 # SHA-256 of the default stdout of fast invocations, recorded from the

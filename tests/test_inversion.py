@@ -459,12 +459,11 @@ def test_bank_scale_is_lcm_of_reduced_denominators(interval):
     # the bank keeps the A_i as integers an_i over one scale, the lcm of
     # their reduced denominators, whatever the weight, cut point and order;
     # each an_i is stored as an odd part and a shift, a zero as 0 and 0
-    c0, c1 = inversion._map_constants(*interval)
+    lo, hi = interval
     for a in (0, 1, 3):
-        for zeta in (c0, c0 + c1 * Fraction(-1, 64), Fraction(-1),
-                     Fraction(1)):
+        for xi in (Fraction(0), Fraction(-1, 64), lo, hi):
             for m in (0, 1, 2, 7, 60):
-                bank = inversion._exact_bank(c0, c1, a, zeta, m)
+                bank = inversion._exact_bank(lo, hi, a, xi, m)
                 assert bank.scale == math.lcm(
                     *(x.denominator for x in bank.coeffs))
                 assert _integers(bank) == tuple(x * bank.scale
@@ -488,8 +487,7 @@ def test_bank_scale_width(monkeypatch):
         return reduced(den, nums, step)
 
     monkeypatch.setattr(inversion, "_reduced", spy)
-    c0, c1 = inversion._map_constants(*PT_INTERVAL)
-    inversion._emit(c0, c1, 0, c0, 300)
+    inversion._emit(*PT_INTERVAL, 0, Fraction(0), 300)
     assert widths and max(widths) < 2700
 
 
@@ -505,12 +503,11 @@ def test_bank_build_transient_stays_small(interval):
     # its unreduced numerators: 0.26 of the bank for pt and 0.19 for diff
     # at order 400, and 0.71 and 0.36 while they carried the power of two
     # of z^i and the reduction shifted it back out
-    c0, c1 = inversion._map_constants(*interval)
-    inversion._emit(c0, c1, 0, c0, 5)
+    inversion._emit(*interval, 0, Fraction(0), 5)
     gc.collect()
     tracemalloc.start()
     try:
-        built = inversion._emit(c0, c1, 0, c0, 400)
+        built = inversion._emit(*interval, 0, Fraction(0), 400)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -581,8 +578,7 @@ def test_reduction_mends_a_recorded_bank(monkeypatch):
         return reduced(den, nums, step)
 
     monkeypatch.setattr(inversion, "_reduced", spy)
-    c0, c1 = inversion._map_constants(*PT_INTERVAL)
-    built = inversion._emit(c0, c1, 0, c0 + c1 * Fraction(-1, 48), 40)
+    built = inversion._emit(*PT_INTERVAL, 0, Fraction(-1, 48), 40)
     (den, nums, step), = handed
     assert step == 8 and _takes_the_mend(den, nums, step)
     assert (built.odd, built.twos, built.scale) == \
@@ -637,8 +633,7 @@ def test_bank_reproduces_recorded_high_orders(variable, a, xi, m):
     # past m ~ 60 the table oracle is too slow; these orders are checked
     # against the banks recorded from the previous construction instead
     interval = {"pt": PT_INTERVAL, "diff": DIFF_INTERVAL}[variable]
-    c0, c1 = inversion._map_constants(*interval)
-    built = inversion._emit(c0, c1, a, c0 + c1 * Fraction(xi), m)
+    built = inversion._emit(*interval, a, Fraction(xi), m)
     digest = hashlib.sha256(format(built.scale, "x").encode())
     for n in _integers(built):
         digest.update(b"," + format(n, "x").encode())

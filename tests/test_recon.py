@@ -10,7 +10,7 @@ import pytest
 from oracles import best_rational_scan, window_fractions_scan
 from sepprob.errors import DomainError, NoCandidateError
 from sepprob.recon import Confidence, DEFAULT_BOUND, RationalGuess, \
-    _best_within, _farey_neighbors, reconstruct
+    _farey_neighbors, reconstruct
 
 
 def test_simple_decimal_examples():
@@ -76,7 +76,10 @@ def test_best_within_equals_exhaustive_scan():
                               rnd.randrange(1, 10 ** 6)))
     for x in cases:
         for bound in (1, 2, 7, 50, 123, 1000):
-            assert _best_within(x, bound) == best_rational_scan(x, bound)
+            # a radius of 1 covers the best approximation: some integer
+            # lies within 1/2
+            assert reconstruct(x, 1, bound).value == \
+                best_rational_scan(x, bound)
 
 
 def test_confidence_equals_window_scan():
@@ -84,7 +87,7 @@ def test_confidence_equals_window_scan():
     for _ in range(60):
         x = Fraction(rnd.randrange(0, 10 ** 5), rnd.randrange(1, 10 ** 5))
         bound = rnd.randrange(2, 150)
-        best = _best_within(x, bound)
+        best = x.limit_denominator(bound)
         dist = abs(x - best)
         eps = max(dist, Fraction(1, 10 ** 6)) * rnd.choice(
             [Fraction(1), Fraction(3, 2), Fraction(4), Fraction(20)])
@@ -114,7 +117,7 @@ def test_best_approximation_guarantee():
         delta = Fraction(rnd.choice([-1, 1]) * rnd.randrange(1, 5),
                          10 ** 9)
         x = Fraction(p, q) + delta
-        assert _best_within(x, big_q) == Fraction(p, q)
+        assert x.limit_denominator(big_q) == Fraction(p, q)
         if trial % 20 == 0:
             g = reconstruct(x, 2 * abs(delta), big_q)
             assert g.value == Fraction(p, q)
@@ -125,7 +128,7 @@ def test_shrinking_radius_never_flips_unique_to_ambiguous():
     for _ in range(80):
         x = Fraction(rnd.randrange(0, 10 ** 6), rnd.randrange(1, 10 ** 6))
         bound = rnd.randrange(2, 400)
-        dist = abs(x - _best_within(x, bound))
+        dist = abs(x - x.limit_denominator(bound))
         eps = max(dist, Fraction(1, 10 ** 9)) * 3
         first = reconstruct(x, eps, bound)
         if first.confidence == Confidence.UNIQUE:
