@@ -7,14 +7,12 @@ from .closedform import (
     G,
     StructuralPrediction,
     StructureCheck,
-    StructureReport,
     extract_p,
     extract_p_from_values,
     log_ratio,
     sep_prob,
     structural_prediction,
     structure_checks,
-    verify_structure,
 )
 from .errors import (
     CacheError,

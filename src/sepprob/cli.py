@@ -438,20 +438,14 @@ def _table_probabilities(args, number: int) -> None:
 
 def _table_four(args) -> None:
     meta = {"command": "tables", "table": "4"}
-    approx = args.approx_m is not None
-    if approx:
-        meta["approx_m"] = str(args.approx_m)
     fields = ["k", "alpha", "proportion", "decimal", "source"]
-    if approx:
-        fields.append("approx_decimal")
     rows = []
     for k in range(0, 7):
         for alpha in ALPHA_COLUMNS:
-            total = closedform.sep_prob(alpha, k)
             tail = DIFF_TAILS.get((alpha, k))
             recorded = TABLE_IV.get((alpha, k))
             if tail is not None:
-                prop = tail / total
+                prop = tail / closedform.sep_prob(alpha, k)
                 if recorded is not None and prop != recorded:
                     raise StructureViolation(
                         f"proportion identity fails at alpha={alpha}, k={k}: "
@@ -459,16 +453,11 @@ def _table_four(args) -> None:
                 cell = (_rat(prop), _dec(prop), "identity")
             elif recorded is not None:
                 cell = (_rat(recorded), _dec(recorded), "recorded")
-            elif approx:
-                cell = ("-", "-", "unconfirmed")
             else:
                 cell = ("-", "-", "none")
-            row = {"k": str(k), "alpha": str(alpha), "proportion": cell[0],
-                   "decimal": cell[1], "source": cell[2]}
-            if approx:
-                est = _pipeline_tail(Variable.DIFF, alpha, k, args.approx_m)
-                row["approx_decimal"] = _dec(est / total, 10)
-            rows.append(row)
+            rows.append({"k": str(k), "alpha": str(alpha),
+                         "proportion": cell[0], "decimal": cell[1],
+                         "source": cell[2]})
     _emit(args.format, meta, rows, fields)
 
 
@@ -504,13 +493,15 @@ def cmd_fit(args) -> int:
             ("half_integer_pochhammer", pred.half_integer_pochhammer)]]
         _emit(args.format, meta, rows, ["field", "value"])
         return 0
-    report = closedform.verify_structure(alpha)
+    coeffs = closedform.extract_p(alpha)
+    checks = closedform.structure_checks(
+        closedform.structural_prediction(alpha), coeffs)
     meta = {"command": "fit", "alpha": str(alpha),
-            "polynomial": _poly_str(report.coeffs),
-            "all_checks_pass": str(report.ok).lower()}
+            "polynomial": _poly_str(coeffs),
+            "all_checks_pass": str(all(c.ok for c in checks)).lower()}
     rows = [{"check": c.name, "expected": str(c.expected),
              "actual": str(c.actual), "status": "pass" if c.ok else "FAIL"}
-            for c in report.checks]
+            for c in checks]
     _emit(args.format, meta, rows, ["check", "expected", "actual", "status"])
     return 0
 
@@ -565,7 +556,9 @@ def cmd_asymptote(args) -> int:
     rows = []
     for k in ks:
         ratio = closedform.log_ratio(alpha, k, precision=args.precision)
-        with mpmath.mp.workdps(30):
+        # the error falls below 10^-30 at large k, so it is taken at the
+        # ratio's own precision
+        with mpmath.mp.workdps(max(args.precision, 30)):
             err = abs(ratio - mpmath.mpf(target.numerator) / target.denominator)
         rows.append({"k": str(k), "ratio": _dec(ratio),
                      "abs_error": _dec(err, 6)})
@@ -660,9 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="all")
     tb.add_argument("--k-max", type=int, default=8,
                     help="last row of the probability tables")
-    tb.add_argument("--approx-m", type=int,
-                    help="fill proportion-table gaps with pipeline "
-                         "approximants at this truncation order")
     tb.add_argument("--factor", action="store_true",
                     help="add prime factorizations (needs the optional "
                          "sympy extra)")

@@ -279,34 +279,15 @@ class StructureCheck(Record):
     ok: bool
 
 
-class StructureReport(Record):
-    alpha: Fraction
-    prediction: StructuralPrediction
-    coeffs: Tuple[Fraction, ...]
-    checks: Tuple[StructureCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_structure(alpha: RationalLike) -> StructureReport:
-    """Compare the extracted p_alpha against every structural prediction."""
-    alpha = _check_alpha_case(alpha)
-    pred = structural_prediction(alpha)
-    coeffs = extract_p(alpha)
-    return StructureReport(alpha=alpha, prediction=pred, coeffs=coeffs,
-                           checks=structure_checks(pred, coeffs))
-
-
 def structure_checks(pred: StructuralPrediction,
                      coeffs) -> Tuple[StructureCheck, ...]:
     """The individual prediction-vs-polynomial comparisons.
 
-    Split out from verify_structure so a polynomial fitted from pipeline
-    approximants can be screened the same way.  A check whose coefficient
-    the polynomial lacks reports actual None and fails; the zero
-    polynomial raises DomainError.
+    The one screen for p_alpha, whether extract_p took it from the
+    closed forms or extract_p_from_values fitted it to pipeline
+    approximants.  A check whose coefficient the polynomial lacks
+    reports actual None and fails; the zero polynomial raises
+    DomainError.
     """
     coeffs = tuple(as_rational(c) for c in coeffs)
     deg = len(coeffs) - 1

@@ -150,10 +150,6 @@ class MomentSequence:
     def __len__(self) -> int:
         return len(self.nums)
 
-    @property
-    def order(self) -> int:
-        return len(self.nums) - 1
-
 
 # ---------------------------------------------------------------------------
 # Doubled-integer evaluation
@@ -329,8 +325,7 @@ def _alpha_table(variable: Variable,
     Each coefficient of 2k is one run of a record, a polynomial in a2
     summed by Horner, and each record is dropped before the next is
     decoded.  One pass serves every k at this alpha.  Four alphas are
-    kept: tables --approx-m and plot-data --figure 2 step through three
-    alphas for each k.
+    kept: plot-data --figure 2 steps through three alphas for each k.
     """
     out: list[list[tuple[int, ...]]] = []
     for i, _, top, coeffs in _table_rows(variable):

@@ -87,7 +87,10 @@ def test_criterion_04_structure_verification():
     reduced = deflate(deflate(p_two, -6), -7)
     assert reduced[-2] / reduced[-1] == 21
     for alpha in (HALF, Fraction(1), Fraction(2)):
-        assert closedform.verify_structure(alpha).ok
+        checks = closedform.structure_checks(
+            closedform.structural_prediction(alpha),
+            closedform.extract_p(alpha))
+        assert all(c.ok for c in checks)
     assert time.perf_counter() - start < 5.0
 
 

@@ -431,8 +431,7 @@ def test_closed_pipe_ends_quietly():
     # the reader is gone before the command writes a byte
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sepprob.cli", "tables", "--table", "4",
-         "--approx-m", "0"],
+        [sys.executable, "-m", "sepprob.cli", "tables", "--table", "4"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     try:
@@ -663,24 +662,14 @@ def test_tables_proportions():
     assert cells[("3", "1/2")][2] == "none"
 
 
-def test_tables_proportion_approximants():
-    rc, out, _ = run_cli(["tables", "--table", "4", "--approx-m", "60"])
-    assert rc == 0
-    rows = body_lines(out)
-    for row in rows:
-        parts = row.split()
-        if parts[0] == "3" and parts[1] == "1":
-            assert parts[4] == "recorded"
-            recorded = Fraction(3073, 10557)
-            assert abs(float(parts[5]) - float(recorded)) < 0.02
-        if parts[0] == "3" and parts[1] == "1/2":
-            assert parts[4] == "unconfirmed"
-    # order 0 is a truncation order like any other
-    rc, out, _ = run_cli(["tables", "--table", "4", "--approx-m", "0"])
-    assert rc == 0
-    assert "approx_m=0" in out and out.splitlines()[1].endswith(
-        " approx_decimal")
-    assert all(len(row.split()) == 6 for row in body_lines(out))
+def test_tables_refuses_approx_m():
+    # plot-data --figure 2 prints the approximant quotients
+    with pytest.raises(SystemExit) as exc, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        main(["tables", "--table", "4", "--approx-m", "20"])
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: sepprob ")
+    assert "unrecognized arguments: --approx-m 20" in err.getvalue()
 
 
 def test_tables_all_is_text_only():
@@ -723,6 +712,15 @@ def test_asymptote_sweep():
     assert float(rows[1][2]) < float(rows[0][2])
 
 
+def test_asymptote_error_at_the_ratio_precision():
+    # both errors lie below 10^-30, so only --precision digits resolve them
+    rc, out, err = run_cli(["asymptote", "--alpha", "1/2", "--k-list",
+                            "1000000000000000,100000000000000000000"])
+    assert (rc, err) == (0, "")
+    assert [row.split()[2] for row in body_lines(out)] == [
+        "5.34979e-32", "5.34979e-42"]
+
+
 def test_plot_data_figure_one_ordering():
     rc, out, _ = run_cli(["plot-data", "--figure", "1"])
     assert rc == 0
@@ -741,6 +739,27 @@ def test_plot_data_figure_two_split():
     for name in ("rebit", "qubit", "quaterbit"):
         assert abs(float(rows[0][name]) - 0.5) < 0.1
         assert float(rows[1][name]) < float(rows[0][name])
+
+
+def test_plot_data_figure_two_proportion_approximants():
+    # the order-m diff tail over sep_prob: at m = 60 the qubit's k = 3
+    # quotient is near the proportion table 4 prints as recorded
+    rc, out, _ = run_cli(["tables", "--table", "4"])
+    assert rc == 0
+    cells = {tuple(r.split()[:2]): r.split()[2:] for r in body_lines(out)}
+    assert cells[("3", "1")][::2] == ["3073/10557", "recorded"]
+    rc, out, err = run_cli(["plot-data", "--figure", "2", "--m", "60",
+                            "--k-max", "3"])
+    assert (rc, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[3]["k"] == "3"
+    assert abs(float(rows[3]["qubit"]) - 3073 / 10557) < 0.02
+    # order 0 is a truncation order like any other
+    rc, out, err = run_cli(["plot-data", "--figure", "2", "--m", "0",
+                            "--format", "text"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "# command=plot-data figure=2 m=0"
+    assert [len(row.split()) for row in body_lines(out)] == [4] * 5
 
 
 def test_error_reporting_and_exit_code():
@@ -847,7 +866,7 @@ def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
         (["tail", *scenario, "--m", "30", "--cache", str(full)], 1, 1),
         (["tail", *scenario, "--m-list", "10,20,30"], 1, 3),
         (["moments", *scenario, "--m", "40", "--cache", str(short)], 1, 0),
-        (["tables", "--table", "4", "--approx-m", "20"], 21, 1),
+        (["plot-data", "--figure", "2", "--m", "20", "--k-max", "6"], 21, 1),
         (["plot-data", "--figure", "2", "--m", "20"], 15, 1),
         (["fit", "--alpha", "1", "--from-approximants"], 4, 1),
     ]
@@ -898,8 +917,6 @@ RECORDED_STDOUT = {
         "f2c16c8b1b07929a10b753b8c95d764efafc342b7565b02be27779650d69de30",
     "tail --variable pt --alpha 1 --k 0 --m 200 --xi 1/256":
         "d0a9ceb5a6ba049de239e8b07a7c6f8e3755d11c37ef0731e00073bed61909a2",
-    "tables --table 4 --approx-m 60":
-        "833fd646c318924b3d09abead90869bae8bb6a010e41c00031534ca6db383ed1",
     "plot-data --figure 2":
         "f529948d700823beaa92aa00289135e9c9ba67b700a63f10cfc7929b13b4cdbf",
 }

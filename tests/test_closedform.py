@@ -8,7 +8,7 @@ import pytest
 from refdata import TABLE_PROBS
 from sepprob.closedform import ASYMPTOTE, G, StructureCheck, \
     extract_p, extract_p_from_values, log_ratio, sep_prob, \
-    structural_prediction, structure_checks, verify_structure
+    structural_prediction, structure_checks
 from sepprob.errors import DomainError, PrecisionError, SingularityError, \
     StructureViolation
 from sepprob.exactnum import pochhammer
@@ -132,9 +132,10 @@ def test_verify_structure_all_pass():
     for alpha, names in ((HALF, ["degree", "leading_coeff"]),
                          (Fraction(1), names_int),
                          (Fraction(2), names_int)):
-        report = verify_structure(alpha)
-        assert report.ok
-        assert [c.name for c in report.checks] == names
+        checks = structure_checks(structural_prediction(alpha),
+                                  extract_p(alpha))
+        assert all(c.ok for c in checks)
+        assert [c.name for c in checks] == names
 
 
 def test_quaterbit_factor_chain():
@@ -146,8 +147,8 @@ def test_quaterbit_factor_chain():
     assert eval_at(-6) == 0 and eval_at(-7) == 0
     assert eval_at(-5) != 0 and eval_at(-8) != 0
     # after removing (k+6)(k+7) the monic second coefficient is 21
-    report = verify_structure(2)
-    by_name = {c.name: c for c in report.checks}
+    checks = structure_checks(structural_prediction(2), p2)
+    by_name = {c.name: c for c in checks}
     assert by_name["reduced_second"].actual == 21
 
 

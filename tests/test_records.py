@@ -9,7 +9,7 @@ import pytest
 
 from sepprob import closedform
 from sepprob.closedform import StructuralPrediction, StructureCheck, \
-    StructureReport, _ClosedForm, structural_prediction, verify_structure
+    _ClosedForm, extract_p, structural_prediction, structure_checks
 from sepprob.errors import DomainError
 from sepprob.inversion import TailEstimate, _Bank, gegenbauer_tail, \
     legendre_tail
@@ -28,7 +28,6 @@ FIELDS = {
                            "c2", "c2_prime", "c3", "reduced_degree",
                            "half_integer_pochhammer"),
     StructureCheck: ("name", "expected", "actual", "ok"),
-    StructureReport: ("alpha", "prediction", "coeffs", "checks"),
 }
 
 
@@ -37,7 +36,7 @@ def samples():
     """One record of each class, as the package builds it; built per
     module, so that no bank outlives these tests."""
     est = legendre_tail(moment_sequence(Scenario("pt", 1, 0), 20), 0, 20)
-    report = verify_structure(1)
+    checks = structure_checks(structural_prediction(1), extract_p(1))
     return {
         Scenario: Scenario("diff", 2, 1),
         TailEstimate: est,
@@ -45,8 +44,7 @@ def samples():
         RationalGuess: reconstruct("0.333333", "1e-4", 50),
         _ClosedForm: closedform._FORMULAS[Fraction(1)],
         StructuralPrediction: structural_prediction(1),
-        StructureCheck: report.checks[0],
-        StructureReport: report,
+        StructureCheck: checks[0],
     }
 
 
