@@ -12,6 +12,7 @@ A given config always produces identical bytes in exact mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import operator
 import os
@@ -34,6 +35,7 @@ CACHE_HEADER_PREFIX = "sepprob-moments v1"
 DEFAULT_DECIMAL_DIGITS = 15
 EXACT_VALUE_DIGITS = 30
 
+FIT_MARGIN = Fraction(1, 100)
 ALPHA_COLUMNS = (Fraction(1, 2), Fraction(1), Fraction(2))
 ALPHA_NAMES = {Fraction(1, 2): "rebit", Fraction(1): "qubit",
                Fraction(2): "quaterbit"}
@@ -461,13 +463,6 @@ def _table_four(args) -> None:
     _emit(args.format, meta, rows, fields)
 
 
-def _pipeline_tail(variable: Variable, alpha: Fraction, k: int,
-                   m: int) -> Fraction:
-    """The exact order-m Legendre tail at xi = 0 of one scenario."""
-    seq = moment_sequence(Scenario(variable, alpha, k), m)
-    return inversion.legendre_tail(seq, 0, m, mode=inversion.MODE_EXACT).value
-
-
 def cmd_fit(args) -> int:
     alpha = as_rational(args.alpha)
     if args.from_approximants:
@@ -508,37 +503,45 @@ def cmd_fit(args) -> int:
 
 def _fit_from_approximants(args, alpha: Fraction) -> int:
     pred = closedform.structural_prediction(alpha)
-    # an alpha without a closed form and a bad bound or radius are
-    # refused before any pipeline work
+    # an alpha without a closed form is refused before any pipeline work
     expected = closedform.extract_p(alpha)
-    recon._check_bound(args.bound)
-    recon._check_radius(args.radius)
-    ks = list(range(pred.degree + 2))
+    if args.m < 1:
+        raise DomainError(f"--m must be >= 1 so that m//2 < m, got {args.m}")
+    # D p_alpha(k), D = scale, is an integer: the lowest deg+3 consecutive k
+    # where both orders' tails give it within FIT_MARGIN hold the nodes and
+    # witnesses of p_alpha; the orders loop outside the k (one bank memo)
+    scale, width = pred.leading_coeff.denominator, pred.degree + 3
+    ks = range(3 * width)
+    seqs = [moment_sequence(Scenario(Variable.PT_DET, alpha, k), args.m)
+            for k in ks]
+    scaled = [[scale * closedform.p_sample(alpha, k, inversion.legendre_tail(
+                   seq, 0, m, mode=inversion.MODE_EXACT).value)
+               for k, seq in zip(ks, seqs)] for m in (args.m // 2, args.m)]
+    nearest = [round(x) for x in scaled[1]]
+    dists = [[abs(x - n) for x, n in zip(row, nearest)] for row in scaled]
+    inside = [max(pair) <= FIT_MARGIN for pair in zip(*dists)]
+    start = next((k for k in range(len(ks) - width + 1)
+                  if all(inside[k:k + width])), None)
     meta = {"command": "fit", "alpha": str(alpha), "pipeline": "approximants",
-            "m": str(args.m), "bound": str(args.bound),
-            "radius": str(args.radius)}
-    sample_rows = []
-    values = []
-    for k in ks:
-        estimate = _pipeline_tail(Variable.PT_DET, alpha, k, args.m)
-        guess = recon.reconstruct(estimate, args.radius, args.bound)
-        match = guess.value == closedform.sep_prob(alpha, k)
-        values.append((k, guess.value))
-        sample_rows.append({
-            "k": str(k), "estimate": _dec(estimate, 12),
-            "reconstructed": _rat(guess.value),
-            "confidence": guess.confidence.value,
-            "matches_closed_form": str(match).lower()})
-    coeffs = closedform.extract_p_from_values(alpha, values)
-    checks = closedform.structure_checks(pred, coeffs)
-    meta["polynomial"] = _poly_str(coeffs)
-    meta["matches_extract_p"] = str(coeffs == expected).lower()
-    meta["structure_checks"] = ",".join(
-        f"{c.name}:{'pass' if c.ok else 'FAIL'}" for c in checks)
-    _emit(args.format, meta, sample_rows,
-          ["k", "estimate", "reconstructed", "confidence",
-           "matches_closed_form"])
-    return 0
+            "m": str(args.m), "scale": str(scale), "margin": _rat(FIT_MARGIN),
+            "confidence": "ambiguous", "window": "-"}
+    coeffs = None
+    if start is not None:
+        meta["window"] = f"{start}..{start + width - 1}"
+        with contextlib.suppress(StructureViolation):
+            coeffs = closedform.interpolate_p(alpha, [(k, Fraction(
+                nearest[k], scale)) for k in ks[start:start + width]])
+    if coeffs is not None:
+        meta.update(confidence="unique", polynomial=_poly_str(coeffs),
+                    matches_extract_p=str(coeffs == expected).lower(),
+                    structure_checks=",".join(
+                        f"{c.name}:{'pass' if c.ok else 'FAIL'}"
+                        for c in closedform.structure_checks(pred, coeffs)))
+    rows = [{"k": str(k), "Dp": str(n), "dist_half_m": _dec(low, 3),
+             "dist_m": _dec(high, 3)}
+            for k, n, low, high in zip(ks, nearest, *dists)]
+    _emit(args.format, meta, rows, ["k", "Dp", "dist_half_m", "dist_m"])
+    return 0 if coeffs is not None else 1
 
 
 def _poly_str(coeffs) -> str:
@@ -576,7 +579,9 @@ def cmd_plot_data(args) -> int:
         k_max = 4
 
         def value(alpha, k):
-            tail = _pipeline_tail(Variable.DIFF, alpha, k, args.m)
+            seq = moment_sequence(Scenario(Variable.DIFF, alpha, k), args.m)
+            tail = inversion.legendre_tail(seq, 0, args.m,
+                                           mode=inversion.MODE_EXACT).value
             return tail / closedform.sep_prob(alpha, k)
 
     if args.k_max is not None:
@@ -666,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "instead of the closed forms")
     fi.add_argument("--m", type=int, default=1000,
                     help="pipeline truncation order")
-    fi.add_argument("--bound", type=int, default=500,
-                    help="pipeline reconstruction denominator bound")
-    fi.add_argument("--radius", default="1e-5",
-                    help="pipeline reconstruction error radius")
     _add_format(fi)
     fi.set_defaults(func=cmd_fit)
 

@@ -208,36 +208,34 @@ def extract_p(alpha: RationalLike) -> Tuple[Fraction, ...]:
 
 def extract_p_from_values(alpha: RationalLike,
                           sep_probs) -> Tuple[Fraction, ...]:
-    """p_alpha interpolated from supplied probabilities [(k, P(alpha,k))].
+    """p_alpha interpolated (interpolate_p) from supplied probabilities
+    [(k, P(alpha,k))], each read as p_alpha(k) by p_sample."""
+    return interpolate_p(alpha, [(kk, p_sample(alpha, kk, as_rational(p)))
+                                 for kk, p in sep_probs])
 
-    The closed-form route above is a special case; this one also accepts
-    reconstructed pipeline values, or any alpha for which the caller has a
-    rational sequence.  Needs degree+2 samples at distinct integer k; all
-    samples beyond the first degree+1 act as consistency witnesses.
-    """
-    alpha = as_rational(alpha)
-    pred = structural_prediction(alpha)
-    deg = pred.degree
-    pairs = [(kk, as_rational(p)) for kk, p in sep_probs]
+
+def p_sample(alpha: RationalLike, k: int, prob: Fraction) -> Fraction:
+    """p_alpha(k) from P(alpha, k) = prob, by F = p G (module docstring)."""
+    base, count = (structural_prediction(alpha).half_integer_pochhammer
+                   or (0, 0))
+    return (1 - prob) / G(alpha, k) * pochhammer(k + base, count)
+
+
+def interpolate_p(alpha: RationalLike, values) -> Tuple[Fraction, ...]:
+    """p_alpha from its values [(k, p_alpha(k))] at degree+2 or more distinct
+    k: degree+1 nodes, then witnesses the interpolant must meet exactly."""
+    deg = structural_prediction(alpha).degree
+    pairs = [(kk, as_rational(v)) for kk, v in values]
     if len(set(kk for kk, _ in pairs)) != len(pairs):
         raise DomainError("duplicate k samples")
     if len(pairs) < deg + 2:
         raise DomainError(
             f"need {deg + 2} samples for degree {deg} plus a witness, "
             f"got {len(pairs)}")
-
-    def sample(kk: int, p: Fraction) -> Fraction:
-        val = (1 - p) / G(alpha, kk)
-        if pred.half_integer_pochhammer is not None:
-            base, count = pred.half_integer_pochhammer
-            val *= pochhammer(kk + base, count)
-        return val
-
     nodes, witnesses = pairs[:deg + 1], pairs[deg + 1:]
-    coeffs = _interpolate([kk for kk, _ in nodes],
-                          [sample(kk, p) for kk, p in nodes])
-    for kk, p in witnesses:
-        if horner(coeffs, kk) != sample(kk, p):
+    coeffs = _interpolate([kk for kk, _ in nodes], [v for _, v in nodes])
+    for kk, v in witnesses:
+        if horner(coeffs, kk) != v:
             raise StructureViolation(
                 f"degree-{deg} interpolant fails at witness k={kk} "
                 f"for alpha={alpha}")
@@ -284,7 +282,7 @@ def structure_checks(pred: StructuralPrediction,
     """The individual prediction-vs-polynomial comparisons.
 
     The one screen for p_alpha, whether extract_p took it from the
-    closed forms or extract_p_from_values fitted it to pipeline
+    closed forms or interpolate_p fitted it to pipeline
     approximants.  A check whose coefficient the polynomial lacks
     reports actual None and fails; the zero polynomial raises
     DomainError.
@@ -340,7 +338,7 @@ def log_ratio(alpha: RationalLike, k: int, precision: int = DEFAULT_LOG_DIGITS) 
     log1p(-exp(log F)) with log F assembled from loggamma; big-float
     exponents keep exp(log F) representable at any k.  The a-priori error
     bound 10^(12 - precision) * (1 + |log F_k| + |log F_{k+1}|) must stay
-    below 10^-3 or the call refuses to answer.
+    below 10^-3 and the ratio's distance from 16/27 or the call refuses.
     """
     alpha = _check_alpha_case(alpha)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -351,10 +349,11 @@ def log_ratio(alpha: RationalLike, k: int, precision: int = DEFAULT_LOG_DIGITS) 
         lf_k = _FORMULAS[alpha].log(k)
         lf_k1 = _FORMULAS[alpha].log(k + 1)
         bound = mpmath.mpf(10) ** (12 - precision) * (1 + abs(lf_k) + abs(lf_k1))
-        if bound > mpmath.mpf("1e-3"):
+        value = mpmath.log1p(-mpmath.exp(lf_k1)) / mpmath.log1p(-mpmath.exp(lf_k))
+        gap = abs(value - mpmath.mpf(ASYMPTOTE.numerator) / ASYMPTOTE.denominator)
+        if bound >= min(mpmath.mpf("1e-3"), gap):
             raise PrecisionError(
                 f"precision {precision} cannot resolve the ratio at k={k}: "
-                f"error bound {mpmath.nstr(bound, 3)}")
-        value = mpmath.log1p(-mpmath.exp(lf_k1)) / mpmath.log1p(-mpmath.exp(lf_k))
-        value = +value
+                f"error bound {mpmath.nstr(bound, 3)} >= min(1e-3, "
+                f"{mpmath.nstr(gap, 3)} from 16/27)")
     return value

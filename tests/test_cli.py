@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepprob import cli, closedform, inversion, moments
+from sepprob import cli, inversion, moments
 from sepprob.cli import main
 from sepprob.moments import Scenario, Variable, moment_sequence, \
     pt_moment
@@ -721,6 +721,20 @@ def test_asymptote_error_at_the_ratio_precision():
         "5.34979e-32", "5.34979e-42"]
 
 
+def test_asymptote_refuses_an_error_below_its_bound():
+    # at k = 10^70 the 200-digit ratio is noise 1.2e-129 from 16/27, under
+    # its error bound 1.05e-118; 400 digits resolve the true 5.34979e-142
+    k = str(10 ** 70)
+    rc, out, err = run_cli(["asymptote", "--alpha", "1/2", "--k-list", k])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"PrecisionError: precision 200 cannot resolve "
+                          f"the ratio at k={k}: error bound 1.05e-118")
+    rc, out, err = run_cli(["asymptote", "--alpha", "1/2", "--k-list", k,
+                            "--precision", "400"])
+    assert (rc, err) == (0, "")
+    assert body_lines(out)[0].split()[2] == "5.34979e-142"
+
+
 def test_plot_data_figure_one_ordering():
     rc, out, _ = run_cli(["plot-data", "--figure", "1"])
     assert rc == 0
@@ -781,27 +795,64 @@ def test_console_script_entry_point():
     assert doc["rows"][2]["mu"] == "13/3046400"
 
 
-def test_full_pipeline_fit_from_approximants():
-    # the desk-scale end-to-end run: moments -> tail -> reconstruction ->
-    # interpolation -> structure checks, sourced purely from approximants
-    rc, out, _ = run_cli(["fit", "--alpha", "1", "--from-approximants",
-                          "--m", "1000", "--bound", "500",
-                          "--radius", "1e-5", "--format", "json"])
-    assert rc == 0
+@pytest.mark.parametrize("alpha, ks, window, polynomial", [
+    ("1/2", 12, "1..4", "32*k + 60"),
+    ("1", 15, "2..6", "512*k^2 + 3584*k + 6400"),
+    ("2", 27, "13..21", "65536/3*k^6 + 2228224/3*k^5 + 32276480/3*k^4 + "
+                    "256606208/3*k^3 + 395575296*k^2 + 1011154944*k + "
+                    "1114767360"),
+], ids=["1/2", "1", "2"])
+def test_full_pipeline_fit_from_approximants(alpha, ks, window, polynomial):
+    # the desk-scale end-to-end run: moments -> exact tails at orders 500
+    # and 1000 at k = 0..3(deg+3)-1 -> D p_alpha(k) rounded ->
+    # interpolation of the lowest deg+3 k where both orders agree within
+    # 1/100 -> two witnesses -> structure checks
+    rc, out, err = run_cli(["fit", "--alpha", alpha, "--from-approximants",
+                            "--format", "json"])
+    assert (rc, err) == (0, "")
     doc = json.loads(out)
-    assert doc["meta"]["polynomial"] == "512*k^2 + 3584*k + 6400"
-    assert doc["meta"]["matches_extract_p"] == "true"
-    assert "FAIL" not in doc["meta"]["structure_checks"]
-    confidences = [r["confidence"] for r in doc["rows"]]
-    assert confidences == ["unique", "unique", "ambiguous", "unique"]
-    assert all(r["matches_closed_form"] == "true" for r in doc["rows"])
+    meta = doc["meta"]
+    assert (meta["confidence"], meta["window"]) == ("unique", window)
+    assert meta["polynomial"] == polynomial
+    assert meta["matches_extract_p"] == "true"
+    assert "FAIL" not in meta["structure_checks"]
+    assert [row["k"] for row in doc["rows"]] == [str(k) for k in range(ks)]
+    first, last = map(int, window.split(".."))
+    inside = [max(float(row["dist_half_m"]), float(row["dist_m"])) <= 0.01
+              for row in doc["rows"]]
+    assert all(inside[first:last + 1]) and not all(inside[first - 1:last])
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "1", "2"])
+def test_fit_from_approximants_too_low_an_order_is_ambiguous(alpha):
+    # at m = 200 no deg+3 consecutive k have both orders within 1/100 of
+    # one integer, so no polynomial is printed
+    rc, out, err = run_cli(["fit", "--alpha", alpha, "--from-approximants",
+                            "--m", "200"])
+    assert (rc, err) == (1, "")
+    header = out.splitlines()[0]
+    assert " confidence=ambiguous window=-" in header
+    assert "polynomial" not in header and "matches_extract_p" not in header
+
+
+def test_fit_from_approximants_failed_witness_is_ambiguous(monkeypatch):
+    # a margin of 5 lets the rebit's order-100 integers at k = 0..3 in;
+    # they are not p_alpha's, the witnesses say so, and no polynomial is
+    # printed for the window
+    monkeypatch.setattr(cli, "FIT_MARGIN", Fraction(5))
+    rc, out, err = run_cli(["fit", "--alpha", "1/2", "--from-approximants",
+                            "--m", "100"])
+    assert (rc, err) == (1, "")
+    header = out.splitlines()[0]
+    assert " confidence=ambiguous window=0..3" in header
+    assert "polynomial" not in header
 
 
 def test_fit_from_approximants_refuses_an_open_alpha_first(monkeypatch):
     # an alpha without a closed form exits with the closed forms' one
-    # line before any tail is computed
+    # line before any moment is computed
     calls = []
-    monkeypatch.setattr(cli, "_pipeline_tail",
+    monkeypatch.setattr(cli, "moment_sequence",
                         lambda *args: calls.append(args))
     for alpha in ("3", "5/2"):
         rc, out, err = run_cli(["fit", "--alpha", alpha,
@@ -811,22 +862,19 @@ def test_fit_from_approximants_refuses_an_open_alpha_first(monkeypatch):
                        "supported: 1/2, 1, 2\n")
 
 
-def test_fit_from_approximants_checks_bound_and_radius_first(monkeypatch):
-    # a bad bound or radius exits with one line naming it before any tail
-    # is computed
-    calls = []
-    monkeypatch.setattr(cli, "_pipeline_tail",
-                        lambda *args: calls.append(args))
-    for extra, message in (
-            (["--bound", "0"], "denominator bound must be an integer >= 1, "
-                               "got 0"),
-            (["--radius", "abc"], "unparseable error radius: 'abc'"),
-            (["--radius", "nan"], "error radius must be finite, got NaN"),
-            (["--radius", "-1"], "error radius must be positive, got -1")):
-        rc, out, err = run_cli(["fit", "--alpha", "1", "--from-approximants"]
-                               + extra)
-        assert (rc, out, calls) == (1, "", [])
-        assert err == f"DomainError: {message}\n"
+def test_fit_from_approximants_flags():
+    # the reconstruction flags are gone, and --m 0 would compare order 0
+    # with itself
+    for extra in (["--bound", "500"], ["--radius", "1e-5"]):
+        with pytest.raises(SystemExit) as exc, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            main(["fit", "--alpha", "1", "--from-approximants", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(extra) in err.getvalue()
+    rc, out, err = run_cli(["fit", "--alpha", "1", "--from-approximants",
+                            "--m", "0"])
+    assert (rc, out) == (1, "")
+    assert err == "DomainError: --m must be >= 1 so that m//2 < m, got 0\n"
 
 
 @pytest.mark.parametrize("argv", [["tables", "--table", "1"],
@@ -868,7 +916,7 @@ def test_served_commands_compute_nothing_twice(tmp_path, monkeypatch):
         (["moments", *scenario, "--m", "40", "--cache", str(short)], 1, 0),
         (["plot-data", "--figure", "2", "--m", "20", "--k-max", "6"], 21, 1),
         (["plot-data", "--figure", "2", "--m", "20"], 15, 1),
-        (["fit", "--alpha", "1", "--from-approximants"], 4, 1),
+        (["fit", "--alpha", "1", "--from-approximants"], 15, 2),
     ]
     for argv, scenarios, bank_count in served:
         inversion._exact_bank.cache_clear()
