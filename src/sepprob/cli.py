@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 import mpmath
 
@@ -36,6 +36,7 @@ DEFAULT_DECIMAL_DIGITS = 15
 EXACT_VALUE_DIGITS = 30
 
 FIT_MARGIN = Fraction(1, 100)
+FIT_ORDER = 1000
 ALPHA_COLUMNS = (Fraction(1, 2), Fraction(1), Fraction(2))
 ALPHA_NAMES = {Fraction(1, 2): "rebit", Fraction(1): "qubit",
                Fraction(2): "quaterbit"}
@@ -69,9 +70,9 @@ def _dec(v, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
         return mpmath.nstr(v, digits)
 
 
-def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
-          fields: Sequence[str]) -> None:
+def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]]) -> None:
     stream = sys.stdout
+    fields = list(rows[0])  # every command prints at least one row
     if fmt == "json":
         import json
         json.dump({"meta": meta, "rows": rows}, stream, indent=2,
@@ -79,7 +80,7 @@ def _emit(fmt: str, meta: Dict[str, str], rows: List[Dict[str, str]],
         stream.write("\n")
     elif fmt == "csv":
         import csv
-        writer = csv.DictWriter(stream, fieldnames=list(fields))
+        writer = csv.DictWriter(stream, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
     else:
@@ -291,7 +292,7 @@ def cmd_moments(args) -> int:
     printed = MomentSequence(scenario, seq.nums[:args.m + 1],
                              seq.steps[:args.m + 1])
     rows = [{"n": str(n), "mu": _rat(mu)} for n, mu in enumerate(printed.mu)]
-    _emit(args.format, meta, rows, ["n", "mu"])
+    _emit(args.format, meta, rows)
     return 0
 
 
@@ -363,7 +364,7 @@ def cmd_tail(args) -> int:
                      "value_exact": _rat(value) if exact else "-"})
         del est
     if args.m_list is not None:
-        _emit(args.format, meta, rows, ["m", "value_decimal", "value_exact"])
+        _emit(args.format, meta, rows)
         return 0
     rows = [{"field": field, "value": rows[0][field]}
             for field in ("value_decimal", "value_exact")
@@ -376,7 +377,7 @@ def cmd_tail(args) -> int:
         rows.append({"field": "residual", "value": _dec(guess.residual, 8)})
         meta["bound"] = str(args.bound)
         meta["radius"] = str(args.radius)
-    _emit(args.format, meta, rows, ["field", "value"])
+    _emit(args.format, meta, rows)
     return 0
 
 
@@ -425,9 +426,6 @@ def _table_probabilities(args, number: int) -> None:
     alpha = ALPHA_COLUMNS[number - 1]
     meta = {"command": "tables", "table": str(number),
             "alpha": str(alpha), "case": ALPHA_NAMES[alpha]}
-    fields = ["k", "sep_prob", "decimal"]
-    if args.factor:
-        fields.append("factored")
     rows = []
     for k in range(0, args.k_max + 1):
         value = closedform.sep_prob(alpha, k)
@@ -435,12 +433,11 @@ def _table_probabilities(args, number: int) -> None:
         if args.factor:
             row["factored"] = _factored(value)
         rows.append(row)
-    _emit(args.format, meta, rows, fields)
+    _emit(args.format, meta, rows)
 
 
 def _table_four(args) -> None:
     meta = {"command": "tables", "table": "4"}
-    fields = ["k", "alpha", "proportion", "decimal", "source"]
     rows = []
     for k in range(0, 7):
         for alpha in ALPHA_COLUMNS:
@@ -460,14 +457,12 @@ def _table_four(args) -> None:
             rows.append({"k": str(k), "alpha": str(alpha),
                          "proportion": cell[0], "decimal": cell[1],
                          "source": cell[2]})
-    _emit(args.format, meta, rows, fields)
+    _emit(args.format, meta, rows)
 
 
 def cmd_fit(args) -> int:
     alpha = as_rational(args.alpha)
-    if args.from_approximants:
-        return _fit_from_approximants(args, alpha)
-    if alpha not in ALPHA_COLUMNS:
+    if alpha not in ALPHA_COLUMNS and not args.from_approximants:
         pred = closedform.structural_prediction(alpha)
         meta = {"command": "fit", "alpha": str(alpha),
                 "note": "prediction only; no closed form for this alpha"}
@@ -479,15 +474,15 @@ def cmd_fit(args) -> int:
                 return f"(k+{v[0]})_{v[1]}"
             return str(v)
 
-        rows = [{"field": f, "value": shown(f, v)} for f, v in [
-            ("degree", pred.degree),
-            ("leading_coeff", pred.leading_coeff),
-            ("g1", pred.g1), ("g2", pred.g2),
-            ("c2", pred.c2), ("c2_prime", pred.c2_prime),
-            ("c3", pred.c3), ("reduced_degree", pred.reduced_degree),
-            ("half_integer_pochhammer", pred.half_integer_pochhammer)]]
-        _emit(args.format, meta, rows, ["field", "value"])
+        rows = [{"field": f, "value": shown(f, getattr(pred, f))}
+                for f in pred._fields if f != "alpha"]
+        _emit(args.format, meta, rows)
         return 0
+    if args.format == "csv":  # the result is in the header, which csv lacks
+        raise SepprobError(f"fit --alpha {alpha} prints its result in the "
+                           "header and supports text and json only")
+    if args.from_approximants:
+        return _fit_from_approximants(args, alpha)
     coeffs = closedform.extract_p(alpha)
     checks = closedform.structure_checks(
         closedform.structural_prediction(alpha), coeffs)
@@ -497,7 +492,7 @@ def cmd_fit(args) -> int:
     rows = [{"check": c.name, "expected": str(c.expected),
              "actual": str(c.actual), "status": "pass" if c.ok else "FAIL"}
             for c in checks]
-    _emit(args.format, meta, rows, ["check", "expected", "actual", "status"])
+    _emit(args.format, meta, rows)
     return 0
 
 
@@ -505,26 +500,26 @@ def _fit_from_approximants(args, alpha: Fraction) -> int:
     pred = closedform.structural_prediction(alpha)
     # an alpha without a closed form is refused before any pipeline work
     expected = closedform.extract_p(alpha)
-    if args.m < 1:
-        raise DomainError(f"--m must be >= 1 so that m//2 < m, got {args.m}")
     # D p_alpha(k), D = scale, is an integer: the lowest deg+3 consecutive k
     # where both orders' tails give it within FIT_MARGIN hold the nodes and
     # witnesses of p_alpha; the orders loop outside the k (one bank memo)
     scale, width = pred.leading_coeff.denominator, pred.degree + 3
     ks = range(3 * width)
-    seqs = [moment_sequence(Scenario(Variable.PT_DET, alpha, k), args.m)
+    seqs = [moment_sequence(Scenario(Variable.PT_DET, alpha, k), FIT_ORDER)
             for k in ks]
     scaled = [[scale * closedform.p_sample(alpha, k, inversion.legendre_tail(
                    seq, 0, m, mode=inversion.MODE_EXACT).value)
-               for k, seq in zip(ks, seqs)] for m in (args.m // 2, args.m)]
+               for k, seq in zip(ks, seqs)]
+              for m in (FIT_ORDER // 2, FIT_ORDER)]
     nearest = [round(x) for x in scaled[1]]
     dists = [[abs(x - n) for x, n in zip(row, nearest)] for row in scaled]
     inside = [max(pair) <= FIT_MARGIN for pair in zip(*dists)]
     start = next((k for k in range(len(ks) - width + 1)
                   if all(inside[k:k + width])), None)
     meta = {"command": "fit", "alpha": str(alpha), "pipeline": "approximants",
-            "m": str(args.m), "scale": str(scale), "margin": _rat(FIT_MARGIN),
-            "confidence": "ambiguous", "window": "-"}
+            "m": str(FIT_ORDER), "scale": str(scale),
+            "margin": _rat(FIT_MARGIN), "confidence": "ambiguous",
+            "window": "-"}
     coeffs = None
     if start is not None:
         meta["window"] = f"{start}..{start + width - 1}"
@@ -540,7 +535,7 @@ def _fit_from_approximants(args, alpha: Fraction) -> int:
     rows = [{"k": str(k), "Dp": str(n), "dist_half_m": _dec(low, 3),
              "dist_m": _dec(high, 3)}
             for k, n, low, high in zip(ks, nearest, *dists)]
-    _emit(args.format, meta, rows, ["k", "Dp", "dist_half_m", "dist_m"])
+    _emit(args.format, meta, rows)
     return 0 if coeffs is not None else 1
 
 
@@ -565,7 +560,7 @@ def cmd_asymptote(args) -> int:
             err = abs(ratio - mpmath.mpf(target.numerator) / target.denominator)
         rows.append({"k": str(k), "ratio": _dec(ratio),
                      "abs_error": _dec(err, 6)})
-    _emit(args.format, meta, rows, ["k", "ratio", "abs_error"])
+    _emit(args.format, meta, rows)
     return 0
 
 
@@ -573,14 +568,17 @@ def cmd_plot_data(args) -> int:
     _check_k_max(args.k_max)
     meta = {"command": "plot-data", "figure": str(args.figure)}
     if args.figure == 1:
+        if args.m is not None:
+            raise SepprobError("--m is the truncation order of figure 2; "
+                               "figure 1 plots the closed forms")
         k_max, value = 20, closedform.sep_prob
     else:
-        meta["m"] = str(args.m)
-        k_max = 4
+        k_max, m = 4, 200 if args.m is None else args.m
+        meta["m"] = str(m)
 
         def value(alpha, k):
-            seq = moment_sequence(Scenario(Variable.DIFF, alpha, k), args.m)
-            tail = inversion.legendre_tail(seq, 0, args.m,
+            seq = moment_sequence(Scenario(Variable.DIFF, alpha, k), m)
+            tail = inversion.legendre_tail(seq, 0, m,
                                            mode=inversion.MODE_EXACT).value
             return tail / closedform.sep_prob(alpha, k)
 
@@ -589,7 +587,7 @@ def cmd_plot_data(args) -> int:
     rows = [{"k": str(k), **{ALPHA_NAMES[alpha]: _dec(value(alpha, k))
                              for alpha in ALPHA_COLUMNS}}
             for k in range(k_max + 1)]
-    _emit(args.format, meta, rows, ["k", *ALPHA_NAMES.values()])
+    _emit(args.format, meta, rows)
     return 0
 
 
@@ -669,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     fi.add_argument("--from-approximants", action="store_true",
                     help="source the probabilities from the moment pipeline "
                          "instead of the closed forms")
-    fi.add_argument("--m", type=int, default=1000,
-                    help="pipeline truncation order")
     _add_format(fi)
     fi.set_defaults(func=cmd_fit)
 
@@ -687,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--figure", type=int, choices=[1, 2], required=True)
     pl.add_argument("--k-max", type=int,
                     help="last k sample (default: 20 for figure 1, 4 for 2)")
-    pl.add_argument("--m", type=int, default=200,
-                    help="figure 2 truncation order")
+    pl.add_argument("--m", type=int,
+                    help="figure 2 truncation order (default 200)")
     _add_format(pl, default="csv")
     pl.set_defaults(func=cmd_plot_data)
 

@@ -352,8 +352,10 @@ def log_ratio(alpha: RationalLike, k: int, precision: int = DEFAULT_LOG_DIGITS) 
         value = mpmath.log1p(-mpmath.exp(lf_k1)) / mpmath.log1p(-mpmath.exp(lf_k))
         gap = abs(value - mpmath.mpf(ASYMPTOTE.numerator) / ASYMPTOTE.denominator)
         if bound >= min(mpmath.mpf("1e-3"), gap):
-            raise PrecisionError(
-                f"precision {precision} cannot resolve the ratio at k={k}: "
-                f"error bound {mpmath.nstr(bound, 3)} >= min(1e-3, "
-                f"{mpmath.nstr(gap, 3)} from 16/27)")
+            # nstr writes the whole mantissa out, past str(int)'s limit
+            with mpmath.mp.workdps(15):
+                raise PrecisionError(
+                    f"precision {precision} cannot resolve the ratio at "
+                    f"k={k}: error bound {mpmath.nstr(+bound, 3)} >= "
+                    f"min(1e-3, {mpmath.nstr(+gap, 3)} from 16/27)")
     return value

@@ -693,6 +693,26 @@ def test_fit_closed_form_report():
     assert "factor_chain" in names and "reduced_second" in names
 
 
+def test_fit_refuses_csv_where_its_result_is_in_the_header(monkeypatch):
+    # csv prints no header, so the closed-form and approximant reports,
+    # whose polynomial and verdict live there, refuse it before any moment
+    # is computed
+    calls = []
+    monkeypatch.setattr(cli, "moment_sequence",
+                        lambda *args: calls.append(args))
+    for extra in ([], ["--from-approximants"]):
+        rc, out, err = run_cli(["fit", "--alpha", "1/2", *extra,
+                                "--format", "csv"])
+        assert (rc, out, calls) == (1, "", [])
+        assert err == ("SepprobError: fit --alpha 1/2 prints its result in "
+                       "the header and supports text and json only\n")
+    # the prediction's result is its rows
+    rc, out, err = run_cli(["fit", "--alpha", "3", "--format", "csv"])
+    assert (rc, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0] == {"field": "degree", "value": "10"}
+
+
 def test_fit_prediction_only_for_open_cases():
     rc, out, _ = run_cli(["fit", "--alpha", "3"])
     assert rc == 0
@@ -735,6 +755,18 @@ def test_asymptote_refuses_an_error_below_its_bound():
     assert body_lines(out)[0].split()[2] == "5.34979e-142"
 
 
+def test_asymptote_refusal_prints_a_bound_of_thousands_of_digits():
+    # the 6400-digit bound is rounded before it is printed; written out
+    # in full its mantissa would pass the interpreter's digit limit
+    k = str(10 ** 4000)
+    rc, out, err = run_cli(["asymptote", "--alpha", "2", "--k-list", k,
+                            "--precision", "6400"])
+    assert (rc, out) == (1, "")
+    assert err == (f"PrecisionError: precision 6400 cannot resolve the ratio "
+                   f"at k={k}: error bound 1.05e-2388 >= min(1e-3, "
+                   f"1.12e-2397 from 16/27)\n")
+
+
 def test_plot_data_figure_one_ordering():
     rc, out, _ = run_cli(["plot-data", "--figure", "1"])
     assert rc == 0
@@ -774,6 +806,15 @@ def test_plot_data_figure_two_proportion_approximants():
     assert (rc, err) == (0, "")
     assert out.splitlines()[0] == "# command=plot-data figure=2 m=0"
     assert [len(row.split()) for row in body_lines(out)] == [4] * 5
+
+
+def test_plot_data_figure_one_refuses_an_order():
+    # figure 1 plots the closed forms, which take no truncation order
+    rc, out, err = run_cli(["plot-data", "--figure", "1", "--m", "3",
+                            "--k-max", "1"])
+    assert (rc, out) == (1, "")
+    assert err == ("SepprobError: --m is the truncation order of figure 2; "
+                   "figure 1 plots the closed forms\n")
 
 
 def test_error_reporting_and_exit_code():
@@ -824,11 +865,12 @@ def test_full_pipeline_fit_from_approximants(alpha, ks, window, polynomial):
 
 
 @pytest.mark.parametrize("alpha", ["1/2", "1", "2"])
-def test_fit_from_approximants_too_low_an_order_is_ambiguous(alpha):
+def test_fit_from_approximants_too_low_an_order_is_ambiguous(alpha,
+                                                             monkeypatch):
     # at m = 200 no deg+3 consecutive k have both orders within 1/100 of
     # one integer, so no polynomial is printed
-    rc, out, err = run_cli(["fit", "--alpha", alpha, "--from-approximants",
-                            "--m", "200"])
+    monkeypatch.setattr(cli, "FIT_ORDER", 200)
+    rc, out, err = run_cli(["fit", "--alpha", alpha, "--from-approximants"])
     assert (rc, err) == (1, "")
     header = out.splitlines()[0]
     assert " confidence=ambiguous window=-" in header
@@ -840,8 +882,8 @@ def test_fit_from_approximants_failed_witness_is_ambiguous(monkeypatch):
     # they are not p_alpha's, the witnesses say so, and no polynomial is
     # printed for the window
     monkeypatch.setattr(cli, "FIT_MARGIN", Fraction(5))
-    rc, out, err = run_cli(["fit", "--alpha", "1/2", "--from-approximants",
-                            "--m", "100"])
+    monkeypatch.setattr(cli, "FIT_ORDER", 100)
+    rc, out, err = run_cli(["fit", "--alpha", "1/2", "--from-approximants"])
     assert (rc, err) == (1, "")
     header = out.splitlines()[0]
     assert " confidence=ambiguous window=0..3" in header
@@ -863,18 +905,18 @@ def test_fit_from_approximants_refuses_an_open_alpha_first(monkeypatch):
 
 
 def test_fit_from_approximants_flags():
-    # the reconstruction flags are gone, and --m 0 would compare order 0
-    # with itself
-    for extra in (["--bound", "500"], ["--radius", "1e-5"]):
+    # the reconstruction flags are gone, and so is --m: the pipeline runs
+    # at the fixed orders FIT_ORDER/2 and FIT_ORDER, the closed forms at none
+    for extra in (["--from-approximants", "--bound", "500"],
+                  ["--from-approximants", "--radius", "1e-5"],
+                  ["--from-approximants", "--m", "200"], ["--m", "5"]):
         with pytest.raises(SystemExit) as exc, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
-            main(["fit", "--alpha", "1", "--from-approximants", *extra])
+            main(["fit", "--alpha", "1", *extra])
         assert exc.value.code == 2
-        assert "unrecognized arguments: " + " ".join(extra) in err.getvalue()
-    rc, out, err = run_cli(["fit", "--alpha", "1", "--from-approximants",
-                            "--m", "0"])
-    assert (rc, out) == (1, "")
-    assert err == "DomainError: --m must be >= 1 so that m//2 < m, got 0\n"
+        assert err.getvalue().startswith("usage: sepprob ")
+        assert "unrecognized arguments: " + " ".join(extra[-2:]) in \
+            err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [["tables", "--table", "1"],
@@ -997,8 +1039,6 @@ RECORDED_FORMATTED_STDOUT = {
         "685395dd9d03e7ed21d518feb943d33552254f3e9c43d6bee500ad8816047ece",
     "tables --table 4 --format json":
         "0b47d94952371fef2fea2e8be0264e9e1e90c5293269cd8385ce15ca3cbc9730",
-    "fit --alpha 1 --format csv":
-        "23160fd213b70f03211de9de06d503feb091465cb5a99dd6ad542267fdbe3edb",
     "fit --alpha 3 --format json":
         "1853b3c9337a561c70b320d23447766af39f369d0948abe7f10fe47297254a33",
     "asymptote --alpha 2 --k-list 10,100 --precision 60 --format csv":
